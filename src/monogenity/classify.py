@@ -102,7 +102,9 @@ def pure_prime_analysis(params: PureFieldParams, t: int, seed: int = 0) -> Prime
     elif t == params.p:
         expansion = zpoly.pure_shift_expansion(params)
         reports = (
-            ore.phi_report(f, t, (-params.m, 1), seed=seed, expansion=expansion),
+            ore.phi_report(
+                f, t, expansion.phi, seed=seed, expansion=expansion, points=expansion.points()
+            ),
         )
     else:
         reports = tuple(ore.analyze_prime(f, t, seed=seed))

@@ -25,8 +25,9 @@ from .ore import NOT_REGULAR, PhiReport
 from .polygon import principal_part
 from .zpoly import PureFieldParams, pure_polynomial, to_string
 
-# Engine work grows quadratically with the degree; refuse degrees that
-# would turn a desk command into an overnight run.
+# Analyze output lists all p**r + 1 valued points and render draws every
+# lattice column, so both grow linearly with the degree; the cap keeps one
+# command's output to a size a desk run can read.
 _MAX_DEGREE = 4096
 
 _SCAN_FIELDS = (

@@ -104,14 +104,18 @@ def phi_report(
     p: int,
     phi: zpoly.ZPoly,
     seed: int = 0,
-    expansion: "zpoly.PhiExpansion | None" = None,
+    expansion: "zpoly.PhiExpansion | zpoly.PureShiftExpansion | None" = None,
+    points: "list[tuple[int, int]] | None" = None,
 ) -> PhiReport:
     """Run the polygon pipeline for one expansion base phi.
 
     The reduction of phi must be irreducible and divide the reduction
     of f.  The multiplicity of that factor is read off the expansion:
     it is the first abscissa whose coefficient is a p-adic unit.  A
-    caller that already holds the expansion of f at phi may pass it in.
+    caller that already holds the expansion of f at phi may pass it in,
+    and a caller that knows every valued point (i, v_p(a_i)) in closed
+    form may pass those too; then only the coefficients on the sides
+    are read from the expansion.
     """
     f = zpoly.poly(f)
     phi = zpoly.poly(phi)
@@ -129,7 +133,10 @@ def phi_report(
         raise ValidationError(
             "expansion base divides f over Z; the analysis needs an irreducible f"
         )
-    points = polygon.valued_points(expansion, p)
+    if points is None:
+        points = polygon.valued_points(expansion, p)
+    else:
+        points = [polygon.ValuedPoint(i, v) for i, v in points]
     unit_positions = [pt.i for pt in points if pt.v == 0]
     if not unit_positions:
         raise InvariantError("no unit coefficient in the expansion of a monic polynomial")

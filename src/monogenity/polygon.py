@@ -161,36 +161,45 @@ def principal_part(polygon: NewtonPolygon) -> NewtonPolygon:
     return NewtonPolygon(tuple(s for s in polygon.sides if s.slope < 0))
 
 
-def _index_columns(principal: NewtonPolygon):
-    if principal.is_empty:
-        return
-    first = principal.sides[0].start.i
-    for side in principal.sides:
-        lo = side.start.i if side.start.i == first else side.start.i + 1
-        for x in range(max(1, lo), side.end.i + 1):
-            yield x, side.ordinate_at(x)
-
-
 def phi_index(principal: NewtonPolygon, deg_phi: int) -> int:
     """deg(phi) times the number of lattice points with x >= 1, y >= 1 lying
-    on or below the principal polygon, within its abscissa span."""
+    on or below the principal polygon, within its abscissa span.
+
+    The count is taken side by side in closed form.  A side of slope
+    -h/e and degree d from (x0, v0) has ordinate v0 - t*h/e at column
+    x0 + t; for t = 1..de, with gcd(h, e) = 1, the floors of t*h/e sum
+    to (h*d*(de + 1) - d*(e - 1))/2 and each ceiling is one more unless
+    e divides t.
+    """
     if deg_phi < 1:
         raise ValidationError("deg_phi must be positive")
     for side in principal.sides:
         if side.slope >= 0:
             raise ValidationError("phi_index expects the principal part only")
-    total = 0
-    for _, ordinate in _index_columns(principal):
-        total += max(0, math.floor(ordinate))
+    if principal.is_empty:
+        return 0
+    first = principal.sides[0].start
+    if first.i < 0 or principal.sides[-1].end.v < 0:
+        raise ValidationError("phi_index expects a polygon with x >= 0 and y >= 0")
+    total = first.v if first.i >= 1 else 0
+    for side in principal.sides:
+        d, e, h = side.degree, side.e, side.h
+        floors = (h * d * (d * e + 1) - d * (e - 1)) // 2
+        total += d * e * side.start.v - floors - (d * e - d)
     return deg_phi * total
 
 
 def index_lattice_points(principal: NewtonPolygon) -> list[tuple[int, int]]:
-    """The lattice points counted by phi_index (with deg_phi = 1)."""
+    """The lattice points counted by phi_index (with deg_phi = 1), column by column."""
     out = []
-    for x, ordinate in _index_columns(principal):
-        for y in range(1, math.floor(ordinate) + 1):
-            out.append((x, y))
+    if principal.is_empty:
+        return out
+    first = principal.sides[0].start.i
+    for side in principal.sides:
+        lo = side.start.i if side.start.i == first else side.start.i + 1
+        for x in range(max(1, lo), side.end.i + 1):
+            for y in range(1, math.floor(side.ordinate_at(x)) + 1):
+                out.append((x, y))
     return out
 
 

@@ -7,10 +7,12 @@ order with no trailing zeros; () is the zero polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
+from . import intarith
 from .errors import ValidationError
-from .intarith import is_prime, is_squarefree, prime_divisors, require_prime, valuation
+from .intarith import is_prime, require_prime, valuation
 
 ZPoly = tuple[int, ...]
 
@@ -119,11 +121,14 @@ class PureFieldParams:
     conditions the polynomial is irreducible over Q (a squarefree m of
     absolute value >= 2 is not a perfect q-th power for any prime q and
     never of the form -4k**4), so no runtime irreducibility test is run.
+    The squarefree check factors m; its primes are kept in m_primes so
+    that nothing else has to factor m again.
     """
 
     p: int
     r: int
     m: int
+    m_primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -132,8 +137,11 @@ class PureFieldParams:
             raise ValidationError(f"r must be a positive integer, got {self.r}")
         if self.m in (-1, 0, 1):
             raise ValidationError(f"m must satisfy |m| >= 2, got {self.m}")
-        if not is_squarefree(self.m):
+        # looked up on the module, where a tracer can wrap it
+        factors = intarith.factorize(self.m)
+        if any(e > 1 for _, e in factors):
             raise ValidationError(f"m must be squarefree, got {self.m}")
+        object.__setattr__(self, "m_primes", tuple(q for q, _ in factors))
 
     @property
     def degree(self) -> int:
@@ -213,23 +221,60 @@ def phi_expansion(f: ZPoly, phi: ZPoly, force_general: bool = False) -> PhiExpan
     return PhiExpansion(phi, tuple(coeffs))
 
 
-def pure_shift_expansion(params: PureFieldParams) -> PhiExpansion:
-    """Expansion of x**n - m at x - m in closed form.
+@dataclass(frozen=True)
+class PureShiftExpansion:
+    """x**n - m expanded at phi = x - m, for a prime p that does not divide m.
 
     The binomial theorem gives a_0 = m**n - m and
-    a_j = binomial(n, j) * m**(n - j); identical to phi_expansion but
-    linear-time, which matters for large degrees.
+    a_j = binomial(n, j) * m**(n - j).  Nothing of degree n is built:
+    points() gives every (j, v_p(a_j)) from the binomial lemma, and
+    coefficient() makes one exact a_j when asked, which is all that
+    residual polynomials read.
     """
-    n = params.degree
-    m = params.m
-    coeffs: list[ZPoly] = [(m**n - m,) if m**n != m else ()]
-    binom = 1
-    power = m**n
-    for j in range(1, n + 1):
-        binom = binom * (n - j + 1) // j
-        power //= m
-        coeffs.append((binom * power,))
-    return PhiExpansion((-m, 1), tuple(coeffs))
+
+    params: PureFieldParams
+    nu0: int  # v_p(a_0) = v_p(m**(n - 1) - 1)
+
+    @property
+    def phi(self) -> ZPoly:
+        return (-self.params.m, 1)
+
+    def coefficient(self, i: int) -> ZPoly:
+        n, m = self.params.degree, self.params.m
+        if i == 0:
+            return (m**n - m,)
+        if i > n:
+            return ()
+        return (math.comb(n, i) * m ** (n - i),)
+
+    def points(self) -> list[tuple[int, int]]:
+        """(j, v_p(a_j)) for j = 0..n: v_p(a_j) = r - v_p(j) for 0 < j < n."""
+        p, r, n = self.params.p, self.params.r, self.params.degree
+        vals = [r] * n + [0]
+        vals[0] = self.nu0
+        for k in range(1, r):
+            step = p**k
+            for j in range(step, n, step):
+                vals[j] -= 1
+        return list(enumerate(vals))
+
+
+def pure_shift_expansion(params: PureFieldParams) -> PureShiftExpansion:
+    """Expansion of x**n - m at x - m in closed form, for p not dividing m.
+
+    Only v_p(a_0) needs work: v_p(m**n - m) = v_p(m**(n - 1) - 1) is read
+    off pow(m, n - 1, p**k), with k doubled until the residue is nonzero.
+    """
+    p, m, n = params.p, params.m, params.degree
+    if m % p == 0:
+        raise ValidationError(f"the closed form needs p not dividing m, got p={p}, m={m}")
+    k = 4
+    while True:
+        modulus = p**k
+        residue = (pow(m, n - 1, modulus) - 1) % modulus
+        if residue:
+            return PureShiftExpansion(params, valuation(p, residue))
+        k *= 2
 
 
 def discriminant_valuation(params: PureFieldParams, q: int) -> int:
@@ -246,4 +291,4 @@ def discriminant_valuation(params: PureFieldParams, q: int) -> int:
 
 def candidate_index_primes(params: PureFieldParams) -> tuple[int, ...]:
     """The primes that can divide the index of Z[alpha]: p and the divisors of m."""
-    return tuple(sorted({params.p} | set(prime_divisors(params.m))))
+    return tuple(sorted({params.p, *params.m_primes}))

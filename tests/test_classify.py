@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,9 +13,15 @@ from monogenity.classify import (
     pure_prime_analysis,
 )
 from monogenity.errors import ValidationError
-from monogenity.intarith import valuation
-from monogenity.ore import NOT_REGULAR
-from monogenity.zpoly import PureFieldParams, candidate_index_primes, pure_polynomial
+from monogenity.intarith import is_squarefree, valuation
+from monogenity.ore import NOT_REGULAR, phi_report
+from monogenity.zpoly import (
+    PhiExpansion,
+    PureFieldParams,
+    candidate_index_primes,
+    phi_expansion,
+    pure_polynomial,
+)
 
 
 class TestClassifyExamples:
@@ -252,3 +259,70 @@ class TestPurePrimeAnalysis:
         analysis = pure_prime_analysis(PureFieldParams(2, 2, 17), 5)
         assert analysis.shape is not NOT_REGULAR
         assert analysis.shape.total_degree() == 4
+
+
+def _squarefree_from(start, step, p):
+    """First squarefree m = start + k*step (k >= 0) with |m| >= 2 and p not dividing m."""
+    m = start
+    while abs(m) < 2 or m % p == 0 or not is_squarefree(m):
+        m += step
+    return m
+
+
+def _closed_form_cases():
+    cases = [(2, 12, 17), (61, 2, 3)]
+    for p in (2, 3, 5, 7):
+        r = 1
+        while p**r <= 1024:
+            deep = p ** (r + 2)
+            cases += [
+                (p, r, _squarefree_from(10, 1, p)),
+                (p, r, _squarefree_from(-6, -1, p)),
+                # m = +-1 mod p**(r + 2): v_p(m**n - m) is well above r
+                (p, r, _squarefree_from(1 + deep, deep, p)),
+                (p, r, _squarefree_from(-1 - deep, -deep, p)),
+            ]
+            r += 1
+    return cases
+
+
+def _dense_expansion(params):
+    """Every coefficient of x**n - m at x - m: by division up to degree 1024,
+    by the binomial theorem above it, where division takes seconds."""
+    n, m = params.degree, params.m
+    if n <= 1024:
+        return phi_expansion(pure_polynomial(params), (-m, 1))
+    coeffs = [(m**n - m,)] + [(math.comb(n, j) * m ** (n - j),) for j in range(1, n + 1)]
+    return PhiExpansion((-m, 1), tuple(coeffs))
+
+
+class TestClosedFormAtP:
+    """The binomial-lemma report at t = p against the dense expansion path."""
+
+    @pytest.mark.parametrize("p, r, m", _closed_form_cases())
+    def test_matches_dense_phi_report(self, p, r, m):
+        params = PureFieldParams(p, r, m)
+        closed = pure_prime_analysis(params, p).reports[0]
+        dense = phi_report(pure_polynomial(params), p, (-m, 1), expansion=_dense_expansion(params))
+        for name in ("phi", "multiplicity", "points", "polygon", "principal", "index", "regular"):
+            assert getattr(closed, name) == getattr(dense, name), name
+        assert len(closed.sides) == len(dense.sides)
+        for a, b in zip(closed.sides, dense.sides):
+            assert a.side == b.side
+            assert a.residual.coefficients == b.residual.coefficients
+            assert a.factors == b.factors
+
+    def test_m_factored_once_per_field(self, monkeypatch):
+        from monogenity import intarith
+
+        m = 1000003 * 1009
+        calls = []
+
+        def counting(n, _factorize=intarith.factorize):
+            calls.append(n)
+            return _factorize(n)
+
+        monkeypatch.setattr(intarith, "factorize", counting)
+        verdict = classify(PureFieldParams(3, 2, m))
+        assert [n for n in calls if abs(n) == m] == [m]
+        assert [q for q, _ in verdict.certificate.discriminant_valuations] == [3, 1009, 1000003]

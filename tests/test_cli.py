@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from importlib import resources
@@ -129,6 +130,41 @@ class TestScan:
             "--m-from", "5", "--m-to", "3", "--out", "/tmp/unused.csv",
         )
         assert code == 2
+
+
+class TestByteIdentity:
+    """sha256 of outputs from before the closed-form engine at t = p.
+
+    Performance work must leave analyze JSON and scan CSV byte for byte
+    the same; a digest changes only with a deliberate change of format.
+    """
+
+    @pytest.mark.parametrize(
+        "p, r, m, digest",
+        [
+            (2, 10, 33, "dbb7c40e17dce20ca86c1e72b6c7dafaf170a2e2964103b661bd8a8b42cd48f9"),
+            (5, 5, 7, "044b353e115e61f5c020ef117be2ee75b4a26491948ebf59bc567e2fc5df2ec8"),
+            (3, 3, 161, "f4cbfa1ac472f52839b7526f9e70088fef8caac755a35c057c498801258d99ef"),
+        ],
+    )
+    def test_analyze_json(self, capsys, p, r, m, digest):
+        code, out, _ = run(
+            capsys, "analyze", "--p", str(p), "--r", str(r), "--m", str(m), "--format", "json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_scan_csv(self, tmp_path, capsys):
+        out_path = tmp_path / "rows.csv"
+        code, _, _ = run(
+            capsys, "scan", "--p", "2", "--r", "8",
+            "--m-from", "1000", "--m-to", "1199", "--out", str(out_path),
+        )
+        assert code == 0
+        assert (
+            hashlib.sha256(out_path.read_bytes()).hexdigest()
+            == "cda8cdc5f34c3f50d8611d8d92989a3d6af9710de7bce585bd4893375c327c42"
+        )
 
 
 class TestRender:

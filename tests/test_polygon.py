@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monogenity.errors import ValidationError
 from monogenity.oracle import brute_hull, brute_phi_index
@@ -25,6 +26,25 @@ FIG2_POINTS_V4 = [(0, 4), (1, 3), (3, 2), (9, 1), (27, 0)]
 def polygon_from_vertices(vertices):
     pts = [ValuedPoint(i, v) for i, v in vertices]
     return NewtonPolygon(tuple(Side.from_endpoints(a, b) for a, b in zip(pts, pts[1:])))
+
+
+@st.composite
+def principal_polygons(draw):
+    """Chains of 1..4 sides of strictly increasing negative slope -h/e, each
+    with degree 1..3, starting at x = 0..5 and ending at height 0..3."""
+    slopes = draw(
+        st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=1, max_size=4)
+    )
+    fractions = sorted({Fraction(h, e) for h, e in slopes}, reverse=True)
+    degrees = draw(st.lists(st.integers(1, 3), min_size=len(fractions), max_size=len(fractions)))
+    x = draw(st.integers(0, 5))
+    v = draw(st.integers(0, 3)) + sum(d * f.numerator for f, d in zip(fractions, degrees))
+    vertices = [(x, v)]
+    for f, d in zip(fractions, degrees):
+        x += d * f.denominator
+        v -= d * f.numerator
+        vertices.append((x, v))
+    return polygon_from_vertices(vertices)
 
 
 class TestValuedPoints:
@@ -176,6 +196,22 @@ class TestPhiIndex:
             ]
             principal = principal_part(lower_convex_hull(pts))
             assert phi_index(principal, 1) == brute_phi_index(principal)
+
+    @settings(max_examples=300, deadline=None)
+    @given(principal_polygons())
+    @example(polygon_from_vertices([(2, 5), (3, 3), (7, 1), (11, 0)]))  # x >= 1, e > 1
+    @example(polygon_from_vertices([(0, 6), (1, 3), (2, 1), (3, 0)]))  # integer slopes
+    @example(polygon_from_vertices([(1, 4), (7, 0)]))  # one side, h = 2, e = 3, d = 2
+    def test_matches_brute_force_on_principal_polygons(self, principal):
+        index = phi_index(principal, 1)
+        assert index == brute_phi_index(principal)
+        assert len(index_lattice_points(principal)) == index
+        assert phi_index(principal, 3) == 3 * index
+
+    def test_rejects_points_outside_first_quadrant(self):
+        for vertices in ([(0, 1), (2, -1)], [(-1, 2), (1, 0)]):
+            with pytest.raises(ValidationError, match="x >= 0 and y >= 0"):
+                phi_index(polygon_from_vertices(vertices), 1)
 
     def test_index_lattice_points_match_figure_1(self):
         points = index_lattice_points(polygon_from_vertices(FIG1_VERTICES))

@@ -94,13 +94,25 @@ class TestPhiExpansion:
             assert fast == slow
 
     def test_closed_form_matches_division(self):
+        from monogenity.polygon import valued_points
         from monogenity.zpoly import pure_shift_expansion
 
-        for p, r, m in [(2, 2, 17), (3, 2, -10), (5, 1, 7), (2, 4, 33), (3, 3, 161)]:
+        # 257 and 65537 put v_p(a_0) at 8 and 16, past the first modulus p**4
+        cases = [(2, 2, 17), (3, 2, -10), (5, 1, 7), (2, 4, 33), (3, 3, 161), (2, 3, 257), (2, 2, 65537)]
+        for p, r, m in cases:
             params = PureFieldParams(p, r, m)
             direct = pure_shift_expansion(params)
             division = phi_expansion(pure_polynomial(params), (-m, 1))
-            assert direct == division
+            assert direct.phi == division.phi
+            for i in range(params.degree + 2):
+                assert direct.coefficient(i) == division.coefficient(i)
+            assert direct.points() == [tuple(pt) for pt in valued_points(division, p)]
+
+    def test_closed_form_needs_p_not_dividing_m(self):
+        from monogenity.zpoly import pure_shift_expansion
+
+        with pytest.raises(ValidationError, match="not dividing"):
+            pure_shift_expansion(PureFieldParams(3, 2, 6))
 
 
 class TestDivmodMonic:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import fppoly, ore, zpoly
 from .errors import InvariantError, ValidationError
-from .intarith import count_monic_irreducibles, require_prime, valuation
+from .intarith import _count_monic_irreducibles, _valuation, require_prime
 from .zpoly import PureFieldParams, candidate_index_primes, pure_polynomial
 
 
@@ -93,12 +93,15 @@ def pure_prime_analysis(params: PureFieldParams, t: int, seed: int = 0) -> Prime
     """Engine analysis of x**(p**r) - m at the prime t.
 
     Expansion bases follow the structure of the family: x when t
-    divides m, x - m when t = p, canonical lifts otherwise.
+    divides m, x - m when t = p, canonical lifts otherwise.  The params
+    have already checked p and the primes of m; any other t is checked
+    by analyze_prime.  At t | m the polygon is the single side from
+    (0, 1) to (n, 0), since m is squarefree.
     """
-    require_prime(t)
     f = pure_polynomial(params)
-    if params.m % t == 0:
-        reports = (ore.phi_report(f, t, (0, 1), seed=seed),)
+    if t in params.m_primes:
+        points = [(0, 1), (params.degree, 0)]
+        reports = (ore.phi_report(f, t, (0, 1), seed=seed, points=points),)
     elif t == params.p:
         expansion = zpoly.pure_shift_expansion(params)
         reports = (
@@ -113,7 +116,7 @@ def pure_prime_analysis(params: PureFieldParams, t: int, seed: int = 0) -> Prime
     pn_table = ()
     if shape is not ore.NOT_REGULAR:
         pn_table = tuple(
-            (f, shape.count_residue_degree(f), count_monic_irreducibles(t, f))
+            (f, shape.count_residue_degree(f), _count_monic_irreducibles(t, f))
             for f in shape.residue_degrees()
         )
     return PrimeAnalysis(
@@ -123,8 +126,8 @@ def pure_prime_analysis(params: PureFieldParams, t: int, seed: int = 0) -> Prime
 
 def _build_certificate(params: PureFieldParams, all_candidates: bool) -> Certificate:
     p, m = params.p, params.m
-    nu_pivot = valuation(p, m**p - m)
-    nu_fermat = valuation(p, m ** (p - 1) - 1) if m % p else None
+    nu_pivot = _valuation(p, m**p - m)
+    nu_fermat = _valuation(p, m ** (p - 1) - 1) if m % p else None
     primes = candidate_index_primes(params) if all_candidates else (p,)
     analyses = tuple(pure_prime_analysis(params, t) for t in primes)
     disc = tuple((t, zpoly.discriminant_valuation(params, t)) for t in candidate_index_primes(params))
@@ -153,7 +156,7 @@ def classify(params: PureFieldParams) -> MonogenityVerdict:
     is UNDETERMINED.
     """
     p, r, m = params.p, params.r, params.m
-    nu_pivot = valuation(p, m**p - m)
+    nu_pivot = _valuation(p, m**p - m)
 
     if nu_pivot == 1:
         certificate = _build_certificate(params, all_candidates=True)
@@ -179,9 +182,9 @@ def classify(params: PureFieldParams) -> MonogenityVerdict:
     if p % 2 and m % p and certificate.nu_fermat > p and r >= p:
         provenance = Provenance.COROLLARY_MONO3 if p == 3 else Provenance.THEOREM_NPIBODD
         return not_monogenic(provenance)
-    if p == 2 and r == 2 and valuation(2, 1 - m) >= 4:
+    if p == 2 and r == 2 and _valuation(2, 1 - m) >= 4:
         return not_monogenic(Provenance.THEOREM_MONO2)
-    if p == 2 and r >= 3 and valuation(2, 1 - m) >= 5:
+    if p == 2 and r >= 3 and _valuation(2, 1 - m) >= 5:
         return not_monogenic(Provenance.THEOREM_MONO2)
     if at_p.regular and at_p.comindex_witness() is not None:
         return not_monogenic(Provenance.ENGINE_COMINDEX)
@@ -214,10 +217,9 @@ def dedekind_divides_index(f: zpoly.ZPoly, q: int) -> bool:
     f = zpoly.poly(f)
     if not zpoly.is_monic(f):
         raise ValidationError("Dedekind's criterion needs a monic polynomial")
-    fbar = fppoly.reduce_mod_p(f, q)
     gbar: fppoly.FpPoly = fppoly.ONE
     hbar: fppoly.FpPoly = fppoly.ONE
-    for factor_bar, mult in fppoly.factor(fbar, q):
+    for factor_bar, mult in fppoly._factor(f, q):
         gbar = fppoly.mul(gbar, factor_bar, q)
         for _ in range(mult - 1):
             hbar = fppoly.mul(hbar, factor_bar, q)
@@ -231,6 +233,6 @@ def dedekind_divides_index(f: zpoly.ZPoly, q: int) -> bool:
         if rem:
             raise InvariantError("g*h - f is not divisible by q")
         t_coeffs.append(quo)
-    tbar = fppoly.reduce_mod_p(t_coeffs, q)
+    tbar = fppoly.normalize(t_coeffs, q)
     common = fppoly.gcd(fppoly.gcd(tbar, gbar, q), hbar, q)
     return fppoly.degree(common) >= 1

@@ -41,10 +41,6 @@ def is_monic(g: FpPoly) -> bool:
     return bool(g) and g[-1] == 1
 
 
-def constant(c: int, p: int) -> FpPoly:
-    return normalize((c,), p)
-
-
 def add(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
     if len(a) < len(b):
         a, b = b, a
@@ -130,13 +126,6 @@ def pow_mod(base: FpPoly, e: int, modulus: FpPoly, p: int) -> FpPoly:
 
 def derivative(g: FpPoly, p: int) -> FpPoly:
     return normalize([i * c for i, c in enumerate(g)][1:], p)
-
-
-def evaluate(g: FpPoly, c: int, p: int) -> int:
-    acc = 0
-    for coeff in reversed(g):
-        acc = (acc * c + coeff) % p
-    return acc
 
 
 def reduce_mod_p(f, p: int) -> FpPoly:
@@ -270,11 +259,18 @@ def factor(g: FpPoly, p: int, seed: int = 0) -> list[tuple[FpPoly, int]]:
     splitting.
     """
     require_prime(p)
+    return _factor(g, p, seed)
+
+
+def _factor(g, p: int, seed: int = 0) -> list[tuple[FpPoly, int]]:
+    # factor() for a p already checked to be prime
     g = normalize(g, p)
     if not g:
         raise ValidationError("cannot factor the zero polynomial")
     if not is_monic(g):
         raise ValidationError("factorization requires a monic polynomial")
+    if degree(g) == 1:
+        return [(g, 1)]
     rng = random.Random(seed)
     found: dict[FpPoly, int] = {}
     for mult, part in _squarefree_parts(g, p).items():

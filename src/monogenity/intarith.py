@@ -97,6 +97,11 @@ def require_prime(p: int) -> None:
 def valuation(p: int, n: int):
     """Largest k with p**k | n; INFINITY exactly when n = 0."""
     require_prime(p)
+    return _valuation(p, n)
+
+
+def _valuation(p: int, n: int):
+    # valuation() for a p the caller has already checked to be prime
     if n == 0:
         return INFINITY
     if n < 0:
@@ -122,7 +127,7 @@ def binomial_valuation(p: int, r: int, j: int) -> int:
         raise ValidationError(f"r must be positive, got {r}")
     if not 1 <= j <= p**r - 1:
         raise ValidationError(f"j must lie in 1..p**r-1, got j={j} for p**r={p**r}")
-    return r - valuation(p, j)
+    return r - _valuation(p, j)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -190,6 +195,11 @@ def count_monic_irreducibles(p: int, f: int) -> int:
     Moebius necklace count: N_f = (1/f) * sum over d | f of mu(d) * p**(f/d).
     """
     require_prime(p)
+    return _count_monic_irreducibles(p, f)
+
+
+def _count_monic_irreducibles(p: int, f: int) -> int:
+    # count_monic_irreducibles() for a p already checked to be prime
     if f < 1:
         raise ValidationError(f"degree must be positive, got {f}")
     total = sum(moebius(d) * p ** (f // d) for d in _divisors(f))

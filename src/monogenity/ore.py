@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import fppoly, polygon, zpoly
 from .errors import InvariantError, ValidationError
 from .intarith import require_prime
-from .residue import FPhiPoly, ff_degree, ff_factor, ff_make_monic, ff_to_string
+from .residue import FPhiPoly, ff_degree, ff_factor, ff_make_monic, ff_to_string, residue_field
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,9 @@ def phi_report(
     phi = zpoly.poly(phi)
     if not zpoly.is_monic(f):
         raise ValidationError("analysis requires a monic polynomial")
-    phibar = fppoly.reduce_mod_p(phi, p)
-    if not fppoly.is_irreducible(phibar, p):
-        raise ValidationError("expansion base must reduce to an irreducible polynomial")
+    # F_phi exists only for a prime p and an irreducible reduction of phi;
+    # residual_polynomial then finds the field built
+    residue_field(p, fppoly.normalize(phi, p))
     if expansion is None:
         expansion = zpoly.phi_expansion(f, phi)
     elif zpoly.poly(expansion.phi) != phi:
@@ -188,9 +188,8 @@ def analyze_prime(f: zpoly.ZPoly, p: int, seed: int = 0) -> list[PhiReport]:
     f = zpoly.poly(f)
     if not zpoly.is_monic(f):
         raise ValidationError("analysis requires a monic polynomial")
-    fbar = fppoly.reduce_mod_p(f, p)
     reports = []
-    for phibar, _ in fppoly.factor(fbar, p, seed=seed):
+    for phibar, _ in fppoly._factor(f, p, seed=seed):
         reports.append(phi_report(f, p, fppoly.lift(phibar), seed=seed))
     return reports
 

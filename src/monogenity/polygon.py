@@ -14,16 +14,16 @@ from typing import NamedTuple
 
 from . import fppoly
 from .errors import InvariantError, ValidationError
-from .intarith import INFINITY
+from .intarith import INFINITY, require_prime
 from .residue import (
     FPhiElement,
     ResidueField,
+    _residue_class,
     ff_normalize,
     ff_to_string,
-    residue_class,
     residue_field,
 )
-from .zpoly import PhiExpansion, ZPoly, poly_valuation
+from .zpoly import PhiExpansion, ZPoly, _poly_valuation
 
 
 class ValuedPoint(NamedTuple):
@@ -119,10 +119,11 @@ class NewtonPolygon:
 
 def valued_points(expansion: PhiExpansion, p: int) -> list[ValuedPoint]:
     """The points (i, v_p(a_i)) for the nonzero expansion coefficients."""
+    require_prime(p)
     points = []
     for i, a in enumerate(expansion.coefficients):
         if a:
-            v = poly_valuation(p, a)
+            v = _poly_valuation(p, a)
             if v is not INFINITY:
                 points.append(ValuedPoint(i, v))
     return points
@@ -234,12 +235,13 @@ def residual_polynomial(
 
     Raises if the side does not match the expansion (endpoint
     valuations off, or endpoints falling on zero coefficients).
+    Building the field F_phi checks p.
     """
     if tuple(phi) != tuple(expansion.phi):
         raise ValidationError("expansion was taken with a different base")
     if side.h < 0:
         raise ValidationError("residual polynomials do not attach to ascending sides")
-    field = residue_field(p, fppoly.reduce_mod_p(phi, p))
+    field = residue_field(p, fppoly.normalize(phi, p))
     coeffs = []
     for k in range(side.degree + 1):
         pos = side.start.i + k * side.e
@@ -248,12 +250,12 @@ def residual_polynomial(
         if not a:
             coeffs.append(field.zero())
             continue
-        va = poly_valuation(p, a)
+        va = _poly_valuation(p, a)
         if va < u:
             raise ValidationError(
                 f"point ({pos}, {va}) lies below the side; inconsistent pairing"
             )
-        coeffs.append(residue_class(a, p, phi, u))
+        coeffs.append(_residue_class(field, a, u))
     if not coeffs[0] or not coeffs[-1]:
         raise ValidationError("side endpoints must lie on the polygon")
     return ResidualPolynomial(side=side, field=field, coefficients=tuple(coeffs))

@@ -67,7 +67,11 @@ class ResidueField:
         return f"ResidueField(p={self.p}, modulus={self.modulus})"
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded: a scan meets a new F_q for almost every new prime q of m, and an
+# unbounded cache grew by one field per prime for the life of the process.
+# 512 holds every field one classify call touches and the few hundred
+# F_{p^k} that a batch of general polynomials reuses.
+@functools.lru_cache(maxsize=512)
 def residue_field(p: int, modulus: fppoly.FpPoly) -> ResidueField:
     return ResidueField(p, modulus)
 
@@ -162,12 +166,17 @@ def residue_class(a, p: int, phi, u: int):
     """Class of a(beta)/p**u in F_phi, beta a root of the reduction of phi.
 
     Every coefficient of the integer polynomial a must be divisible by
-    p**u; the result is (a div p**u) reduced mod (p, phi).
+    p**u; the result is (a div p**u) reduced mod (p, phi).  Building
+    the field checks p.
     """
-    require_prime(p)
     if u < 0:
         raise ValidationError("valuation shift must be a natural number")
-    field = residue_field(p, fppoly.reduce_mod_p(phi, p))
+    return _residue_class(residue_field(p, fppoly.normalize(phi, p)), a, u)
+
+
+def _residue_class(field: ResidueField, a, u: int) -> FPhiElement:
+    # residue_class() in a field the caller already holds
+    p = field.p
     pu = p**u
     divided = []
     for c in a:
@@ -195,10 +204,6 @@ def ff_normalize(coeffs) -> FPhiPoly:
 
 def ff_degree(g) -> int:
     return len(g) - 1
-
-
-def ff_constant(field: ResidueField, c: FPhiElement) -> FPhiPoly:
-    return ff_normalize((c,))
 
 
 def ff_x(field: ResidueField) -> FPhiPoly:
@@ -418,7 +423,9 @@ def ff_factor(g, seed: int = 0) -> list[tuple[FPhiPoly, int]]:
     """Factor a monic polynomial over a residue field into irreducibles.
 
     Output is sorted by degree then by the coefficient representatives,
-    hence deterministic for any seed.
+    hence deterministic for any seed.  Over a field of degree 1, which
+    is F_p with each element represented by its value, the coefficients
+    are factored as plain ints by fppoly, in the same order.
     """
     g = ff_normalize(g)
     if not g:
@@ -426,6 +433,12 @@ def ff_factor(g, seed: int = 0) -> list[tuple[FPhiPoly, int]]:
     field = g[0].field
     if g[-1] != field.one():
         raise ValidationError("factorization requires a monic polynomial")
+    if field.degree == 1:
+        values = [c.rep[0] if c.rep else 0 for c in g]
+        return [
+            (tuple(FPhiElement(field, (c,) if c else fppoly.ZERO) for c in irr), mult)
+            for irr, mult in fppoly._factor(values, field.p, seed)
+        ]
     rng = random.Random(seed)
     parts: dict[int, FPhiPoly] = {}
     _ff_sff_into(field, g, 1, parts)

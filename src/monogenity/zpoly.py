@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import intarith
 from .errors import ValidationError
-from .intarith import is_prime, require_prime, valuation
+from .intarith import INFINITY, _valuation, is_prime, require_prime
 
 ZPoly = tuple[int, ...]
 
@@ -81,16 +81,15 @@ def derivative(f: ZPoly) -> ZPoly:
     return poly([i * c for i, c in enumerate(f)][1:])
 
 
-def evaluate(f: ZPoly, c: int) -> int:
-    acc = 0
-    for coeff in reversed(f):
-        acc = acc * c + coeff
-    return acc
-
-
 def poly_valuation(p: int, f: ZPoly):
     """Gauss valuation: minimum of the coefficient valuations (INFINITY for 0)."""
-    return min(valuation(p, c) for c in f) if f else valuation(p, 0)
+    require_prime(p)
+    return _poly_valuation(p, f)
+
+
+def _poly_valuation(p: int, f: ZPoly):
+    # poly_valuation() for a p already checked to be prime
+    return min(_valuation(p, c) for c in f) if f else INFINITY
 
 
 def to_string(f: ZPoly, var: str = "x") -> str:
@@ -273,7 +272,7 @@ def pure_shift_expansion(params: PureFieldParams) -> PureShiftExpansion:
         modulus = p**k
         residue = (pow(m, n - 1, modulus) - 1) % modulus
         if residue:
-            return PureShiftExpansion(params, valuation(p, residue))
+            return PureShiftExpansion(params, _valuation(p, residue))
         k *= 2
 
 
@@ -281,12 +280,14 @@ def discriminant_valuation(params: PureFieldParams, q: int) -> int:
     """q-adic valuation of the discriminant of x**(p**r) - m.
 
     The discriminant is (up to sign) p**(r*p**r) * m**(p**r - 1), so the
-    valuation is r*p**r for q = p plus (p**r - 1) * v_q(m).
+    valuation is r*p**r for q = p plus (p**r - 1) * v_q(m).  The params
+    have already checked p and factored m, so only another q is checked.
     """
-    require_prime(q)
+    if q != params.p and q not in params.m_primes:
+        require_prime(q)
     n = params.degree
     total = params.r * n if q == params.p else 0
-    return total + (n - 1) * valuation(q, params.m)
+    return total + (n - 1) * _valuation(q, params.m)
 
 
 def candidate_index_primes(params: PureFieldParams) -> tuple[int, ...]:

@@ -326,3 +326,56 @@ class TestClosedFormAtP:
         verdict = classify(PureFieldParams(3, 2, m))
         assert [n for n in calls if abs(n) == m] == [m]
         assert [q for q, _ in verdict.certificate.discriminant_valuations] == [3, 1009, 1000003]
+
+
+class TestPrimeChecks:
+    """Primes are checked once at the public boundary, not in inner loops."""
+
+    def test_classify_checks_few_primes(self, monkeypatch):
+        from monogenity import cli, intarith, residue, zpoly
+
+        calls = []
+
+        def counting(n, _is_prime=intarith.is_prime):
+            calls.append(n)
+            return _is_prime(n)
+
+        for module in (intarith, zpoly, cli):
+            monkeypatch.setattr(module, "is_prime", counting)
+        # every residue field is built afresh, the most checks a call can make
+        residue.residue_field.cache_clear()
+        verdict = classify(PureFieldParams(7, 1, 10001))
+        assert verdict.provenance is Provenance.THEOREM_PIB
+        assert [a.prime for a in verdict.certificate.analyses] == [7, 73, 137]
+        # p when the params are made, then once per residue field F_7, F_73, F_137
+        assert len(calls) <= 7
+        assert sorted(set(calls)) == [7, 73, 137]
+
+    @pytest.mark.parametrize("q", [4, 9, 15])
+    def test_composite_rejected_at_every_entry(self, q):
+        from monogenity import fppoly, intarith, ore, polygon, residue, zpoly
+
+        params = PureFieldParams(2, 1, 30)  # 15 divides m
+        f = (-12, 0, 1)
+        expansion = phi_expansion(f, (0, 1))
+        side = polygon.lower_convex_hull([(0, 2), (2, 0)]).sides[0]
+        entries = [
+            lambda: intarith.valuation(q, 12),
+            lambda: intarith.binomial_valuation(q, 1, 1),
+            lambda: intarith.count_monic_irreducibles(q, 2),
+            lambda: zpoly.poly_valuation(q, f),
+            lambda: zpoly.discriminant_valuation(params, q),
+            lambda: fppoly.reduce_mod_p(f, q),
+            lambda: fppoly.factor((1, 0, 1), q),
+            lambda: residue.residue_field(q, (0, 1)),
+            lambda: residue.residue_class((12,), q, (0, 1), 0),
+            lambda: polygon.valued_points(expansion, q),
+            lambda: polygon.residual_polynomial(expansion, q, (0, 1), side),
+            lambda: ore.phi_report(f, q, (0, 1)),
+            lambda: ore.analyze_prime(f, q),
+            lambda: pure_prime_analysis(params, q),
+            lambda: dedekind_divides_index(f, q),
+        ]
+        for entry in entries:
+            with pytest.raises(ValidationError, match="not prime"):
+                entry()

@@ -133,10 +133,13 @@ class TestScan:
 
 
 class TestByteIdentity:
-    """sha256 of outputs from before the closed-form engine at t = p.
+    """sha256 of outputs from before the closed-form engine at t = p, and
+    (human text, the p = 7 scan) from before residuals over F_p were
+    factored by fppoly.
 
-    Performance work must leave analyze JSON and scan CSV byte for byte
-    the same; a digest changes only with a deliberate change of format.
+    Performance work must leave analyze JSON, human text and scan CSV
+    byte for byte the same; a digest changes only with a deliberate
+    change of format.
     """
 
     @pytest.mark.parametrize(
@@ -164,6 +167,35 @@ class TestByteIdentity:
         assert (
             hashlib.sha256(out_path.read_bytes()).hexdigest()
             == "cda8cdc5f34c3f50d8611d8d92989a3d6af9710de7bce585bd4893375c327c42"
+        )
+
+    @pytest.mark.parametrize(
+        "p, r, m, digest",
+        [
+            (3, 3, 161, "3875835a40575329870bd47e98126155ff3fae0651cc6399f3bd2f776ef1954a"),
+            (7, 1, 10001, "3286eef80fdadb87a4963ce3291412851a29abc78af7cf93a3404bb2bac71eaa"),
+            # m = 1 mod 49: UNDETERMINED
+            (7, 1, 197, "adcceb1fe1d1fed3660483ebb938a59971d1394f8f1aafe3844af627cdb6653c"),
+        ],
+    )
+    def test_analyze_human(self, capsys, p, r, m, digest):
+        code, out, _ = run(
+            capsys, "analyze", "--p", str(p), "--r", str(r), "--m", str(m), "--format", "human"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scan_csv_prime_field(self, tmp_path, capsys, jobs):
+        out_path = tmp_path / "rows.csv"
+        code, _, _ = run(
+            capsys, "scan", "--p", "7", "--r", "1",
+            "--m-from", "10000", "--m-to", "10199", "--jobs", jobs, "--out", str(out_path),
+        )
+        assert code == 0
+        assert (
+            hashlib.sha256(out_path.read_bytes()).hexdigest()
+            == "9518638306e1b74c59d4299e8de8d158a41339742ae636d8d510be25d69176d4"
         )
 
 

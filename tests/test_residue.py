@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monogenity.errors import ValidationError
 from monogenity.residue import (
@@ -58,6 +60,13 @@ class TestResidueField:
     def test_mixing_fields_rejected(self):
         with pytest.raises(ValidationError):
             F4.one() + F9.one()
+
+    def test_field_cache_is_bounded(self):
+        # a long scan meets a new F_q for almost every new prime q of m
+        primes = [q for q in range(2, 6000) if all(q % d for d in range(2, int(q**0.5) + 1))]
+        for q in primes[:600]:
+            residue_field(q, (0, 1))
+        assert residue_field.cache_info().currsize <= 512
 
 
 class TestResidueClass:
@@ -149,3 +158,53 @@ class TestFFFactor:
         two = F3.from_int(2)
         g = ff_make_monic(F3, (two, two))
         assert g == (F3.one(), F3.one())
+
+
+def _values(g):
+    """The coefficients of a polynomial over a degree-1 field, as ints."""
+    return tuple(c.rep[0] if c.rep else 0 for c in g)
+
+
+def _divides(b, a, p):
+    """Whether the monic int polynomial b divides a over F_p, by long division."""
+    rem = list(a)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = rem[shift + len(b) - 1] % p
+        for j, bj in enumerate(b):
+            rem[shift + j] = (rem[shift + j] - c * bj) % p
+    return not any(rem)
+
+
+@st.composite
+def prime_field_polys(draw):
+    """A monic polynomial of degree 1..7 over a degree-1 residue field."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    field = residue_field(p, (draw(st.integers(0, p - 1)), 1))
+    tail = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=7))
+    return field, ff_normalize([field.from_int(c) for c in tail] + [field.one()])
+
+
+class TestFFFactorPrimeField:
+    """ff_factor over F_p against trial division written here, not with fppoly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(prime_field_polys())
+    def test_against_trial_division(self, case):
+        field, g = case
+        p = field.p
+        factors = ff_factor(g)
+        product = (field.one(),)
+        for irr, mult in factors:
+            assert irr[-1] == field.one()
+            for _ in range(mult):
+                product = ff_mul(field, product, irr)
+            # no monic divisor of degree 1..deg/2: the factor is irreducible
+            values = _values(irr)
+            d = ff_degree(irr)
+            for k in range(1, d // 2 + 1):
+                for tail in itertools.product(range(p), repeat=k):
+                    assert not _divides(tail + (1,), values, p)
+        assert product == g
+        keys = [(ff_degree(irr), _values(irr)) for irr, _ in factors]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)

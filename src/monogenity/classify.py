@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from . import fppoly, ore, zpoly
 from .errors import InvariantError, ValidationError
-from .intarith import _count_monic_irreducibles, _valuation, require_prime
+from .intarith import _count_monic_irreducibles, _valuation
+from .residue import ff_factor, residue_field
 from .zpoly import PureFieldParams, candidate_index_primes, pure_polynomial
 
 
@@ -89,7 +90,7 @@ class MonogenityVerdict:
     certificate: Certificate
 
 
-def pure_prime_analysis(params: PureFieldParams, t: int, seed: int = 0) -> PrimeAnalysis:
+def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     """Engine analysis of x**(p**r) - m at the prime t.
 
     Expansion bases follow the structure of the family: x when t
@@ -101,16 +102,14 @@ def pure_prime_analysis(params: PureFieldParams, t: int, seed: int = 0) -> Prime
     f = pure_polynomial(params)
     if t in params.m_primes:
         points = [(0, 1), (params.degree, 0)]
-        reports = (ore.phi_report(f, t, (0, 1), seed=seed, points=points),)
+        reports = (ore.phi_report(f, t, (0, 1), points=points),)
     elif t == params.p:
         expansion = zpoly.pure_shift_expansion(params)
         reports = (
-            ore.phi_report(
-                f, t, expansion.phi, seed=seed, expansion=expansion, points=expansion.points()
-            ),
+            ore.phi_report(f, t, expansion.phi, expansion=expansion, points=expansion.points()),
         )
     else:
-        reports = tuple(ore.analyze_prime(f, t, seed=seed))
+        reports = tuple(ore.analyze_prime(f, t))
     index = ore.index_lower_bound(reports)
     shape = ore.splitting_shape(reports)
     pn_table = ()
@@ -213,19 +212,17 @@ def dedekind_divides_index(f: zpoly.ZPoly, q: int) -> bool:
     monically, and test whether gcd((g*h - f)/q, gbar, hbar) is
     nonconstant over F_q.
     """
-    require_prime(q)
+    prime_field = residue_field(q, fppoly.X)
     f = zpoly.poly(f)
     if not zpoly.is_monic(f):
         raise ValidationError("Dedekind's criterion needs a monic polynomial")
     gbar: fppoly.FpPoly = fppoly.ONE
     hbar: fppoly.FpPoly = fppoly.ONE
-    for factor_bar, mult in fppoly._factor(f, q):
+    for factor_bar, mult in ff_factor(prime_field, fppoly.normalize(f, q)):
         gbar = fppoly.mul(gbar, factor_bar, q)
         for _ in range(mult - 1):
             hbar = fppoly.mul(hbar, factor_bar, q)
-    g = fppoly.lift(gbar)
-    h = fppoly.lift(hbar)
-    product = zpoly.mul(g, h)
+    product = zpoly.mul(gbar, hbar)
     diff = zpoly.sub(product, f)
     t_coeffs = []
     for c in diff:

@@ -10,7 +10,6 @@ config file (path from --config or MONO_CONFIG).  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
@@ -20,7 +19,7 @@ import sys
 from . import __version__, oracle, render, zpoly
 from .classify import MonogenityVerdict, PrimeAnalysis, classify, dedekind_divides_index
 from .errors import InvariantError, OracleDisagreement, ValidationError
-from .intarith import is_prime, is_squarefree
+from .intarith import is_prime
 from .ore import NOT_REGULAR, PhiReport
 from .polygon import principal_part
 from .zpoly import PureFieldParams, pure_polynomial, to_string
@@ -286,9 +285,12 @@ def _scan_row(task) -> dict:
     base = {"m": m, "p": p, "r": r}
     if m in (-1, 0, 1):
         return {**base, "skipped_reason": "excluded_m"}
-    if not is_squarefree(m):
+    try:
+        params = PureFieldParams(p=p, r=r, m=m)
+    except ValidationError:
+        # cmd_scan has checked p and r, so what is left to fail is that m is squarefree
         return {**base, "skipped_reason": "not_squarefree"}
-    verdict = classify(PureFieldParams(p=p, r=r, m=m))
+    verdict = classify(params)
     cert = verdict.certificate
     analysis = cert.analysis_at(p)
     if analysis.shape is NOT_REGULAR:
@@ -342,6 +344,9 @@ def cmd_scan(args) -> int:
     if jobs == 1:
         rows = [_scan_row(t) for t in tasks]
     else:
+        # imported here, since only --jobs > 1 needs it and with logging it adds ~0.5 MiB RSS
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tasks) // (jobs * 4))
             rows = list(pool.map(_scan_row, tasks, chunksize=chunk))

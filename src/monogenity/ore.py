@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from . import fppoly, polygon, zpoly
 from .errors import InvariantError, ValidationError
-from .intarith import require_prime
-from .residue import FPhiPoly, ff_degree, ff_factor, ff_make_monic, ff_to_string, residue_field
+from .residue import ff_degree, ff_factor, ff_make_monic, ff_to_string, residue_field
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,7 @@ class SideAnalysis:
 
     side: polygon.Side
     residual: polygon.ResidualPolynomial
-    factors: tuple[tuple[FPhiPoly, int], ...]
+    factors: tuple[tuple[tuple, int], ...]  # over residual.field
 
     @property
     def squarefree(self) -> bool:
@@ -32,7 +31,7 @@ class SideAnalysis:
     def factor_strings(self) -> tuple[str, ...]:
         out = []
         for psi, mult in self.factors:
-            text = ff_to_string(psi)
+            text = ff_to_string(self.residual.field, psi)
             out.append(text if mult == 1 else f"({text})^{mult}")
         return tuple(out)
 
@@ -103,7 +102,6 @@ def phi_report(
     f: zpoly.ZPoly,
     p: int,
     phi: zpoly.ZPoly,
-    seed: int = 0,
     expansion: "zpoly.PhiExpansion | zpoly.PureShiftExpansion | None" = None,
     points: "list[tuple[int, int]] | None" = None,
 ) -> PhiReport:
@@ -159,7 +157,7 @@ def phi_report(
     for side in principal.sides:
         residual = polygon.residual_polynomial(expansion, p, phi, side)
         monic = ff_make_monic(residual.field, residual.as_poly())
-        factors = tuple(ff_factor(monic, seed=seed))
+        factors = tuple(ff_factor(residual.field, monic))
         if sum(ff_degree(psi) * mult for psi, mult in factors) != side.degree:
             raise InvariantError("residual factorization does not match the side degree")
         sides.append(SideAnalysis(side=side, residual=residual, factors=factors))
@@ -178,20 +176,19 @@ def phi_report(
     )
 
 
-def analyze_prime(f: zpoly.ZPoly, p: int, seed: int = 0) -> list[PhiReport]:
+def analyze_prime(f: zpoly.ZPoly, p: int) -> list[PhiReport]:
     """One PhiReport per irreducible factor of the reduction of f mod p.
 
     Expansion bases are the canonical monic lifts with coefficients in
-    0..p-1, in the canonical factor order.
+    0..p-1, in the canonical factor order.  Building F_p checks p.
     """
-    require_prime(p)
+    prime_field = residue_field(p, fppoly.X)
     f = zpoly.poly(f)
     if not zpoly.is_monic(f):
         raise ValidationError("analysis requires a monic polynomial")
-    reports = []
-    for phibar, _ in fppoly._factor(f, p, seed=seed):
-        reports.append(phi_report(f, p, fppoly.lift(phibar), seed=seed))
-    return reports
+    return [
+        phi_report(f, p, phibar) for phibar, _ in ff_factor(prime_field, fppoly.normalize(f, p))
+    ]
 
 
 def index_lower_bound(reports) -> IndexBound:

@@ -15,14 +15,7 @@ from typing import NamedTuple
 from . import fppoly
 from .errors import InvariantError, ValidationError
 from .intarith import INFINITY, require_prime
-from .residue import (
-    FPhiElement,
-    ResidueField,
-    _residue_class,
-    ff_normalize,
-    ff_to_string,
-    residue_field,
-)
+from .residue import ResidueField, _residue_class, ff_normalize, ff_to_string, residue_field
 from .zpoly import PhiExpansion, ZPoly, _poly_valuation
 
 
@@ -208,14 +201,15 @@ def index_lattice_points(principal: NewtonPolygon) -> list[tuple[int, int]]:
 class ResidualPolynomial:
     """The polynomial over F_phi attached to one side.
 
-    coefficients[k] is the residue class of the expansion coefficient
-    at abscissa s + k*e and multiplies y**k.  With this pairing a
-    slope-0 side over the base x reproduces plain reduction mod p.
+    coefficients[k], an element of field, is the residue class of the
+    expansion coefficient at abscissa s + k*e and multiplies y**k.  With
+    this pairing a slope-0 side over the base x reproduces plain
+    reduction mod p.
     """
 
     side: Side
     field: ResidueField
-    coefficients: tuple[FPhiElement, ...]
+    coefficients: tuple
 
     @property
     def degree(self) -> int:
@@ -225,7 +219,7 @@ class ResidualPolynomial:
         return ff_normalize(self.coefficients)
 
     def __str__(self):
-        return ff_to_string(self.as_poly())
+        return ff_to_string(self.field, self.as_poly())
 
 
 def residual_polynomial(
@@ -248,7 +242,7 @@ def residual_polynomial(
         u = side.start.v - k * side.h
         a = expansion.coefficient(pos)
         if not a:
-            coeffs.append(field.zero())
+            coeffs.append(field.zero)
             continue
         va = _poly_valuation(p, a)
         if va < u:

@@ -1,30 +1,57 @@
-"""Residue fields F_p[x]/(phibar) and polynomial arithmetic over them.
+"""Residue fields F_q = F_p[x]/(phibar) and the polynomials over them.
 
-Elements carry their field, so the usual operators work; polynomials
-over a residue field are tuples of elements in ascending degree order,
-mirroring the F_p[x] conventions of fppoly.
+An element of a field of degree 1 (F_q = F_p) is a plain int 0..p-1.
+An element of a field of degree k >= 2 is its reduced representative,
+an FpPoly tuple, with fppoly's F_p[x] arithmetic modulo the field's
+modulus as its arithmetic.  Elements do not carry their field: it is
+the first argument of every ff_* function.  A polynomial over F_q is a
+tuple of elements in ascending degree order with a nonzero top
+coefficient, as in fppoly, so a polynomial over F_p is an FpPoly.
+
+ff_factor is the one factorization for every q, F_p included:
+squarefree, then distinct-degree, then Cantor-Zassenhaus equal-degree
+factorization (von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 14).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import itertools
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from . import fppoly
 from .errors import ValidationError
 from .intarith import require_prime
 
-_EXHAUSTIVE_LIMIT = 2**16
+# Cantor-Zassenhaus draws from random.Random(_SPLIT_SEED).  Factors are
+# returned sorted, so no result depends on this value.
+_SPLIT_SEED = 0
+
+
+def _op():
+    return dataclasses.field(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class ResidueField:
-    """The field F_p[x]/(modulus), modulus monic irreducible over F_p."""
+    """The field F_p[x]/(modulus), modulus monic irreducible over F_p.
+
+    zero, one and the element operations add(a, b), sub(a, b), mul(a, b)
+    and pow(a, e) are set on construction for the element representation
+    of the field's degree.
+    """
 
     p: int
     modulus: fppoly.FpPoly
+    zero: object = _op()
+    one: object = _op()
+    add: Callable = _op()
+    sub: Callable = _op()
+    mul: Callable = _op()
+    pow: Callable = _op()
 
     def __post_init__(self):
         require_prime(self.p)
@@ -34,6 +61,27 @@ class ResidueField:
             raise ValidationError(
                 f"residue field modulus {self.modulus} is reducible over F_{self.p}"
             )
+        p, modulus = self.p, self.modulus
+        if self.degree == 1:
+            ops = {
+                "zero": 0,
+                "one": 1,
+                "add": lambda a, b: (a + b) % p,
+                "sub": lambda a, b: (a - b) % p,
+                "mul": lambda a, b: a * b % p,
+                "pow": lambda a, e: pow(a, e, p),
+            }
+        else:
+            ops = {
+                "zero": fppoly.ZERO,
+                "one": fppoly.ONE,
+                "add": lambda a, b: fppoly.add(a, b, p),
+                "sub": lambda a, b: fppoly.sub(a, b, p),
+                "mul": lambda a, b: fppoly.mod_(fppoly.mul(a, b, p), modulus, p),
+                "pow": lambda a, e: fppoly.pow_mod(a, e, modulus, p),
+            }
+        for name, value in ops.items():
+            object.__setattr__(self, name, value)
 
     @property
     def degree(self) -> int:
@@ -43,28 +91,16 @@ class ResidueField:
     def order(self) -> int:
         return self.p**self.degree
 
-    def element(self, coeffs) -> "FPhiElement":
+    def element(self, coeffs):
+        """The class of the integer polynomial coeffs."""
         rep = fppoly.mod_(fppoly.normalize(coeffs, self.p), self.modulus, self.p)
-        return FPhiElement(self, rep)
+        if self.degree == 1:
+            return rep[0] if rep else 0
+        return rep
 
-    def from_int(self, c: int) -> "FPhiElement":
-        return self.element((c,))
-
-    def zero(self) -> "FPhiElement":
-        return FPhiElement(self, fppoly.ZERO)
-
-    def one(self) -> "FPhiElement":
-        return self.from_int(1)
-
-    def gen(self) -> "FPhiElement":
-        return self.element(fppoly.X)
-
-    def elements(self):
-        for coeffs in itertools.product(range(self.p), repeat=self.degree):
-            yield self.element(coeffs)
-
-    def __repr__(self):
-        return f"ResidueField(p={self.p}, modulus={self.modulus})"
+    def inv(self, a):
+        """Inverse of a nonzero element, a**(q - 2)."""
+        return a if a == self.one else self.pow(a, self.order - 2)
 
 
 # Bounded: a scan meets a new F_q for almost every new prime q of m, and an
@@ -74,76 +110,6 @@ class ResidueField:
 @functools.lru_cache(maxsize=512)
 def residue_field(p: int, modulus: fppoly.FpPoly) -> ResidueField:
     return ResidueField(p, modulus)
-
-
-@dataclass(frozen=True)
-class FPhiElement:
-    """An element of a residue field, stored as its reduced representative."""
-
-    field: ResidueField
-    rep: fppoly.FpPoly
-
-    def _check(self, other: "FPhiElement") -> None:
-        if self.field != other.field:
-            raise ValidationError("cannot mix elements of different residue fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FPhiElement(self.field, fppoly.add(self.rep, other.rep, self.field.p))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FPhiElement(self.field, fppoly.sub(self.rep, other.rep, self.field.p))
-
-    def __neg__(self):
-        return FPhiElement(self.field, fppoly.mul_scalar(self.rep, -1, self.field.p))
-
-    def __mul__(self, other):
-        self._check(other)
-        prod = fppoly.mul(self.rep, other.rep, self.field.p)
-        return FPhiElement(self.field, fppoly.mod_(prod, self.field.modulus, self.field.p))
-
-    def inverse(self) -> "FPhiElement":
-        if not self.rep:
-            raise ZeroDivisionError("zero has no inverse in a residue field")
-        # extended Euclid against the modulus
-        p = self.field.p
-        r0, r1 = self.field.modulus, self.rep
-        s0, s1 = fppoly.ZERO, fppoly.ONE
-        while r1:
-            q, rem = fppoly.divmod_(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, fppoly.sub(s0, fppoly.mul(q, s1, p), p)
-        inv_lead = pow(r0[-1], -1, p)
-        rep = fppoly.mod_(fppoly.mul_scalar(s0, inv_lead, p), self.field.modulus, p)
-        return FPhiElement(self.field, rep)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __bool__(self):
-        return bool(self.rep)
-
-    def __str__(self):
-        if self.field.degree == 1:
-            return str(self.rep[0] if self.rep else 0)
-        return _rep_str(self.rep)
-
-    def __repr__(self):
-        return f"FPhiElement({self}, mod {self.field.modulus} over F_{self.field.p})"
 
 
 def _rep_str(rep: fppoly.FpPoly) -> str:
@@ -174,7 +140,7 @@ def residue_class(a, p: int, phi, u: int):
     return _residue_class(residue_field(p, fppoly.normalize(phi, p)), a, u)
 
 
-def _residue_class(field: ResidueField, a, u: int) -> FPhiElement:
+def _residue_class(field: ResidueField, a, u: int):
     # residue_class() in a field the caller already holds
     p = field.p
     pu = p**u
@@ -192,10 +158,8 @@ def _residue_class(field: ResidueField, a, u: int) -> FPhiElement:
 # ---------------------------------------------------------------------------
 # polynomials over a residue field
 
-FPhiPoly = tuple[FPhiElement, ...]
 
-
-def ff_normalize(coeffs) -> FPhiPoly:
+def ff_normalize(coeffs) -> tuple:
     out = list(coeffs)
     while out and not out[-1]:
         out.pop()
@@ -203,81 +167,83 @@ def ff_normalize(coeffs) -> FPhiPoly:
 
 
 def ff_degree(g) -> int:
+    """Degree, with the zero polynomial at -1."""
     return len(g) - 1
 
 
-def ff_x(field: ResidueField) -> FPhiPoly:
-    return (field.zero(), field.one())
-
-
-def ff_add(field: ResidueField, a: FPhiPoly, b: FPhiPoly) -> FPhiPoly:
+def ff_add(field: ResidueField, a, b) -> tuple:
     if len(a) < len(b):
         a, b = b, a
+    add = field.add
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = out[i] + c
+        out[i] = add(out[i], c)
     return ff_normalize(out)
 
 
-def ff_sub(field: ResidueField, a: FPhiPoly, b: FPhiPoly) -> FPhiPoly:
-    out = list(a) + [field.zero()] * max(0, len(b) - len(a))
+def ff_sub(field: ResidueField, a, b) -> tuple:
+    sub = field.sub
+    out = list(a) + [field.zero] * (len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = out[i] - c
+        out[i] = sub(out[i], c)
     return ff_normalize(out)
 
 
-def ff_mul(field: ResidueField, a: FPhiPoly, b: FPhiPoly) -> FPhiPoly:
+def ff_mul(field: ResidueField, a, b) -> tuple:
     if not a or not b:
         return ()
-    out = [field.zero()] * (len(a) + len(b) - 1)
+    add, mul = field.add, field.mul
+    out = [field.zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
+                out[i + j] = add(out[i + j], mul(ca, cb))
     return ff_normalize(out)
 
 
-def ff_divmod(field: ResidueField, a: FPhiPoly, b: FPhiPoly) -> tuple[FPhiPoly, FPhiPoly]:
+def ff_divmod(field: ResidueField, a, b) -> tuple[tuple, tuple]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return (), a
-    inv_lead = b[-1].inverse()
+    sub, mul = field.sub, field.mul
+    inv_lead = field.inv(b[-1])
     rem = list(a)
-    quo = [field.zero()] * (len(a) - len(b) + 1)
+    quo = [field.zero] * (len(a) - len(b) + 1)
     for shift in range(len(a) - len(b), -1, -1):
         c = rem[shift + len(b) - 1]
         if c:
-            q = c * inv_lead
+            q = mul(c, inv_lead)
             quo[shift] = q
             for j, cb in enumerate(b):
-                rem[shift + j] = rem[shift + j] - q * cb
+                rem[shift + j] = sub(rem[shift + j], mul(q, cb))
     return ff_normalize(quo), ff_normalize(rem)
 
 
-def ff_mod(field: ResidueField, a: FPhiPoly, b: FPhiPoly) -> FPhiPoly:
+def ff_mod(field: ResidueField, a, b) -> tuple:
     return ff_divmod(field, a, b)[1]
 
 
-def ff_quo(field: ResidueField, a: FPhiPoly, b: FPhiPoly) -> FPhiPoly:
+def ff_quo(field: ResidueField, a, b) -> tuple:
     return ff_divmod(field, a, b)[0]
 
 
-def ff_make_monic(field: ResidueField, g: FPhiPoly) -> FPhiPoly:
-    if not g or g[-1] == field.one():
+def ff_make_monic(field: ResidueField, g) -> tuple:
+    if not g or g[-1] == field.one:
         return g
-    inv = g[-1].inverse()
-    return ff_normalize([c * inv for c in g])
+    inv = field.inv(g[-1])
+    return ff_normalize([field.mul(c, inv) for c in g])
 
 
-def ff_gcd(field: ResidueField, a: FPhiPoly, b: FPhiPoly) -> FPhiPoly:
+def ff_gcd(field: ResidueField, a, b) -> tuple:
+    """Monic greatest common divisor."""
     while b:
         a, b = b, ff_mod(field, a, b)
     return ff_make_monic(field, a)
 
 
-def ff_pow_mod(field: ResidueField, base: FPhiPoly, e: int, modulus: FPhiPoly) -> FPhiPoly:
-    result = ff_mod(field, (field.one(),), modulus)
+def ff_pow_mod(field: ResidueField, base, e: int, modulus) -> tuple:
+    result = ff_mod(field, (field.one,), modulus)
     base = ff_mod(field, base, modulus)
     while e:
         if e & 1:
@@ -287,36 +253,32 @@ def ff_pow_mod(field: ResidueField, base: FPhiPoly, e: int, modulus: FPhiPoly) -
     return result
 
 
-def ff_derivative(field: ResidueField, g: FPhiPoly) -> FPhiPoly:
-    out = []
-    for i in range(1, len(g)):
-        out.append(g[i] * field.from_int(i))
-    return ff_normalize(out)
+def ff_derivative(field: ResidueField, g) -> tuple:
+    return ff_normalize([field.mul(field.element((i,)), c) for i, c in enumerate(g)][1:])
 
 
-def is_squarefree_poly(g) -> bool:
-    """True iff gcd(g, g') is a nonzero constant (g a nonzero FPhiPoly)."""
-    g = ff_normalize(g)
-    if not g:
-        raise ValidationError("squarefreeness is undefined for the zero polynomial")
-    field = g[0].field
-    d = ff_gcd(field, g, ff_derivative(field, g))
-    return ff_degree(d) == 0
+def ff_pth_root(field: ResidueField, g) -> tuple:
+    """The p-th root of a polynomial whose derivative is 0: only exponents
+    divisible by p occur, and c -> c**(q/p) inverts Frobenius on F_q."""
+    e = field.order // field.p
+    return ff_normalize([field.pow(c, e) for c in g[:: field.p]])
 
 
-def ff_to_string(g, var: str = "y") -> str:
+def ff_to_string(field: ResidueField, g, var: str = "y") -> str:
     g = tuple(g)
     if not g:
         return "0"
-    field = g[0].field
     terms = []
     for i in range(len(g) - 1, -1, -1):
         c = g[i]
         if not c:
             continue
-        cs = str(c)
-        if field.degree > 1 and ("+" in cs or i > 0 and cs != "1"):
-            cs = f"({cs})"
+        if field.degree == 1:
+            cs = str(c)
+        else:
+            cs = _rep_str(c)
+            if "+" in cs or i > 0 and cs != "1":
+                cs = f"({cs})"
         if i == 0:
             terms.append(cs)
         else:
@@ -325,18 +287,14 @@ def ff_to_string(g, var: str = "y") -> str:
     return " + ".join(terms)
 
 
-def _ff_pth_root(field: ResidueField, g: FPhiPoly) -> FPhiPoly:
-    # c -> c**(order/p) inverts Frobenius on the coefficients
-    e = field.order // field.p
-    return ff_normalize([c**e for c in g[:: field.p]])
-
-
-def _ff_sff_into(field, f, scale, out):
+def _squarefree_into(field: ResidueField, f, scale: int, out: dict) -> None:
+    """Squarefree factorization of a monic f: out[i * scale] becomes the
+    product of the irreducible factors that divide f exactly i times."""
     if ff_degree(f) < 1:
         return
     d = ff_derivative(field, f)
     if not d:
-        _ff_sff_into(field, _ff_pth_root(field, f), scale * field.p, out)
+        _squarefree_into(field, ff_pth_root(field, f), scale * field.p, out)
         return
     c = ff_gcd(field, f, d)
     w = ff_quo(field, f, c)
@@ -351,18 +309,19 @@ def _ff_sff_into(field, f, scale, out):
         c = ff_quo(field, c, y)
         i += 1
     if ff_degree(c) > 0:
-        _ff_sff_into(field, _ff_pth_root(field, c), scale * field.p, out)
+        _squarefree_into(field, ff_pth_root(field, c), scale * field.p, out)
 
 
-def _ff_distinct_degree(field, g):
+def _distinct_degree(field: ResidueField, g) -> list[tuple[tuple, int]]:
+    """Split a squarefree monic g into (product of its degree-d factors, d) parts."""
     out = []
-    x = ff_x(field)
-    h = ff_mod(field, x, g)
+    y = (field.zero, field.one)
+    h = ff_mod(field, y, g)
     d = 0
     while ff_degree(g) >= 2 * (d + 1):
         d += 1
         h = ff_pow_mod(field, h, field.order, g)
-        part = ff_gcd(field, ff_sub(field, h, x), g)
+        part = ff_gcd(field, ff_sub(field, h, y), g)
         if ff_degree(part) > 0:
             out.append((part, d))
             g = ff_quo(field, g, part)
@@ -372,29 +331,10 @@ def _ff_distinct_degree(field, g):
     return out
 
 
-def monic_polys_over(field: ResidueField, d: int):
-    """All monic degree-d polynomials over the field, lexicographic in the
-    coefficient representatives."""
-    scalars = list(field.elements())
-    for tail in itertools.product(scalars, repeat=d):
-        yield tail + (field.one(),)
-
-
-def _ff_equal_degree(field, g, d, rng):
+def _equal_degree(field: ResidueField, g, d: int, rng: random.Random) -> list[tuple]:
+    """Split g, a product of distinct monic irreducibles of degree d, into them."""
     if ff_degree(g) == d:
         return [g]
-    if field.order**d <= _EXHAUSTIVE_LIMIT:
-        found = []
-        for cand in monic_polys_over(field, d):
-            if not ff_mod(field, g, cand):
-                found.append(cand)
-                g = ff_quo(field, g, cand)
-                if ff_degree(g) == d:
-                    found.append(g)
-                    break
-                if ff_degree(g) < d:
-                    break
-        return found
     while True:
         a = ff_normalize(
             [field.element([rng.randrange(field.p) for _ in range(field.degree)])
@@ -403,51 +343,47 @@ def _ff_equal_degree(field, g, d, rng):
         if ff_degree(a) < 1:
             continue
         if field.p == 2:
-            k = field.degree * d
-            t = a
-            acc = a
-            for _ in range(k - 1):
+            # the trace of a from F_(2^(kd)) down to F_2
+            t = acc = a
+            for _ in range(field.degree * d - 1):
                 acc = ff_mod(field, ff_mul(field, acc, acc), g)
                 t = ff_add(field, t, acc)
             h = ff_gcd(field, t, g)
         else:
             b = ff_pow_mod(field, a, (field.order**d - 1) // 2, g)
-            h = ff_gcd(field, ff_sub(field, b, (field.one(),)), g)
+            h = ff_gcd(field, ff_sub(field, b, (field.one,)), g)
         if 0 < ff_degree(h) < ff_degree(g):
-            return _ff_equal_degree(field, h, d, rng) + _ff_equal_degree(
+            return _equal_degree(field, h, d, rng) + _equal_degree(
                 field, ff_quo(field, g, h), d, rng
             )
 
 
-def ff_factor(g, seed: int = 0) -> list[tuple[FPhiPoly, int]]:
-    """Factor a monic polynomial over a residue field into irreducibles.
+def ff_factor(field: ResidueField, g) -> list[tuple[tuple, int]]:
+    """Factor a monic polynomial over the field into irreducibles.
 
-    Output is sorted by degree then by the coefficient representatives,
-    hence deterministic for any seed.  Over a field of degree 1, which
-    is F_p with each element represented by its value, the coefficients
-    are factored as plain ints by fppoly, in the same order.
+    Returns (irreducible monic factor, multiplicity) pairs sorted by
+    degree, then by coefficients, so the result does not depend on the
+    random choices of the equal-degree split.
     """
     g = ff_normalize(g)
     if not g:
         raise ValidationError("cannot factor the zero polynomial")
-    field = g[0].field
-    if g[-1] != field.one():
+    if g[-1] != field.one:
         raise ValidationError("factorization requires a monic polynomial")
-    if field.degree == 1:
-        values = [c.rep[0] if c.rep else 0 for c in g]
-        return [
-            (tuple(FPhiElement(field, (c,) if c else fppoly.ZERO) for c in irr), mult)
-            for irr, mult in fppoly._factor(values, field.p, seed)
-        ]
-    rng = random.Random(seed)
-    parts: dict[int, FPhiPoly] = {}
-    _ff_sff_into(field, g, 1, parts)
-    found: dict[FPhiPoly, int] = {}
+    if ff_degree(g) == 1:
+        return [(g, 1)]
+    parts: dict[int, tuple] = {}
+    _squarefree_into(field, g, 1, parts)
+    rng = None
+    found: dict[tuple, int] = {}
     for mult, part in parts.items():
-        for block, d in _ff_distinct_degree(field, part):
-            for irr in _ff_equal_degree(field, block, d, rng):
+        for block, d in _distinct_degree(field, part):
+            if ff_degree(block) == d:
+                irreducibles = [block]
+            else:
+                if rng is None:
+                    rng = random.Random(_SPLIT_SEED)
+                irreducibles = _equal_degree(field, block, d, rng)
+            for irr in irreducibles:
                 found[irr] = found.get(irr, 0) + mult
-    return sorted(
-        found.items(),
-        key=lambda item: (ff_degree(item[0]), tuple(c.rep for c in item[0])),
-    )
+    return sorted(found.items(), key=lambda item: (ff_degree(item[0]), item[0]))

@@ -133,9 +133,10 @@ class TestScan:
 
 
 class TestByteIdentity:
-    """sha256 of outputs from before the closed-form engine at t = p, and
+    """sha256 of outputs from before the closed-form engine at t = p,
     (human text, the p = 7 scan) from before residuals over F_p were
-    factored by fppoly.
+    factored by fppoly, and (residuals over F_(p^k)) from before F_p and
+    F_(p^k) shared one factorization.
 
     Performance work must leave analyze JSON, human text and scan CSV
     byte for byte the same; a digest changes only with a deliberate
@@ -196,6 +197,49 @@ class TestByteIdentity:
         assert (
             hashlib.sha256(out_path.read_bytes()).hexdigest()
             == "9518638306e1b74c59d4299e8de8d158a41339742ae636d8d510be25d69176d4"
+        )
+
+    # (phi, p, k, terms): f = phi^k + the sum of p^a * c * phi^j over the
+    # (j, a, c) in terms; every residue field F_phi here has degree 2..4
+    EXTENSION_CASES = [
+        ((1, 1, 1), 2, 4, [(0, 2, (1,))]),
+        ((1, 1, 1), 2, 6, [(0, 3, (1, 1))]),
+        ((1, 1, 0, 1), 2, 3, [(0, 3, (1,))]),
+        ((1, 1, 0, 1), 2, 4, [(0, 2, (1, 0, 1)), (2, 1, (1,))]),
+        ((1, 1, 0, 0, 1), 2, 5, [(0, 5, (1,))]),
+        ((1, 0, 1), 3, 4, [(0, 2, (1,))]),
+        ((1, 2, 0, 1), 3, 3, [(0, 3, (1,))]),
+        ((1, 0, 1, 1, 1), 3, 4, [(0, 4, (2,))]),
+        ((2, 0, 1), 5, 4, [(0, 2, (1,)), (2, 1, (3,))]),
+        ((2, 0, 1), 5, 3, [(0, 3, (1, 1))]),
+        ((1, 0, 1), 7, 2, [(0, 2, (3,))]),
+        ((2, 0, 0, 1), 7, 3, [(0, 3, (1,))]),
+        ((1, 0, 0, 1, 1), 7, 4, [(0, 4, (1,))]),
+    ]
+
+    def test_residuals_over_extension_fields(self):
+        # the pure family only meets F_phi = F_p, so no other digest covers
+        # residuals and factors over F_{p^k} with k >= 2
+        from monogenity import ore, zpoly
+
+        def power(phi, k):
+            out = (1,)
+            for _ in range(k):
+                out = zpoly.mul(out, phi)
+            return out
+
+        lines = []
+        for phi, p, k, terms in self.EXTENSION_CASES:
+            f = power(phi, k)
+            for j, a, c in terms:
+                f = zpoly.add(f, zpoly.mul((p**a,), zpoly.mul(c, power(phi, j))))
+            for report in ore.analyze_prime(f, p):
+                for side in report.sides:
+                    lines.append(f"{side.residual}|{';'.join(side.factor_strings())}")
+        text = "\n".join(lines)
+        assert (
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == "aa23637b9ea4882d27a8121283ad2d461e3ed05e2b67c4c576d6b1432587c709"
         )
 
 

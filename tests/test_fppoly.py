@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from monogenity import fppoly
+from monogenity import fppoly, residue
 from monogenity.errors import ValidationError
 from monogenity.fppoly import (
     add,
@@ -103,10 +103,19 @@ class TestFactor:
         result = factor(g, p)
         assert result == [((0, 1), 2), ((1, 1), 1), ((2, 1), 1)]
 
-    def test_seed_independent(self):
+    def test_seed_independent(self, monkeypatch):
+        # the equal-degree split draws from residue._SPLIT_SEED; the second
+        # polynomial has three linear factors, so the split runs
         p = 7
-        g = poly_from_ints([3, 1, 4, 1, 5, 9, 2, 6, 1], p)
-        assert factor(g, p, seed=0) == factor(g, p, seed=123456)
+        for g in (
+            poly_from_ints([3, 1, 4, 1, 5, 9, 2, 6, 1], p),
+            mul(mul(mul((1, 1), (2, 1), p), (3, 1), p), (1, 0, 1), p),
+        ):
+            results = []
+            for seed in (0, 123456):
+                monkeypatch.setattr(residue, "_SPLIT_SEED", seed)
+                results.append(factor(g, p))
+            assert results[0] == results[1]
 
     def test_larger_prime_with_edf(self):
         # x^4 - 2 over F_7 has a mix of linear and quadratic factors

@@ -128,12 +128,18 @@ class TestSplittingShape:
         shape = splitting_shape(analyze_prime((1, 0, 1), 3))
         assert shape.pairs == ((1, 2),)
 
-    def test_seed_independence(self):
-        f = pure_polynomial(PureFieldParams(3, 2, 35))
-        for p in (3, 5, 7):
-            a = splitting_shape(analyze_prime(f, p, seed=0))
-            b = splitting_shape(analyze_prime(f, p, seed=98765))
-            assert a == b
+    def test_seed_independence(self, monkeypatch):
+        # the equal-degree split draws from residue._SPLIT_SEED; x^4 - 2 has
+        # two linear factors mod 7, so there the split runs
+        from monogenity import residue
+
+        pure = pure_polynomial(PureFieldParams(3, 2, 35))
+        for f, p in [(pure, 3), (pure, 5), (pure, 7), ((-2, 0, 0, 0, 1), 7)]:
+            shapes = []
+            for seed in (0, 98765):
+                monkeypatch.setattr(residue, "_SPLIT_SEED", seed)
+                shapes.append(splitting_shape(analyze_prime(f, p)))
+            assert shapes[0] == shapes[1]
 
 
 class TestCountPrimes:

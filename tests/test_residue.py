@@ -8,11 +8,12 @@ from monogenity.errors import ValidationError
 from monogenity.residue import (
     ResidueField,
     ff_degree,
+    ff_derivative,
     ff_factor,
+    ff_gcd,
     ff_make_monic,
     ff_mul,
     ff_normalize,
-    is_squarefree_poly,
     residue_class,
     residue_field,
 )
@@ -21,6 +22,11 @@ F2 = residue_field(2, (0, 1))  # F_2 as F_2[x]/(x)
 F3 = residue_field(3, (0, 1))
 F4 = residue_field(2, (1, 1, 1))  # F_2[x]/(x^2 + x + 1)
 F9 = residue_field(3, (1, 0, 1))  # F_3[x]/(x^2 + 1)
+
+
+def _elements(field):
+    """Every element of the field, from its representatives."""
+    return [field.element(c) for c in itertools.product(range(field.p), repeat=field.degree)]
 
 
 class TestResidueField:
@@ -39,27 +45,24 @@ class TestResidueField:
 
     @pytest.mark.parametrize("field", [F2, F3, F4, F9])
     def test_inverses(self, field):
-        for z in field.elements():
+        for z in _elements(field):
             if not z:
                 continue
-            assert z * z.inverse() == field.one()
+            assert field.mul(z, field.inv(z)) == field.one
 
     def test_field_axioms_sample(self):
         rng = random.Random(1)
-        elems = list(F9.elements())
+        elems = _elements(F9)
+        add, mul = F9.add, F9.mul
         for _ in range(100):
             a, b, c = (rng.choice(elems) for _ in range(3))
-            assert a * (b + c) == a * b + a * c
-            assert a + b == b + a
-            assert (a * b) * c == a * (b * c)
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert add(a, b) == add(b, a)
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
     def test_pow(self):
-        g = F4.gen()
-        assert g ** 3 == F4.one()  # multiplicative group of F_4 has order 3
-
-    def test_mixing_fields_rejected(self):
-        with pytest.raises(ValidationError):
-            F4.one() + F9.one()
+        g = F4.element((0, 1))
+        assert F4.pow(g, 3) == F4.one  # multiplicative group of F_4 has order 3
 
     def test_field_cache_is_bounded(self):
         # a long scan meets a new F_q for almost every new prime q of m
@@ -72,17 +75,15 @@ class TestResidueField:
 class TestResidueClass:
     def test_constant_case(self):
         # 12 / 2^2 = 3, reduced mod (2, x - 3) -> 1
-        z = residue_class((12,), 2, (-3, 1), 2)
-        assert z == z.field.from_int(1)
+        assert residue_class((12,), 2, (-3, 1), 2) == 1
 
     def test_division_by_p(self):
         # 84 / 3 = 28 = 1 mod 3, any linear base
-        z = residue_class((84,), 3, (-161, 1), 1)
-        assert z == z.field.from_int(1)
+        assert residue_class((84,), 3, (-161, 1), 1) == 1
 
     def test_generator_image(self):
         z = residue_class((0, 1), 2, (1, 1, 1), 0)
-        assert z == F4.gen()
+        assert z == F4.element((0, 1))
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValidationError):
@@ -95,84 +96,96 @@ class TestResidueClass:
 
 
 class TestSquarefreePoly:
+    """A residual is squarefree when every factor has multiplicity 1."""
+
     def test_spec_examples(self):
-        y = F2.one()
-        zero = F2.zero()
-        assert is_squarefree_poly((zero, y, y))  # y^2 + y = y(y+1)
-        assert not is_squarefree_poly((zero, zero, y))  # y^2
-        assert not is_squarefree_poly((y, zero, y))  # y^2 + 1 = (y+1)^2 over F_2
+        def squarefree(g):
+            return all(mult == 1 for _, mult in ff_factor(F2, g))
+
+        assert squarefree((0, 1, 1))  # y^2 + y = y(y+1)
+        assert not squarefree((0, 0, 1))  # y^2
+        assert not squarefree((1, 0, 1))  # y^2 + 1 = (y+1)^2 over F_2
 
     def test_zero_rejected(self):
         with pytest.raises(ValidationError):
-            is_squarefree_poly((F2.zero(),))
-
-    def test_matches_factorization_multiplicities(self):
-        rng = random.Random(23)
-        for field in (F2, F3, F4):
-            elems = list(field.elements())
-            for _ in range(40):
-                coeffs = [rng.choice(elems) for _ in range(rng.randint(1, 5))]
-                coeffs.append(field.one())
-                g = ff_normalize(coeffs)
-                if ff_degree(g) < 1:
-                    continue
-                squarefree = is_squarefree_poly(g)
-                mults = [m for _, m in ff_factor(g)]
-                assert squarefree == all(m == 1 for m in mults)
+            ff_factor(F2, (F2.zero,))
 
 
 class TestFFFactor:
     @pytest.mark.parametrize("field", [F2, F3, F4, F9])
     def test_roundtrip_random(self, field):
         rng = random.Random(field.order)
-        elems = list(field.elements())
+        elems = _elements(field)
         for _ in range(25):
             coeffs = [rng.choice(elems) for _ in range(rng.randint(1, 6))]
-            coeffs.append(field.one())
+            coeffs.append(field.one)
             g = ff_normalize(coeffs)
-            product = (field.one(),)
-            for irr, mult in ff_factor(g):
-                assert irr[-1] == field.one()
+            factors = ff_factor(field, g)
+            product = (field.one,)
+            for irr, mult in factors:
+                assert irr[-1] == field.one
                 for _ in range(mult):
                     product = ff_mul(field, product, irr)
             assert product == g
+            # squarefree (gcd(g, g') = 1) exactly when no multiplicity exceeds 1
+            squarefree = ff_degree(ff_gcd(field, g, ff_derivative(field, g))) == 0
+            assert squarefree == all(mult == 1 for _, mult in factors)
 
     def test_quadratic_split_over_f4(self):
         # y^2 + y + 1 splits over F_4 into (y + g)(y + g^2)
-        g = F4.gen()
-        poly = (F4.one(), F4.one(), F4.one())
-        factors = ff_factor(poly)
+        g = F4.element((0, 1))
+        poly = (F4.one, F4.one, F4.one)
+        factors = ff_factor(F4, poly)
         assert len(factors) == 2
         assert all(ff_degree(f) == 1 and m == 1 for f, m in factors)
-        roots = sorted((-f[0]).rep for f, _ in factors)
-        assert roots == sorted(z.rep for z in (g, g * g))
+        roots = sorted(F4.sub(F4.zero, f[0]) for f, _ in factors)
+        assert roots == sorted([g, F4.mul(g, g)])
 
     def test_frobenius_power_over_f9(self):
         # (y + 1)^9 = y^9 + 1 in characteristic 3
-        one = F9.one()
-        zero = F9.zero()
+        one, zero = F9.one, F9.zero
         poly = (one,) + (zero,) * 8 + (one,)
-        assert ff_factor(poly) == [((one, one), 9)]
+        assert ff_factor(F9, poly) == [((one, one), 9)]
 
     def test_make_monic(self):
-        two = F3.from_int(2)
-        g = ff_make_monic(F3, (two, two))
-        assert g == (F3.one(), F3.one())
+        assert ff_make_monic(F3, (2, 2)) == (1, 1)
 
 
-def _values(g):
-    """The coefficients of a polynomial over a degree-1 field, as ints."""
-    return tuple(c.rep[0] if c.rep else 0 for c in g)
+def _poly_mul(field, a, b):
+    """Product of two polynomials over the field, by schoolbook multiplication."""
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(ca, cb))
+    return tuple(out)
 
 
-def _divides(b, a, p):
-    """Whether the monic int polynomial b divides a over F_p, by long division."""
+def _divides(field, b, a):
+    """Whether the monic polynomial b divides a over the field, by long division."""
     rem = list(a)
     for shift in range(len(a) - len(b), -1, -1):
-        c = rem[shift + len(b) - 1] % p
+        c = rem[shift + len(b) - 1]
         for j, bj in enumerate(b):
-            rem[shift + j] = (rem[shift + j] - c * bj) % p
+            rem[shift + j] = field.sub(rem[shift + j], field.mul(c, bj))
     return not any(rem)
+
+
+def _check_against_trial_division(field, g, factors):
+    """The factors rebuild g, are monic, irreducible by trial division, sorted and distinct."""
+    elems = _elements(field)
+    product = (field.one,)
+    for irr, mult in factors:
+        assert irr[-1] == field.one
+        for _ in range(mult):
+            product = _poly_mul(field, product, irr)
+        # no monic divisor of degree 1..deg/2: the factor is irreducible
+        for k in range(1, ff_degree(irr) // 2 + 1):
+            for tail in itertools.product(elems, repeat=k):
+                assert not _divides(field, tail + (field.one,), irr)
+    assert product == g
+    keys = [(ff_degree(irr), irr) for irr, _ in factors]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
 
 
 @st.composite
@@ -181,30 +194,67 @@ def prime_field_polys(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     field = residue_field(p, (draw(st.integers(0, p - 1)), 1))
     tail = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=7))
-    return field, ff_normalize([field.from_int(c) for c in tail] + [field.one()])
+    return field, ff_normalize(tail + [field.one])
+
+
+# F_4, F_8, F_9, F_25, F_27, F_49, each with the largest factor degree that
+# keeps trial division over it quick
+EXTENSION_FIELDS = [
+    (F4, 3),
+    (residue_field(2, (1, 1, 0, 1)), 3),  # x^3 + x + 1
+    (F9, 3),
+    (residue_field(5, (2, 0, 1)), 2),  # x^2 + 2
+    (residue_field(3, (1, 2, 0, 1)), 2),  # x^3 + 2x + 1
+    (residue_field(7, (1, 0, 1)), 2),  # x^2 + 1
+]
+
+
+@st.composite
+def extension_field_polys(draw):
+    """A product of 1..3 random monic polynomials over F_(p^k), k >= 2.
+
+    Products repeat factors and put several factors of one degree in a
+    block, so the squarefree and equal-degree steps both have work.
+    """
+    field, max_degree = draw(st.sampled_from(EXTENSION_FIELDS))
+    element = st.tuples(*[st.integers(0, field.p - 1)] * field.degree).map(field.element)
+    g = (field.one,)
+    for _ in range(draw(st.integers(1, 3))):
+        tail = draw(st.lists(element, min_size=1, max_size=max_degree))
+        g = _poly_mul(field, g, ff_normalize(tail + [field.one]))
+    return field, g
 
 
 class TestFFFactorPrimeField:
-    """ff_factor over F_p against trial division written here, not with fppoly."""
+    """ff_factor against trial division written here, not with residue's ff_* code."""
 
     @settings(max_examples=300, deadline=None)
     @given(prime_field_polys())
     def test_against_trial_division(self, case):
         field, g = case
-        p = field.p
-        factors = ff_factor(g)
-        product = (field.one(),)
-        for irr, mult in factors:
-            assert irr[-1] == field.one()
-            for _ in range(mult):
-                product = ff_mul(field, product, irr)
-            # no monic divisor of degree 1..deg/2: the factor is irreducible
-            values = _values(irr)
-            d = ff_degree(irr)
-            for k in range(1, d // 2 + 1):
-                for tail in itertools.product(range(p), repeat=k):
-                    assert not _divides(tail + (1,), values, p)
-        assert product == g
-        keys = [(ff_degree(irr), _values(irr)) for irr, _ in factors]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        _check_against_trial_division(field, g, ff_factor(field, g))
+
+    @settings(max_examples=150, deadline=None)
+    @given(extension_field_polys())
+    def test_extension_fields_against_trial_division(self, case):
+        field, g = case
+        _check_against_trial_division(field, g, ff_factor(field, g))
+
+    def test_two_quadratics_over_f81(self):
+        # y^2 - a and y^2 - b for non-squares a != b are distinct irreducibles:
+        # one equal-degree block of degree 4 to split into two quadratics
+        f81 = residue_field(3, (1, 0, 1, 1, 1))  # x^4 + x^3 + x^2 + 1
+        minus_one = f81.element((2,))
+        a, b = [z for z in _elements(f81) if z and f81.pow(z, 40) == minus_one][:2]
+        quadratics = sorted((f81.sub(f81.zero, c), f81.zero, f81.one) for c in (a, b))
+        g = _poly_mul(f81, *quadratics)
+        assert ff_factor(f81, g) == [(q, 1) for q in quadratics]
+
+    def test_product_of_linears_over_f2401(self):
+        f2401 = residue_field(7, (1, 0, 0, 1, 1))  # x^4 + x^3 + 1
+        roots = [f2401.element(c) for c in [(0, 1), (5,), (1, 2, 3, 4), (6, 6, 6, 6), (0, 0, 3)]]
+        linears = sorted((f2401.sub(f2401.zero, r), f2401.one) for r in roots)
+        g = (f2401.one,)
+        for linear in linears:
+            g = _poly_mul(f2401, g, linear)
+        assert ff_factor(f2401, g) == [(linear, 1) for linear in linears]

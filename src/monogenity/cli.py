@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 from . import __version__, oracle, render, zpoly
@@ -131,6 +132,43 @@ def _analyze_payload(verdict: MonogenityVerdict, oracle_reports) -> dict:
         "oracle": oracle_reports,
     }
     return payload
+
+
+# a placeholder json.dumps writes unchanged and no other payload string contains
+_POINTS_SLOT = re.compile(r'^( *)"points": "@points:(\d+)@"', re.M)
+
+
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), byte for byte.
+
+    A point list holds p**r + 1 pairs, too many for the encoder's
+    per-element recursion: each report's points are swapped for a
+    placeholder in a copy of the payload, and rendered with one join
+    at the placeholder's indentation.  A report always holds its unit
+    point, so no list is empty (json.dumps would write one as []).
+    """
+    point_lists = []
+    primes = {}
+    for prime, analysis in payload["certificate"]["primes"].items():
+        factors = []
+        for factor in analysis["factors"]:
+            factors.append({**factor, "points": f"@points:{len(point_lists)}@"})
+            point_lists.append(factor["points"])
+        primes[prime] = {**analysis, "factors": factors}
+    shell = {**payload, "certificate": {**payload["certificate"], "primes": primes}}
+    text = json.dumps(shell, indent=2, sort_keys=True)
+
+    def splice(match) -> str:
+        indent = match.group(1)
+        pair = indent + "  "
+        entry = pair + "  "
+        body = ",\n".join(
+            f"{pair}[\n{entry}{i},\n{entry}{v}\n{pair}]"
+            for i, v in point_lists[int(match.group(2))]
+        )
+        return f'{indent}"points": [\n{body}\n{indent}]'
+
+    return _POINTS_SLOT.sub(splice, text)
 
 
 def _oracle_reports(verdict: MonogenityVerdict) -> list[dict]:
@@ -264,7 +302,7 @@ def cmd_analyze(args) -> int:
     oracle_reports = _oracle_reports(verdict) if verify else None
     payload = _analyze_payload(verdict, oracle_reports)
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         sys.stdout.write(_human_analyze(payload))
     if oracle_reports is not None:

@@ -7,6 +7,8 @@ used anywhere in the package.
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Union
 
 from .errors import InvariantError, ValidationError
@@ -18,6 +20,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# factorize divides out the primes below _TRIAL_BOUND and leaves the
+# cofactor to Pollard-Brent rho, which takes one gcd per _RHO_BATCH steps
+_TRIAL_BOUND = 1000
+_RHO_BATCH = 128
 
 
 def _restore_infinity():
@@ -131,7 +138,14 @@ def binomial_valuation(p: int, r: int, j: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of |n| by trial division, as (prime, exponent) pairs."""
+    """Prime factorization of |n| as (prime, exponent) pairs, primes ascending.
+
+    Trial division by 2, 3 and 6k +- 1 strips the primes below
+    _TRIAL_BOUND; a cofactor left over is split by Miller-Rabin and
+    Pollard-Brent rho, so the time is bounded for every |n| this module
+    can decide.  A composite cofactor at or above _MR_LIMIT makes
+    is_prime raise ValidationError.
+    """
     if n == 0:
         raise ValidationError("cannot factor 0")
     n = abs(n)
@@ -146,7 +160,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     # 6k+-1 wheel
     d = 5
     step = 2
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_BOUND:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -155,9 +169,58 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out.append((d, e))
         d += step
         step = 6 - step
-    if n > 1:
+    if n > 1 and d * d > n:
+        # no prime below d divides n, so n is prime
         out.append((n, 1))
+    elif n > 1:
+        large: list[int] = []
+        _split(n, large)
+        out.extend((q, large.count(q)) for q in sorted(set(large)))
     return out
+
+
+def _split(n: int, out: list[int]) -> None:
+    # the prime factors of n, with repetition; n > 1 has no prime factor below _TRIAL_BOUND
+    if is_prime(n):
+        out.append(n)
+        return
+    d = _brent_rho(n)
+    _split(d, out)
+    _split(n // d, out)
+
+
+def _brent_rho(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho with Brent's
+    cycle detection and batched gcds (Brent, BIT 20, 1980).
+
+    Deterministic: x -> x**2 + c from x = 2 with c = 1, 2, ...; a c whose
+    cycle closes mod every prime of n at once yields gcd n and is skipped.
+    """
+    for c in itertools.count(1):
+        y, power, g, q = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            k = 0
+            while k < power and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, power - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            power *= 2
+        if g == n:
+            # the batch overshot: walk it again one gcd at a time
+            while True:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+                if g > 1:
+                    break
+        if g != n:
+            return g
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
@@ -165,7 +228,7 @@ def prime_divisors(n: int) -> tuple[int, ...]:
 
 
 def is_squarefree(m: int) -> bool:
-    """True iff no prime square divides |m| (full trial-division factorization)."""
+    """True iff no prime square divides |m| (read off factorize)."""
     if m == 0:
         raise ValidationError("squarefreeness is undefined for 0")
     return all(e == 1 for _, e in factorize(m))

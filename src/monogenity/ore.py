@@ -113,7 +113,9 @@ def phi_report(
     caller that already holds the expansion of f at phi may pass it in,
     and a caller that knows every valued point (i, v_p(a_i)) in closed
     form may pass those too; then only the coefficients on the sides
-    are read from the expansion.
+    are read from the expansion.  The hull of a PureShiftExpansion is
+    taken over its r + 2 support points, which give the same polygon as
+    all n + 1; the report still lists every point.
     """
     f = zpoly.poly(f)
     phi = zpoly.poly(phi)
@@ -141,7 +143,8 @@ def phi_report(
     multiplicity = min(unit_positions)
     if multiplicity == 0:
         raise ValidationError("expansion base does not divide the reduction of f")
-    hull = polygon.lower_convex_hull(points)
+    pure = isinstance(expansion, zpoly.PureShiftExpansion)
+    hull = polygon.lower_convex_hull(expansion.support() if pure else points)
     principal = polygon.principal_part(hull)
 
     if not principal.is_empty:

@@ -226,7 +226,8 @@ class PureShiftExpansion:
 
     The binomial theorem gives a_0 = m**n - m and
     a_j = binomial(n, j) * m**(n - j).  Nothing of degree n is built:
-    points() gives every (j, v_p(a_j)) from the binomial lemma, and
+    points() gives every (j, v_p(a_j)) from the binomial lemma,
+    support() the r + 2 of them that decide the polygon, and
     coefficient() makes one exact a_j when asked, which is all that
     residual polynomials read.
     """
@@ -256,6 +257,16 @@ class PureShiftExpansion:
             for j in range(step, n, step):
                 vals[j] -= 1
         return list(enumerate(vals))
+
+    def support(self) -> list[tuple[int, int]]:
+        """(0, nu0) and (p**k, r - k) for k = 0..r, the points the polygon rests on.
+
+        Every other point (j, r - v_p(j)) has j >= p**v_p(j): it lies at
+        the height of a support point, level with it or to its right.
+        The lower hull never rises, so it passes on or under that point.
+        """
+        p, r = self.params.p, self.params.r
+        return [(0, self.nu0)] + [(p**k, r - k) for k in range(r + 1)]
 
 
 def pure_shift_expansion(params: PureFieldParams) -> PureShiftExpansion:

@@ -14,13 +14,16 @@ from monogenity.classify import (
 )
 from monogenity.errors import ValidationError
 from monogenity.intarith import is_squarefree, valuation
+from monogenity.oracle import brute_hull
 from monogenity.ore import NOT_REGULAR, phi_report
+from monogenity.polygon import lower_convex_hull
 from monogenity.zpoly import (
     PhiExpansion,
     PureFieldParams,
     candidate_index_primes,
     phi_expansion,
     pure_polynomial,
+    pure_shift_expansion,
 )
 
 
@@ -296,8 +299,52 @@ def _dense_expansion(params):
     return PhiExpansion((-m, 1), tuple(coeffs))
 
 
+def _nu0_against_r(p, r, m):
+    """The sign of v_p(m**(n - 1) - 1) - r, read off a residue mod p**(r + 1)."""
+    modulus = p ** (r + 1)
+    residue = (pow(m, p**r - 1, modulus) - 1) % modulus
+    if residue == 0:
+        return 1
+    return -1 if valuation(p, residue) < r else 0
+
+
+def _support_cases():
+    """(p, r, m, sign of nu0 - r) for every p**r <= 4096, p <= 11: the first
+    squarefree m >= 2, p not dividing m, with nu0 < r (only for r >= 2, as
+    nu0 >= 1), with nu0 = r (m = 1 mod p**r), and with m = 1 mod p**(r + 2)."""
+    cases = []
+    for p in (2, 3, 5, 7, 11):
+        r = 1
+        while p**r <= 4096:
+            for sign, start, step in (
+                (-1, 2, 1),
+                (0, 1 + p**r, p**r),
+                (1, 1 + p ** (r + 2), p ** (r + 2)),
+            ):
+                if sign < 0 and r == 1:
+                    continue
+                m = start
+                while m % p == 0 or not is_squarefree(m) or _nu0_against_r(p, r, m) != sign:
+                    m += step
+                cases.append((p, r, m, sign))
+            r += 1
+    return cases
+
+
 class TestClosedFormAtP:
     """The binomial-lemma report at t = p against the dense expansion path."""
+
+    @pytest.mark.parametrize("p, r, m, sign", _support_cases())
+    def test_support_hull_matches_brute_hull(self, p, r, m, sign):
+        expansion = pure_shift_expansion(PureFieldParams(p, r, m))
+        assert (expansion.nu0 > r) - (expansion.nu0 < r) == sign
+        support, points = expansion.support(), expansion.points()
+        assert len(support) == r + 2
+        assert set(support) <= set(points)
+        hull = lower_convex_hull(support)
+        brute = brute_hull(points)
+        assert hull.vertices == brute.vertices
+        assert hull.sides == brute.sides
 
     @pytest.mark.parametrize("p, r, m", _closed_form_cases())
     def test_matches_dense_phi_report(self, p, r, m):

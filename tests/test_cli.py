@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
 import json
+import math
 import os
+import signal
 from importlib import resources
 
 import jsonschema
@@ -66,6 +69,62 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--p", "2", "--r", "13", "--m", "3")
         assert code == 2
         assert "cap" in err
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test, instead of hanging, if the block runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+class TestBoundedTime:
+    """Every m is answered, or rejected with exit 2, in bounded time."""
+
+    def test_large_prime_m(self, capsys):
+        # trial division up to sqrt(m) = 10**9 did not finish in 15 s
+        with time_limit(20):
+            code, out, _ = run(
+                capsys, "analyze", "--p", "3", "--r", "1", "--m", "1000000000000000003"
+            )
+        assert code == 0
+        assert "verdict:" in out
+
+    def test_prime_beyond_primality_limit(self, capsys):
+        # the first prime above intarith._MR_LIMIT
+        with time_limit(20):
+            code, _, err = run(
+                capsys, "analyze", "--p", "3", "--r", "1", "--m", "3317044064679887385962123"
+            )
+        assert code == 2
+        assert "only decided deterministically" in err
+
+    def test_small_primes_beyond_primality_limit(self, capsys):
+        # the product of the primes up to 71 exceeds the limit, yet trial
+        # division factors it whole and no primality test is needed
+        from monogenity.intarith import _MR_LIMIT, is_prime
+
+        m = math.prod(q for q in range(2, 72) if is_prime(q))
+        assert m > _MR_LIMIT
+        with time_limit(20):
+            code, out, _ = run(
+                capsys, "analyze", "--p", "73", "--r", "1", "--m", str(m), "--format", "json"
+            )
+        assert code == 0
+        payload = json.loads(out)
+        assert sorted(map(int, payload["certificate"]["primes"])) == [
+            q for q in range(2, 74) if is_prime(q)
+        ]
 
 
 class TestScan:
@@ -135,8 +194,11 @@ class TestScan:
 class TestByteIdentity:
     """sha256 of outputs from before the closed-form engine at t = p,
     (human text, the p = 7 scan) from before residuals over F_p were
-    factored by fppoly, and (residuals over F_(p^k)) from before F_p and
-    F_(p^k) shared one factorization.
+    factored by fppoly, (residuals over F_(p^k)) from before F_p and
+    F_(p^k) shared one factorization, and (analyze JSON at (2, 12, 17),
+    (61, 2, 3), (7, 1, 197), with --verify at (3, 5, 10), human text at
+    (2, 10, 33)) from before the hull was taken over the support points
+    and the point lists were spliced into the JSON.
 
     Performance work must leave analyze JSON, human text and scan CSV
     byte for byte the same; a digest changes only with a deliberate
@@ -149,6 +211,9 @@ class TestByteIdentity:
             (2, 10, 33, "dbb7c40e17dce20ca86c1e72b6c7dafaf170a2e2964103b661bd8a8b42cd48f9"),
             (5, 5, 7, "044b353e115e61f5c020ef117be2ee75b4a26491948ebf59bc567e2fc5df2ec8"),
             (3, 3, 161, "f4cbfa1ac472f52839b7526f9e70088fef8caac755a35c057c498801258d99ef"),
+            (2, 12, 17, "97f613c5ace9dac25d3c59dc6ae8e9bc55c90878ab88598bbcd53b9cbf3a59b3"),
+            (61, 2, 3, "2c6dc8980e4616dca01e6b9e4e106c9317a6984190de813bad315d416c5aea1a"),
+            (7, 1, 197, "98f18427caae0501dda905e7c2064d11d4e3fcd5d9655adc338c2417f1e3cb32"),
         ],
     )
     def test_analyze_json(self, capsys, p, r, m, digest):
@@ -157,6 +222,16 @@ class TestByteIdentity:
         )
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_analyze_json_verify(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "--p", "3", "--r", "5", "--m", "10", "--format", "json", "--verify"
+        )
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "2b015df892c934e7a602b20e47b5a988f848e096cd70cbfbd6a9d878a1d5cca4"
+        )
 
     def test_scan_csv(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"
@@ -177,6 +252,7 @@ class TestByteIdentity:
             (7, 1, 10001, "3286eef80fdadb87a4963ce3291412851a29abc78af7cf93a3404bb2bac71eaa"),
             # m = 1 mod 49: UNDETERMINED
             (7, 1, 197, "adcceb1fe1d1fed3660483ebb938a59971d1394f8f1aafe3844af627cdb6653c"),
+            (2, 10, 33, "d7fee696db5d1cd4cb4ca17c2b5a39fe77a5e554175b3c1286cf746b4a0e5281"),
         ],
     )
     def test_analyze_human(self, capsys, p, r, m, digest):

@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from monogenity.errors import ValidationError
 from monogenity.intarith import (
+    _MR_LIMIT,
     INFINITY,
     binomial_valuation,
     count_monic_irreducibles,
@@ -16,6 +17,11 @@ from monogenity.intarith import (
     valuation,
 )
 from monogenity.oracle import brute_binomial_valuation, enumerate_monic_irreducibles
+from monogenity.zpoly import PureFieldParams
+
+# the first prime above intarith._MR_LIMIT (strong probable prime to the 20
+# prime bases below 72 and 40 random ones)
+LARGE_PRIME = 3317044064679887385962123
 
 
 class TestValuation:
@@ -89,6 +95,24 @@ class TestSquarefree:
             assert is_squarefree(m) == expected
 
 
+def trial_division(n: int) -> list[tuple[int, int]]:
+    # the plain definition: divide out every d = 2, 3, 4, ... while d * d <= n
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 class TestFactorize:
     def test_small(self):
         assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
@@ -96,6 +120,53 @@ class TestFactorize:
 
     def test_large_prime_tail(self):
         assert factorize(2 * 10007) == [(2, 1), (10007, 1)]
+
+    @given(
+        st.integers(min_value=1, max_value=10**8 - 1),
+        st.booleans(),
+    )
+    # cofactors past the trial bound: two primes, a prime square, a prime
+    @example(1009 * 1013, False)
+    @example(9973 * 10007, True)
+    @example(1009**2, False)
+    @example(99999989, False)
+    def test_against_trial_division(self, n, negative):
+        assert factorize(-n if negative else n) == trial_division(n)
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (1000003 * 1000000007, [(1000003, 1), (1000000007, 1)]),
+            ((10**9 + 7) * (2 * 10**9 + 11), [(10**9 + 7, 1), (2 * 10**9 + 11, 1)]),
+            (3 * (10**9 + 7) ** 2, [(3, 1), (10**9 + 7, 2)]),
+            (1009**3, [(1009, 3)]),
+            (561, [(3, 1), (11, 1), (17, 1)]),  # a Carmichael number
+            # a balanced 20-digit semiprime
+            (4000000007 * 7000000001, [(4000000007, 1), (7000000001, 1)]),
+            (999999999999999989, [(999999999999999989, 1)]),
+        ],
+    )
+    def test_pinned(self, n, expected):
+        assert all(is_prime(q) for q, _ in expected)
+        assert factorize(n) == expected
+        assert factorize(-n) == expected
+
+    def test_square_of_large_prime_not_squarefree(self):
+        m = 3 * (10**9 + 7) ** 2
+        assert not is_squarefree(m)
+        with pytest.raises(ValidationError, match="squarefree"):
+            PureFieldParams(3, 1, m)
+
+    def test_small_primes_beyond_the_primality_limit(self):
+        # only trial division runs, so no primality test bounds the answer
+        primorial = math.prod(q for q in range(2, 72) if is_prime(q))
+        assert primorial > _MR_LIMIT
+        assert factorize(primorial) == [(q, 1) for q in range(2, 72) if is_prime(q)]
+
+    def test_large_cofactor_rejected(self):
+        # a prime just above the deterministic Miller-Rabin limit
+        with pytest.raises(ValidationError, match="only decided deterministically"):
+            factorize(2 * LARGE_PRIME)
 
 
 class TestCountMonicIrreducibles:

@@ -10,8 +10,11 @@ config file (path from --config or MONO_CONFIG).  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
+import itertools
 import json
 import os
 import re
@@ -47,10 +50,13 @@ _SCAN_FIELDS = (
 
 
 def _check_degree(p: int, r: int) -> None:
-    if r >= 1 and p >= 2 and p**r > _MAX_DEGREE:
-        raise ValidationError(
-            f"degree p**r = {p**r} exceeds the CLI cap of {_MAX_DEGREE}"
-        )
+    # p >= 2, so r > 12 is past the cap: building 3**(10**7) alone takes seconds
+    if r >= 1 and p >= 2 and (r > 12 or p**r > _MAX_DEGREE):
+        degree = f"{p}**{r}"
+        if (p.bit_length() - 1) * r <= 20_000:  # str() refuses past 4300 digits anyway
+            with contextlib.suppress(ValueError):
+                degree = str(p**r)
+        raise ValidationError(f"degree p**r = {degree} exceeds the CLI cap of {_MAX_DEGREE}")
 
 
 def _params(p: int, r: int, m: int) -> PureFieldParams:
@@ -78,7 +84,7 @@ def _report_payload(report: PhiReport) -> dict:
     return {
         "phi": to_string(report.phi),
         "multiplicity": report.multiplicity,
-        "points": [[pt.i, pt.v] for pt in report.points],
+        "points": report.points,
         "vertices": [[v.i, v.v] for v in report.polygon.vertices],
         "sides": sides,
         "index": report.index,
@@ -141,11 +147,11 @@ _POINTS_SLOT = re.compile(r'^( *)"points": "@points:(\d+)@"', re.M)
 def _json_text(payload: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True), byte for byte.
 
-    A point list holds p**r + 1 pairs, too many for the encoder's
+    A point list holds p**r + 1 (i, v) pairs, too many for the encoder's
     per-element recursion: each report's points are swapped for a
-    placeholder in a copy of the payload, and rendered with one join
-    at the placeholder's indentation.  A report always holds its unit
-    point, so no list is empty (json.dumps would write one as []).
+    placeholder in a copy of the payload, and filled into one repeated
+    %-template at the placeholder's indentation.  A report always holds
+    its unit point, so no list is empty (json.dumps would write one as []).
     """
     point_lists = []
     primes = {}
@@ -162,10 +168,9 @@ def _json_text(payload: dict) -> str:
         indent = match.group(1)
         pair = indent + "  "
         entry = pair + "  "
-        body = ",\n".join(
-            f"{pair}[\n{entry}{i},\n{entry}{v}\n{pair}]"
-            for i, v in point_lists[int(match.group(2))]
-        )
+        points = point_lists[int(match.group(2))]
+        template = ",\n".join([f"{pair}[\n{entry}%d,\n{entry}%d\n{pair}]"] * len(points))
+        body = template % tuple(itertools.chain.from_iterable(points))
         return f'{indent}"points": [\n{body}\n{indent}]'
 
     return _POINTS_SLOT.sub(splice, text)
@@ -525,9 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # about 1 ms, half of a small analyze; parse_args gives each call a fresh namespace
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

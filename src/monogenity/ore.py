@@ -38,11 +38,12 @@ class SideAnalysis:
 
 @dataclass(frozen=True)
 class PhiReport:
-    """Everything the polygon machinery knows about one factor of the reduction."""
+    """Everything the polygon machinery knows about one factor of the reduction;
+    points holds every valued point (i, v_p(a_i)) as an (i, v) pair."""
 
     phi: zpoly.ZPoly
     multiplicity: int
-    points: tuple[polygon.ValuedPoint, ...]
+    points: tuple[tuple[int, int], ...]
     polygon: polygon.NewtonPolygon
     principal: polygon.NewtonPolygon
     sides: tuple[SideAnalysis, ...]
@@ -112,10 +113,11 @@ def phi_report(
     it is the first abscissa whose coefficient is a p-adic unit.  A
     caller that already holds the expansion of f at phi may pass it in,
     and a caller that knows every valued point (i, v_p(a_i)) in closed
-    form may pass those too; then only the coefficients on the sides
-    are read from the expansion.  The hull of a PureShiftExpansion is
-    taken over its r + 2 support points, which give the same polygon as
-    all n + 1; the report still lists every point.
+    form may pass those too, as (i, v) pairs; then only the
+    coefficients on the sides are read from the expansion.  The hull of
+    a PureShiftExpansion is taken over its r + 2 support points, which
+    give the same polygon as all n + 1; the report still lists every
+    point, as the pairs it was given.
     """
     f = zpoly.poly(f)
     phi = zpoly.poly(phi)
@@ -135,9 +137,7 @@ def phi_report(
         )
     if points is None:
         points = polygon.valued_points(expansion, p)
-    else:
-        points = [polygon.ValuedPoint(i, v) for i, v in points]
-    unit_positions = [pt.i for pt in points if pt.v == 0]
+    unit_positions = [i for i, v in points if v == 0]
     if not unit_positions:
         raise InvariantError("no unit coefficient in the expansion of a monic polynomial")
     multiplicity = min(unit_positions)

@@ -16,7 +16,7 @@ from . import fppoly
 from .errors import InvariantError, ValidationError
 from .intarith import INFINITY, require_prime
 from .residue import ResidueField, _residue_class, ff_normalize, ff_to_string, residue_field
-from .zpoly import PhiExpansion, ZPoly, _poly_valuation
+from .zpoly import PhiExpansion, PureShiftExpansion, ZPoly, _poly_valuation
 
 
 class ValuedPoint(NamedTuple):
@@ -223,33 +223,37 @@ class ResidualPolynomial:
 
 
 def residual_polynomial(
-    expansion: PhiExpansion, p: int, phi: ZPoly, side: Side
+    expansion: "PhiExpansion | PureShiftExpansion", p: int, phi: ZPoly, side: Side
 ) -> ResidualPolynomial:
     """Residue classes of the on-side expansion coefficients.
 
-    Raises if the side does not match the expansion (endpoint
-    valuations off, or endpoints falling on zero coefficients).
-    Building the field F_phi checks p.
+    A PureShiftExpansion gives each class in F_phi = F_p by its closed
+    form.  Raises if the side does not match the expansion (endpoint
+    valuations off, or endpoints on zero coefficients).  Building F_phi checks p.
     """
     if tuple(phi) != tuple(expansion.phi):
         raise ValidationError("expansion was taken with a different base")
     if side.h < 0:
         raise ValidationError("residual polynomials do not attach to ascending sides")
     field = residue_field(p, fppoly.normalize(phi, p))
+    pure = isinstance(expansion, PureShiftExpansion)
     coeffs = []
     for k in range(side.degree + 1):
         pos = side.start.i + k * side.e
         u = side.start.v - k * side.h
-        a = expansion.coefficient(pos)
-        if not a:
-            coeffs.append(field.zero)
-            continue
-        va = _poly_valuation(p, a)
+        if pure:
+            va, digit = expansion.unit(pos)
+        else:
+            a = expansion.coefficient(pos)
+            va = _poly_valuation(p, a)
         if va < u:
             raise ValidationError(
                 f"point ({pos}, {va}) lies below the side; inconsistent pairing"
             )
-        coeffs.append(_residue_class(field, a, u))
+        if va > u:
+            coeffs.append(field.zero)
+        else:
+            coeffs.append(digit if pure else _residue_class(field, a, u))
     if not coeffs[0] or not coeffs[-1]:
         raise ValidationError("side endpoints must lie on the polygon")
     return ResidualPolynomial(side=side, field=field, coefficients=tuple(coeffs))

@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 from . import __version__
 from .classify import pure_prime_analysis
 from .errors import ValidationError
-from .polygon import NewtonPolygon, ValuedPoint, index_lattice_points, principal_part
+from .polygon import NewtonPolygon, index_lattice_points, principal_part
 from .zpoly import PureFieldParams, candidate_index_primes, to_string
 
 
 @dataclass(frozen=True)
 class PolygonFigure:
     title: str
-    points: tuple[ValuedPoint, ...]
+    points: tuple[tuple[int, int], ...]  # (i, v) pairs
     polygon: NewtonPolygon
     index_points: tuple[tuple[int, int], ...]
     side_labels: tuple[str, ...] = field(default=())
@@ -67,8 +67,8 @@ def render_ascii(fig: PolygonFigure) -> str:
     o valued point, * hull vertex, x counted index lattice point,
     . envelope. Marks overwrite in that precedence order.
     """
-    xs = [pt.i for pt in fig.points] or [0]
-    ys = [pt.v for pt in fig.points] or [0]
+    xs = [i for i, _ in fig.points] or [0]
+    ys = [v for _, v in fig.points] or [0]
     xmax = max(max(xs), 1)
     ymax = max(max(ys), 1)
     rows = min(ymax, _MAX_ROWS)
@@ -95,9 +95,9 @@ def render_ascii(fig: PolygonFigure) -> str:
             put(x, max(0, math.floor(y)), ".")
     for x, y in fig.index_points:
         put(x, y, "x")
-    for pt in fig.points:
-        if pt.v <= ymax:
-            put(pt.i, pt.v, "o")
+    for i, v in fig.points:
+        if v <= ymax:
+            put(i, v, "o")
     for vertex in fig.polygon.vertices:
         put(vertex.i, vertex.v, "*")
 
@@ -133,8 +133,8 @@ def render_svg(fig: PolygonFigure, linear_x: bool = False) -> str:
     pad = 40.0
     sx = 18.0
     sy = 22.0
-    xs = [pt.i for pt in fig.points] or [1]
-    ys = [pt.v for pt in fig.points] or [1]
+    xs = [i for i, _ in fig.points] or [1]
+    ys = [v for _, v in fig.points] or [1]
     xmax = max(max(xs), 1)
     ymax = max(max(ys), 1)
     width = pad * 2 + _x_unit(xmax, linear_x) * sx
@@ -176,10 +176,8 @@ def render_svg(fig: PolygonFigure, linear_x: bool = False) -> str:
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="#1f4e9c" stroke-width="2"/>'
         )
-    for pt in fig.points:
-        parts.append(
-            f'<circle cx="{fmt(px(pt.i))}" cy="{fmt(py(pt.v))}" r="2.5" fill="#c03020"/>'
-        )
+    for i, v in fig.points:
+        parts.append(f'<circle cx="{fmt(px(i))}" cy="{fmt(py(v))}" r="2.5" fill="#c03020"/>')
     for vertex in fig.polygon.vertices:
         parts.append(
             f'<circle cx="{fmt(px(vertex.i))}" cy="{fmt(py(vertex.v))}" r="3.5" '

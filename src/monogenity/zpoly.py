@@ -225,11 +225,11 @@ class PureShiftExpansion:
     """x**n - m expanded at phi = x - m, for a prime p that does not divide m.
 
     The binomial theorem gives a_0 = m**n - m and
-    a_j = binomial(n, j) * m**(n - j).  Nothing of degree n is built:
-    points() gives every (j, v_p(a_j)) from the binomial lemma,
-    support() the r + 2 of them that decide the polygon, and
-    coefficient() makes one exact a_j when asked, which is all that
-    residual polynomials read.
+    a_j = binomial(n, j) * m**(n - j).  No a_j is built for a verdict:
+    points() gives every (j, v_p(a_j)) from the binomial lemma, support()
+    the r + 2 that decide the polygon, and unit() the first p-adic digit
+    of one a_j, all that residual polynomials read.  coefficient() makes
+    one exact a_j, for tests and the dense reference.
     """
 
     params: PureFieldParams
@@ -248,15 +248,33 @@ class PureShiftExpansion:
         return (math.comb(n, i) * m ** (n - i),)
 
     def points(self) -> list[tuple[int, int]]:
-        """(j, v_p(a_j)) for j = 0..n: v_p(a_j) = r - v_p(j) for 0 < j < n."""
-        p, r, n = self.params.p, self.params.r, self.params.degree
-        vals = [r] * n + [0]
-        vals[0] = self.nu0
+        """(j, v_p(a_j)) for j = 0..n: v_p(a_j) = r - v_p(j) for 0 < j < n.
+
+        Those at 0 < j < p**(k + 1) are p copies of those at 0 < j < p**k,
+        joined by r - k at the multiples of p**k.
+        """
+        p, r = self.params.p, self.params.r
+        inner = [r] * (p - 1)
         for k in range(1, r):
-            step = p**k
-            for j in range(step, n, step):
-                vals[j] -= 1
-        return list(enumerate(vals))
+            inner = ((inner + [r - k]) * p)[:-1]
+        return list(enumerate([self.nu0, *inner, 0]))
+
+    def unit(self, j: int) -> tuple:
+        """(v_p(a_j), a_j / p**v_p(a_j) mod p), without building a_j.
+
+        With j = p**w * c, p not dividing c, binomial(n, j) / p**(r - w) is
+        binomial(n - 1, j - 1) / c = (-1)**(j - 1) / c mod p, by Lucas'
+        theorem, as every base-p digit of n - 1 is p - 1.  Past n, a_j = 0.
+        """
+        p, r, m, n = self.params.p, self.params.r, self.params.m, self.params.degree
+        if j == 0:
+            modulus = p ** (self.nu0 + 1)
+            return self.nu0, (pow(m, n, modulus) - m) % modulus // p**self.nu0
+        if j > n:
+            return INFINITY, 0
+        w = _valuation(p, j)
+        sign = 1 if j % 2 else -1
+        return r - w, sign * pow(j // p**w, -1, p) * pow(m, n - j, p) % p
 
     def support(self) -> list[tuple[int, int]]:
         """(0, nu0) and (p**k, r - k) for k = 0..r, the points the polygon rests on.

@@ -4,11 +4,14 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import monogenity
 from monogenity.cli import main
 
 
@@ -125,6 +128,73 @@ class TestBoundedTime:
         assert sorted(map(int, payload["certificate"]["primes"])) == [
             q for q in range(2, 74) if is_prime(q)
         ]
+
+    @pytest.mark.parametrize("r", [10**4, 10**8])
+    @pytest.mark.parametrize("command", ["analyze", "scan", "render"])
+    def test_huge_degree_rejected(self, capsys, tmp_path, command, r):
+        # printing p**r in the cap message overran int's 4300-digit str()
+        # limit at r = 10**4, and building 3**(10**7) alone takes seconds
+        argv = {
+            "analyze": ["analyze", "--p", "3", "--r", str(r), "--m", "2"],
+            "scan": [
+                "scan", "--p", "3", "--r", str(r), "--m-from", "2", "--m-to", "9",
+                "--out", str(tmp_path / "rows.csv"),
+            ],
+            "render": [
+                "render", "--p", "3", "--r", str(r), "--m", "2", "--at", "3",
+                "--out", str(tmp_path / "figure.txt"),
+            ],
+        }[command]
+        with time_limit(20):
+            code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "exceeds the CLI cap of 4096" in err
+
+
+class TestParserReuse:
+    """main builds its parser once per process, so no option may carry
+    over from one call into the next."""
+
+    def test_calls_match_fresh_interpreters(self, capsys, tmp_path, monkeypatch):
+        for key in [k for k in os.environ if k.startswith("MONO_")]:
+            monkeypatch.delenv(key)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"format": "json", "verify": True}))
+        scan = ["scan", "--p", "7", "--r", "1", "--m-from", "40", "--m-to", "99"]
+        calls = [
+            ["analyze", "--p", "3", "--r", "2", "--m", "10", "--verify"],
+            ["analyze", "--p", "3", "--r", "2", "--m", "10"],
+            scan + ["--jobs", "2"],
+            scan,
+            ["analyze", "--p", "2", "--r", "3", "--m", "17", "--config", str(config)],
+        ]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(monogenity.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def outputs(argv, out_path, fresh):
+            if argv[0] == "scan":
+                argv = argv + ["--out", str(out_path)]
+            if fresh:
+                done = subprocess.run(
+                    [sys.executable, "-m", "monogenity", *argv],
+                    env=env, capture_output=True, timeout=60,
+                )
+                code, out, err = done.returncode, done.stdout, done.stderr
+            else:
+                code, out, err = run(capsys, *argv)
+                out, err = out.encode(), err.encode()
+            rows = out_path.read_bytes() if argv[0] == "scan" else None
+            return code, out, err, rows
+
+        expected = [
+            outputs(argv, tmp_path / f"fresh-{k}.csv", fresh=True) for k, argv in enumerate(calls)
+        ]
+        got = [
+            outputs(argv, tmp_path / f"reused-{k}.csv", fresh=False) for k, argv in enumerate(calls)
+        ]
+        assert [e[0] for e in expected] == [0] * len(calls)
+        assert got == expected
 
 
 class TestScan:

@@ -115,6 +115,66 @@ class TestPhiExpansion:
             pure_shift_expansion(PureFieldParams(3, 2, 6))
 
 
+class TestBinomialClosedForms:
+    """points() and unit() of the expansion at x - m against the exact
+    a_j = binomial(n, j) * m**(n - j), for every n = p**r <= 4096 with
+    p in {2, 3, 5, 7, 11}."""
+
+    FIELDS = [
+        (p, r, m)
+        for p in (2, 3, 5, 7, 11)
+        for r in range(1, 13)
+        if p**r <= 4096
+        for m in (-6 if p > 3 else 5, 7 if p != 7 else 10)
+    ]
+
+    @staticmethod
+    def split(p, a):
+        # (v_p(a), a / p**v_p(a) mod p) by repeated division
+        v = 0
+        while a % p == 0:
+            a //= p
+            v += 1
+        return v, a % p
+
+    @pytest.mark.parametrize("p, r, m", FIELDS)
+    def test_against_exact_coefficients(self, p, r, m):
+        from monogenity.ore import phi_report
+        from monogenity.polygon import residual_polynomial
+        from monogenity.zpoly import PhiExpansion, pure_shift_expansion
+
+        params = PureFieldParams(p, r, m)
+        n = params.degree
+        # a_n = 1 and a_j = a_(j+1) * m * (j + 1) / (n - j), exact at every step
+        tail = [1]
+        for j in range(n - 1, 0, -1):
+            tail.append(tail[-1] * m * (j + 1) // (n - j))
+        exact = [m**n - m] + tail[::-1]
+        for j in {1, p, n // 2 + 1, n - 1}:
+            assert exact[j] == math.comb(n, j) * m ** (n - j)
+        closed = pure_shift_expansion(params)
+        points = closed.points()
+        assert len(points) == n + 1
+        for j, a in enumerate(exact):
+            v, digit = self.split(p, a)
+            assert points[j] == (j, v), (p, r, m, j)
+            assert closed.unit(j) == (v, digit), (p, r, m, j)
+
+        # every on-side residue against the residue of the exact coefficient
+        dense = PhiExpansion(closed.phi, tuple((a,) for a in exact))
+        f = pure_polynomial(params)
+        report = phi_report(f, p, closed.phi, expansion=closed, points=points)
+        for analysis in report.sides:
+            exact_residual = residual_polynomial(dense, p, closed.phi, analysis.side)
+            assert analysis.residual.coefficients == exact_residual.coefficients
+
+    def test_unit_past_the_degree(self):
+        from monogenity.intarith import INFINITY
+        from monogenity.zpoly import pure_shift_expansion
+
+        assert pure_shift_expansion(PureFieldParams(3, 2, 2)).unit(10) == (INFINITY, 0)
+
+
 class TestDivmodMonic:
     def test_exactness(self):
         rng = random.Random(9)

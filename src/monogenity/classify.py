@@ -90,24 +90,24 @@ class MonogenityVerdict:
     certificate: Certificate
 
 
-def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
+def pure_prime_analysis(params: PureFieldParams, t: int, f=None) -> PrimeAnalysis:
     """Engine analysis of x**(p**r) - m at the prime t.
 
     Expansion bases follow the structure of the family: x when t
     divides m, x - m when t = p, canonical lifts otherwise.  The params
     have already checked p and the primes of m; any other t is checked
     by analyze_prime.  At t | m the polygon is the single side from
-    (0, 1) to (n, 0), since m is squarefree.
+    (0, 1) to (n, 0), since m is squarefree.  A caller that analyzes
+    several primes passes f = pure_polynomial(params), built once.
     """
-    f = pure_polynomial(params)
+    f = pure_polynomial(params) if f is None else f
+    n = params.degree
     if t in params.m_primes:
-        points = [(0, 1), (params.degree, 0)]
-        reports = (ore.phi_report(f, t, (0, 1), points=points),)
+        at_x = zpoly.PhiExpansion((0, 1), ((-params.m,),) + ((),) * (n - 1) + ((1,),))
+        reports = (ore.phi_report(f, t, (0, 1), at_x, (0, n), (1, 0)),)
     elif t == params.p:
-        expansion = zpoly.pure_shift_expansion(params)
-        reports = (
-            ore.phi_report(f, t, expansion.phi, expansion=expansion, points=expansion.points()),
-        )
+        shift = zpoly.pure_shift_expansion(params)
+        reports = (ore.phi_report(f, t, shift.phi, shift, range(n + 1), shift.valuations()),)
     else:
         reports = tuple(ore.analyze_prime(f, t))
     index = ore.index_lower_bound(reports)
@@ -128,7 +128,8 @@ def _build_certificate(params: PureFieldParams, all_candidates: bool) -> Certifi
     nu_pivot = _valuation(p, m**p - m)
     nu_fermat = _valuation(p, m ** (p - 1) - 1) if m % p else None
     primes = candidate_index_primes(params) if all_candidates else (p,)
-    analyses = tuple(pure_prime_analysis(params, t) for t in primes)
+    f = pure_polynomial(params)
+    analyses = tuple(pure_prime_analysis(params, t, f) for t in primes)
     disc = tuple((t, zpoly.discriminant_valuation(params, t)) for t in candidate_index_primes(params))
     at_p = analyses[0] if not all_candidates else next(a for a in analyses if a.prime == p)
     witness = at_p.comindex_witness() if at_p.regular else None

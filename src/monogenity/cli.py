@@ -14,7 +14,6 @@ import contextlib
 import csv
 import functools
 import io
-import itertools
 import json
 import os
 import re
@@ -84,7 +83,7 @@ def _report_payload(report: PhiReport) -> dict:
     return {
         "phi": to_string(report.phi),
         "multiplicity": report.multiplicity,
-        "points": report.points,
+        "points": (report.abscissas, report.valuations),  # columns; written as [i, v] pairs
         "vertices": [[v.i, v.v] for v in report.polygon.vertices],
         "sides": sides,
         "index": report.index,
@@ -115,7 +114,7 @@ def _analyze_payload(verdict: MonogenityVerdict, oracle_reports) -> dict:
     comindex = None
     if cert.comindex_prime is not None:
         comindex = {"prime": cert.comindex_prime, "residue_degree": cert.comindex_degree}
-    payload = {
+    return {
         "artifact_version": __version__,
         "input": {"p": params.p, "r": params.r, "m": params.m},
         "verdict": {
@@ -123,7 +122,7 @@ def _analyze_payload(verdict: MonogenityVerdict, oracle_reports) -> dict:
             "provenance": verdict.provenance.value,
         },
         "certificate": {
-            "polynomial": to_string(pure_polynomial(params)),
+            "polynomial": params.polynomial_text(),
             "nu_pivot": cert.nu_pivot,
             "nu_fermat": cert.nu_fermat,
             "negative_m": cert.negative_m,
@@ -137,29 +136,37 @@ def _analyze_payload(verdict: MonogenityVerdict, oracle_reports) -> dict:
         },
         "oracle": oracle_reports,
     }
-    return payload
 
 
 # a placeholder json.dumps writes unchanged and no other payload string contains
 _POINTS_SLOT = re.compile(r'^( *)"points": "@points:(\d+)@"', re.M)
 
 
-def _json_text(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True), byte for byte.
+def _points_text(columns, piece: str, sep: str) -> str:
+    """Point columns as text: piece, with %d for i and {} for v, is made once per
+    valuation (at most r + 2), joined into one %-template the abscissas fill."""
+    abscissas, valuations = columns
+    pieces = {v: piece.format(v) for v in set(valuations)}
+    return sep.join(map(pieces.__getitem__, valuations)) % tuple(abscissas)
 
-    A point list holds p**r + 1 (i, v) pairs, too many for the encoder's
+
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) with each report's point
+    columns as a list of [i, v] pairs, byte for byte.
+
+    A point list holds p**r + 1 pairs, too many for the encoder's
     per-element recursion: each report's points are swapped for a
-    placeholder in a copy of the payload, and filled into one repeated
-    %-template at the placeholder's indentation.  A report always holds
-    its unit point, so no list is empty (json.dumps would write one as []).
+    placeholder in a copy of the payload, and filled in at the
+    placeholder's indentation.  A report always holds its unit point, so
+    no list is empty (json.dumps would write one as []).
     """
-    point_lists = []
+    point_columns = []
     primes = {}
     for prime, analysis in payload["certificate"]["primes"].items():
         factors = []
         for factor in analysis["factors"]:
-            factors.append({**factor, "points": f"@points:{len(point_lists)}@"})
-            point_lists.append(factor["points"])
+            factors.append({**factor, "points": f"@points:{len(point_columns)}@"})
+            point_columns.append(factor["points"])
         primes[prime] = {**analysis, "factors": factors}
     shell = {**payload, "certificate": {**payload["certificate"], "primes": primes}}
     text = json.dumps(shell, indent=2, sort_keys=True)
@@ -168,9 +175,8 @@ def _json_text(payload: dict) -> str:
         indent = match.group(1)
         pair = indent + "  "
         entry = pair + "  "
-        points = point_lists[int(match.group(2))]
-        template = ",\n".join([f"{pair}[\n{entry}%d,\n{entry}%d\n{pair}]"] * len(points))
-        body = template % tuple(itertools.chain.from_iterable(points))
+        piece = f"{pair}[\n{entry}%d,\n{entry}{{}}\n{pair}]"
+        body = _points_text(point_columns[int(match.group(2))], piece, ",\n")
         return f'{indent}"points": [\n{body}\n{indent}]'
 
     return _POINTS_SLOT.sub(splice, text)
@@ -265,7 +271,7 @@ def _human_analyze(payload: dict) -> str:
                 f"multiplicity {factor['multiplicity']}",
                 file=out,
             )
-            points = " ".join(f"({i},{v})" for i, v in factor["points"])
+            points = _points_text(factor["points"], "(%d,{})", " ")
             vertices = " ".join(f"({i},{v})" for i, v in factor["vertices"])
             print(f"  points: {points}", file=out)
             print(f"  vertices: {vertices}", file=out)
@@ -394,9 +400,8 @@ def cmd_scan(args) -> int:
             chunk = max(1, len(tasks) // (jobs * 4))
             rows = list(pool.map(_scan_row, tasks, chunksize=chunk))
 
-    text = _format_rows(rows, fmt)
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    with _replacing(args.out) as handle:
+        handle.write(_format_rows(rows, fmt))
 
     counts: dict[str, int] = {}
     skipped = 0
@@ -444,11 +449,24 @@ def cmd_render(args) -> int:
     linear = _resolve_bool("linear_x", args.linear_x, config, False)
     params = _params(args.p, args.r, args.m)
     fig = render.figure_for(params, args.at)
-    text = render.render_ascii(fig) if fmt == "ascii" else render.render_svg(fig, linear_x=linear)
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    with _replacing(args.out) as handle:
+        handle.write(render.render_ascii(fig) if fmt == "ascii" else render.render_svg(fig, linear))
     print(f"wrote {args.out}")
     return 0
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A new file that replaces path as the block ends, or is removed if it fails."""
+    partial = f"{path}.{os.getpid()}.partial"
+    handle = open(partial, "x", encoding="utf-8", newline="")
+    try:
+        with handle:
+            yield handle
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def _load_config(path: "str | None") -> dict:

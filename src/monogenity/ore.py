@@ -39,16 +39,21 @@ class SideAnalysis:
 @dataclass(frozen=True)
 class PhiReport:
     """Everything the polygon machinery knows about one factor of the reduction;
-    points holds every valued point (i, v_p(a_i)) as an (i, v) pair."""
+    the valued points (i, v_p(a_i)) come as two columns, which points pairs up."""
 
     phi: zpoly.ZPoly
     multiplicity: int
-    points: tuple[tuple[int, int], ...]
+    abscissas: "tuple[int, ...] | range"
+    valuations: tuple[int, ...]
     polygon: polygon.NewtonPolygon
     principal: polygon.NewtonPolygon
     sides: tuple[SideAnalysis, ...]
     index: int
     regular: bool
+
+    @property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.abscissas, self.valuations))
 
     @property
     def phi_degree(self) -> int:
@@ -104,7 +109,8 @@ def phi_report(
     p: int,
     phi: zpoly.ZPoly,
     expansion: "zpoly.PhiExpansion | zpoly.PureShiftExpansion | None" = None,
-    points: "list[tuple[int, int]] | None" = None,
+    abscissas: "tuple[int, ...] | range | None" = None,
+    valuations: "tuple[int, ...] | None" = None,
 ) -> PhiReport:
     """Run the polygon pipeline for one expansion base phi.
 
@@ -113,11 +119,11 @@ def phi_report(
     it is the first abscissa whose coefficient is a p-adic unit.  A
     caller that already holds the expansion of f at phi may pass it in,
     and a caller that knows every valued point (i, v_p(a_i)) in closed
-    form may pass those too, as (i, v) pairs; then only the
-    coefficients on the sides are read from the expansion.  The hull of
-    a PureShiftExpansion is taken over its r + 2 support points, which
-    give the same polygon as all n + 1; the report still lists every
-    point, as the pairs it was given.
+    form may pass those too, as the columns abscissas and valuations;
+    then only the coefficients on the sides are read from the
+    expansion.  The hull of a PureShiftExpansion is taken over its r + 2
+    support points, which give the same polygon as all n + 1; the report
+    still lists every point, as the columns it was given.
     """
     f = zpoly.poly(f)
     phi = zpoly.poly(phi)
@@ -131,20 +137,21 @@ def phi_report(
     elif zpoly.poly(expansion.phi) != phi:
         raise ValidationError("provided expansion was taken at a different base")
 
-    if not expansion.coefficient(0) and zpoly.degree(f) != zpoly.degree(phi):
+    if valuations is None:
+        abscissas, valuations = zip(*polygon.valued_points(expansion, p))
+    # valued points skip zero coefficients, so a_0 = 0 leaves abscissa 0 out
+    if abscissas[0] and zpoly.degree(f) != zpoly.degree(phi):
         raise ValidationError(
             "expansion base divides f over Z; the analysis needs an irreducible f"
         )
-    if points is None:
-        points = polygon.valued_points(expansion, p)
-    unit_positions = [i for i, v in points if v == 0]
-    if not unit_positions:
-        raise InvariantError("no unit coefficient in the expansion of a monic polynomial")
-    multiplicity = min(unit_positions)
+    try:
+        multiplicity = abscissas[valuations.index(0)]
+    except ValueError:
+        raise InvariantError("no unit coefficient in the expansion of a monic polynomial") from None
     if multiplicity == 0:
         raise ValidationError("expansion base does not divide the reduction of f")
     pure = isinstance(expansion, zpoly.PureShiftExpansion)
-    hull = polygon.lower_convex_hull(expansion.support() if pure else points)
+    hull = polygon.lower_convex_hull(expansion.support() if pure else zip(abscissas, valuations))
     principal = polygon.principal_part(hull)
 
     if not principal.is_empty:
@@ -170,7 +177,8 @@ def phi_report(
     return PhiReport(
         phi=phi,
         multiplicity=multiplicity,
-        points=tuple(points),
+        abscissas=abscissas,
+        valuations=valuations,
         polygon=hull,
         principal=principal,
         sides=tuple(sides),

@@ -49,7 +49,7 @@ def figure_for(params: PureFieldParams, q: int) -> PolygonFigure:
     analysis = pure_prime_analysis(params, q)
     report = analysis.reports[0]
     title = (
-        f"{to_string(params.polynomial())} at q={q}, base phi = {to_string(report.phi)}"
+        f"{params.polynomial_text()} at q={q}, base phi = {to_string(report.phi)}"
     )
     return figure_from_polygon(title, report.points, report.polygon)
 

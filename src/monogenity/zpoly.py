@@ -18,6 +18,8 @@ ZPoly = tuple[int, ...]
 
 
 def poly(coeffs) -> ZPoly:
+    if type(coeffs) is tuple and (not coeffs or coeffs[-1]):
+        return coeffs  # already normalized: x**4096 - m is not copied
     out = list(coeffs)
     while out and out[-1] == 0:
         out.pop()
@@ -146,8 +148,8 @@ class PureFieldParams:
     def degree(self) -> int:
         return self.p**self.r
 
-    def polynomial(self) -> ZPoly:
-        return pure_polynomial(self)
+    def polynomial_text(self) -> str:  # to_string(pure_polynomial(self)) in closed form
+        return f"x^{self.degree} - {self.m}" if self.m > 0 else f"x^{self.degree} + {-self.m}"
 
 
 def pure_polynomial(params: PureFieldParams) -> ZPoly:
@@ -226,7 +228,7 @@ class PureShiftExpansion:
 
     The binomial theorem gives a_0 = m**n - m and
     a_j = binomial(n, j) * m**(n - j).  No a_j is built for a verdict:
-    points() gives every (j, v_p(a_j)) from the binomial lemma, support()
+    valuations() gives every v_p(a_j) from the binomial lemma, support()
     the r + 2 that decide the polygon, and unit() the first p-adic digit
     of one a_j, all that residual polynomials read.  coefficient() makes
     one exact a_j, for tests and the dense reference.
@@ -247,8 +249,8 @@ class PureShiftExpansion:
             return ()
         return (math.comb(n, i) * m ** (n - i),)
 
-    def points(self) -> list[tuple[int, int]]:
-        """(j, v_p(a_j)) for j = 0..n: v_p(a_j) = r - v_p(j) for 0 < j < n.
+    def valuations(self) -> tuple[int, ...]:
+        """v_p(a_j) for j = 0..n: v_p(a_j) = r - v_p(j) for 0 < j < n.
 
         Those at 0 < j < p**(k + 1) are p copies of those at 0 < j < p**k,
         joined by r - k at the multiples of p**k.
@@ -257,7 +259,7 @@ class PureShiftExpansion:
         inner = [r] * (p - 1)
         for k in range(1, r):
             inner = ((inner + [r - k]) * p)[:-1]
-        return list(enumerate([self.nu0, *inner, 0]))
+        return (self.nu0, *inner, 0)
 
     def unit(self, j: int) -> tuple:
         """(v_p(a_j), a_j / p**v_p(a_j) mod p), without building a_j.

@@ -338,7 +338,7 @@ class TestClosedFormAtP:
     def test_support_hull_matches_brute_hull(self, p, r, m, sign):
         expansion = pure_shift_expansion(PureFieldParams(p, r, m))
         assert (expansion.nu0 > r) - (expansion.nu0 < r) == sign
-        support, points = expansion.support(), expansion.points()
+        support, points = expansion.support(), list(enumerate(expansion.valuations()))
         assert len(support) == r + 2
         assert set(support) <= set(points)
         hull = lower_convex_hull(support)
@@ -358,6 +358,24 @@ class TestClosedFormAtP:
             assert a.side == b.side
             assert a.residual.coefficients == b.residual.coefficients
             assert a.factors == b.factors
+
+    @pytest.mark.parametrize(
+        "p, r", [(p, r) for p in (2, 3, 5, 7) for r in range(1, 9) if p**r <= 343]
+    )
+    def test_points_match_dense_valued_points(self, p, r):
+        from monogenity.polygon import valued_points
+
+        # m = 1 mod p**2 puts nu0 past 1; 2 * 3 * 5 * 7 makes every p divide m
+        for m in ({2: 17, 3: 10, 5: 26, 7: 197}[p], -6 if p > 3 else 5, 210):
+            params = PureFieldParams(p, r, m)
+            f = pure_polynomial(params)
+            for report in pure_prime_analysis(params, p).reports:
+                dense = valued_points(phi_expansion(f, report.phi, force_general=True), p)
+                assert report.points == tuple(tuple(pt) for pt in dense), (p, r, m)
+            q = max(params.m_primes)
+            for report in pure_prime_analysis(params, q).reports:
+                dense = valued_points(phi_expansion(f, report.phi, force_general=True), q)
+                assert report.points == tuple(tuple(pt) for pt in dense), (p, r, m, q)
 
     def test_m_factored_once_per_field(self, monkeypatch):
         from monogenity import intarith

@@ -10,9 +10,11 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import monogenity
 from monogenity.cli import main
+from monogenity.intarith import is_squarefree
 
 
 def run(capsys, *argv):
@@ -268,7 +270,10 @@ class TestByteIdentity:
     F_(p^k) shared one factorization, and (analyze JSON at (2, 12, 17),
     (61, 2, 3), (7, 1, 197), with --verify at (3, 5, 10), human text at
     (2, 10, 33)) from before the hull was taken over the support points
-    and the point lists were spliced into the JSON.
+    and the point lists were spliced into the JSON, (analyze JSON at
+    (3, 4, -10), (2, 12, -3), (5, 2, 10), human text at (2, 12, 17),
+    (61, 2, 3)) from before the points were carried as columns and the
+    certificate polynomial was written in closed form.
 
     Performance work must leave analyze JSON, human text and scan CSV
     byte for byte the same; a digest changes only with a deliberate
@@ -284,6 +289,10 @@ class TestByteIdentity:
             (2, 12, 17, "97f613c5ace9dac25d3c59dc6ae8e9bc55c90878ab88598bbcd53b9cbf3a59b3"),
             (61, 2, 3, "2c6dc8980e4616dca01e6b9e4e106c9317a6984190de813bad315d416c5aea1a"),
             (7, 1, 197, "98f18427caae0501dda905e7c2064d11d4e3fcd5d9655adc338c2417f1e3cb32"),
+            # m < 0 prints as x^n + |m|; 5 | 10 puts a report at t | m
+            (3, 4, -10, "58b397a26fc87a3a6115e458b93deb74994134ddc26cb33d694178c619a06af6"),
+            (2, 12, -3, "50268d9f96eb6d299f0bf85e4d7bf683c3336c2f10837fb08ba7224232fd061d"),
+            (5, 2, 10, "29d15f1352b2cb01106aea3c7b9670a446b2ea24ec489d2cee08098fc517f269"),
         ],
     )
     def test_analyze_json(self, capsys, p, r, m, digest):
@@ -323,6 +332,8 @@ class TestByteIdentity:
             # m = 1 mod 49: UNDETERMINED
             (7, 1, 197, "adcceb1fe1d1fed3660483ebb938a59971d1394f8f1aafe3844af627cdb6653c"),
             (2, 10, 33, "d7fee696db5d1cd4cb4ca17c2b5a39fe77a5e554175b3c1286cf746b4a0e5281"),
+            (2, 12, 17, "c62c4b54b7b01ccab60b41cd474adb16ad3cb214eaab8fbe98e23d01c2db04e5"),
+            (61, 2, 3, "5e89718c2c4b4b68caba482dce95625e681a1d2b99586d9c1605a84c3b4f961f"),
         ],
     )
     def test_analyze_human(self, capsys, p, r, m, digest):
@@ -387,6 +398,135 @@ class TestByteIdentity:
             hashlib.sha256(text.encode("utf-8")).hexdigest()
             == "aa23637b9ea4882d27a8121283ad2d461e3ed05e2b67c4c576d6b1432587c709"
         )
+
+
+@st.composite
+def _json_fields(draw):
+    """(p, r, m, verify) with p**r <= 4096 and m squarefree in +-[2, 10**6]."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    r = draw(st.integers(1, int(math.log(4096, p) + 1e-9)))
+    m = draw(st.integers(2, 10**6).filter(is_squarefree)) * draw(st.sampled_from([1, -1]))
+    # the Dedekind oracle takes seconds past degree 256
+    return p, r, m, draw(st.booleans()) and p**r <= 256
+
+
+class TestJsonEmitter:
+    """cli._json_text against the reference encoder, with the point
+    columns materialized as the [i, v] lists the schema describes."""
+
+    @given(_json_fields())
+    @settings(max_examples=40, deadline=None)
+    @example((2, 12, 6, False))  # p | m at degree 4096
+    @example((5, 3, 10, True))  # p | m under --verify
+    @example((3, 7, -7, False))
+    @example((11, 2, -2, True))
+    def test_matches_json_dumps(self, field):
+        from monogenity import cli
+        from monogenity.classify import classify
+        from monogenity.zpoly import PureFieldParams
+
+        p, r, m, verify = field
+        verdict = classify(PureFieldParams(p, r, m))
+        payload = cli._analyze_payload(verdict, cli._oracle_reports(verdict) if verify else None)
+        primes = {
+            prime: {
+                **analysis,
+                "factors": [
+                    {**factor, "points": [[i, v] for i, v in zip(*factor["points"])]}
+                    for factor in analysis["factors"]
+                ],
+            }
+            for prime, analysis in payload["certificate"]["primes"].items()
+        }
+        reference = {**payload, "certificate": {**payload["certificate"], "primes": primes}}
+        assert cli._json_text(payload) == json.dumps(reference, indent=2, sort_keys=True)
+
+
+class TestAtomicOutput:
+    """An error while the output is produced leaves no partial file: the
+    old file at --out keeps its bytes and nothing else is left beside it."""
+
+    def _fail(self, *args, **kwargs):
+        from monogenity.errors import InvariantError
+
+        raise InvariantError("injected")
+
+    def test_scan(self, tmp_path, capsys, monkeypatch):
+        from monogenity import cli
+
+        out_path = tmp_path / "rows.csv"
+        out_path.write_bytes(b"old rows\n")
+        monkeypatch.setattr(cli, "_format_rows", self._fail)
+        code, _, err = run(
+            capsys, "scan", "--p", "2", "--r", "2",
+            "--m-from", "2", "--m-to", "20", "--out", str(out_path),
+        )
+        assert code == 4
+        assert "injected" in err
+        assert out_path.read_bytes() == b"old rows\n"
+        assert os.listdir(tmp_path) == ["rows.csv"]
+
+    def test_render(self, tmp_path, capsys, monkeypatch):
+        from monogenity import render
+
+        out_path = tmp_path / "fig.txt"
+        out_path.write_bytes(b"old figure\n")
+        monkeypatch.setattr(render, "render_ascii", self._fail)
+        code, _, _ = run(
+            capsys, "render", "--p", "3", "--r", "3", "--m", "161", "--at", "3",
+            "--format", "ascii", "--out", str(out_path),
+        )
+        assert code == 4
+        assert out_path.read_bytes() == b"old figure\n"
+        assert os.listdir(tmp_path) == ["fig.txt"]
+
+    def test_interrupt_while_writing(self, tmp_path, monkeypatch):
+        from monogenity import cli
+
+        def interrupted(rows, fmt):
+            raise KeyboardInterrupt
+
+        out_path = tmp_path / "rows.csv"
+        monkeypatch.setattr(cli, "_format_rows", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["scan", "--p", "2", "--r", "1", "--m-from", "2", "--m-to", "5",
+                  "--out", str(out_path)])
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+    def test_write_cut_short(self, tmp_path):
+        # a file size limit on the child makes the write itself fail midway
+        child = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048))\n"
+            "from monogenity.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out_path = tmp_path / "rows.csv"
+        out_path.write_bytes(b"old rows\n")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        src = os.path.dirname(os.path.dirname(monogenity.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", child, "scan", "--p", "2", "--r", "1",
+             "--m-from", "2", "--m-to", "300", "--out", str(out_path)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert done.returncode == 3, done.stderr
+        assert out_path.read_bytes() == b"old rows\n"
+        assert os.listdir(tmp_path) == ["rows.csv"]
+
+    def test_new_file_replaces_old(self, tmp_path, capsys):
+        out_path = tmp_path / "rows.csv"
+        out_path.write_bytes(b"old rows\n")
+        code, _, _ = run(
+            capsys, "scan", "--p", "2", "--r", "1",
+            "--m-from", "2", "--m-to", "3", "--out", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_text().startswith("m,p,r,status")
+        assert os.listdir(tmp_path) == ["rows.csv"]
 
 
 class TestRender:

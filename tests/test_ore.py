@@ -190,3 +190,18 @@ class TestPhiReportValidation:
     def test_base_must_reduce_irreducible(self):
         with pytest.raises(ValidationError):
             phi_report((-17, 0, 0, 0, 1), 2, (1, 0, 1))  # x^2+1 = (x+1)^2 mod 2
+
+    def test_valuation_column_without_unit(self):
+        from monogenity.errors import InvariantError
+        from monogenity.zpoly import pure_shift_expansion
+
+        params = PureFieldParams(3, 2, 10)
+        closed = pure_shift_expansion(params)
+        valuations = closed.valuations()[:-1] + (1,)  # a_n = 1 made a non-unit
+        with pytest.raises(InvariantError, match="no unit coefficient"):
+            phi_report(pure_polynomial(params), 3, closed.phi, closed, range(10), valuations)
+
+    def test_a0_zero_rejected(self):
+        # x**2 - x = x * (x - 1): no valued point at abscissa 0
+        with pytest.raises(ValidationError, match="divides f over Z"):
+            phi_report((0, -1, 1), 2, (0, 1))

@@ -106,7 +106,9 @@ class TestPhiExpansion:
             assert direct.phi == division.phi
             for i in range(params.degree + 2):
                 assert direct.coefficient(i) == division.coefficient(i)
-            assert direct.points() == [tuple(pt) for pt in valued_points(division, p)]
+            assert list(enumerate(direct.valuations())) == [
+                tuple(pt) for pt in valued_points(division, p)
+            ]
 
     def test_closed_form_needs_p_not_dividing_m(self):
         from monogenity.zpoly import pure_shift_expansion
@@ -116,7 +118,7 @@ class TestPhiExpansion:
 
 
 class TestBinomialClosedForms:
-    """points() and unit() of the expansion at x - m against the exact
+    """valuations() and unit() of the expansion at x - m against the exact
     a_j = binomial(n, j) * m**(n - j), for every n = p**r <= 4096 with
     p in {2, 3, 5, 7, 11}."""
 
@@ -153,7 +155,7 @@ class TestBinomialClosedForms:
         for j in {1, p, n // 2 + 1, n - 1}:
             assert exact[j] == math.comb(n, j) * m ** (n - j)
         closed = pure_shift_expansion(params)
-        points = closed.points()
+        points = list(enumerate(closed.valuations()))
         assert len(points) == n + 1
         for j, a in enumerate(exact):
             v, digit = self.split(p, a)
@@ -163,7 +165,7 @@ class TestBinomialClosedForms:
         # every on-side residue against the residue of the exact coefficient
         dense = PhiExpansion(closed.phi, tuple((a,) for a in exact))
         f = pure_polynomial(params)
-        report = phi_report(f, p, closed.phi, expansion=closed, points=points)
+        report = phi_report(f, p, closed.phi, closed, range(n + 1), closed.valuations())
         for analysis in report.sides:
             exact_residual = residual_polynomial(dense, p, closed.phi, analysis.side)
             assert analysis.residual.coefficients == exact_residual.coefficients

@@ -209,20 +209,21 @@ def dedekind_divides_index(f: zpoly.ZPoly, q: int) -> bool:
     """Dedekind's criterion: does q divide the index of Z[x]/(f)?
 
     Factor the reduction of f as the product of gbar_i**e_i, set
-    gbar = prod gbar_i and hbar = prod gbar_i**(e_i - 1), lift both
-    monically, and test whether gcd((g*h - f)/q, gbar, hbar) is
-    nonconstant over F_q.
+    gbar = prod gbar_i and hbar = prod gbar_i**(e_i - 1) = fbar / gbar,
+    lift both monically, and test whether gcd((g*h - f)/q, gbar, hbar)
+    is nonconstant over F_q.
     """
     prime_field = residue_field(q, fppoly.X)
     f = zpoly.poly(f)
     if not zpoly.is_monic(f):
         raise ValidationError("Dedekind's criterion needs a monic polynomial")
+    fbar = fppoly.normalize(f, q)
     gbar: fppoly.FpPoly = fppoly.ONE
-    hbar: fppoly.FpPoly = fppoly.ONE
-    for factor_bar, mult in ff_factor(prime_field, fppoly.normalize(f, q)):
+    for factor_bar, _ in ff_factor(prime_field, fbar):
         gbar = fppoly.mul(gbar, factor_bar, q)
-        for _ in range(mult - 1):
-            hbar = fppoly.mul(hbar, factor_bar, q)
+    hbar, rem = fppoly.divmod_(fbar, gbar, q)
+    if rem:
+        raise InvariantError("the radical of f mod q does not divide f mod q")
     product = zpoly.mul(gbar, hbar)
     diff = zpoly.sub(product, f)
     t_coeffs = []

@@ -3,9 +3,9 @@
 A polynomial is a tuple of coefficients in ascending degree order,
 reduced to canonical representatives 0..p-1, with the top coefficient
 nonzero; the empty tuple is the zero polynomial.  The modulus p travels
-as an explicit argument.  This arithmetic is also the element
-arithmetic of the residue fields F_(p^k); factorization over every
-finite field, F_p included, is residue.ff_factor.
+as an explicit argument.  The residue fields F_(p^k) keep their elements
+in this form, with their own lazily reduced products; factorization over
+every finite field, F_p included, is residue.ff_factor.
 """
 
 from __future__ import annotations

@@ -2,25 +2,31 @@
 
 An element of a field of degree 1 (F_q = F_p) is a plain int 0..p-1.
 An element of a field of degree k >= 2 is its reduced representative,
-an FpPoly tuple, with fppoly's F_p[x] arithmetic modulo the field's
-modulus as its arithmetic.  Elements do not carry their field: it is
-the first argument of every ff_* function.  A polynomial over F_q is a
-tuple of elements in ascending degree order with a nonzero top
-coefficient, as in fppoly, so a polynomial over F_p is an FpPoly.
+an FpPoly tuple.  Elements do not carry their field: it is the first
+argument of every ff_* function.  A polynomial over F_q is a tuple of
+elements in ascending degree order with a nonzero top coefficient, as
+in fppoly, so a polynomial over F_p is an FpPoly.
 
-ff_factor is the one factorization for every q, F_p included:
-squarefree, then distinct-degree, then Cantor-Zassenhaus equal-degree
-factorization (von zur Gathen & Gerhard, Modern Computer Algebra,
-ch. 14).
+Arithmetic reduces once per output coefficient.  A field of degree
+k >= 2 precomputes the fold rows x^j mod phibar, j = k..2k-2: a product
+of two elements is a schoolbook product with plain int coefficients,
+then one fold and one % p per coefficient.  ff_mul and ff_divmod sum
+the products that make one polynomial coefficient in an unreduced
+accumulator (an int over F_p) and reduce it once; the division reduces
+its top remainder coefficient when it reads it.  Inverses come from
+the extended Euclidean algorithm in F_p[x] (pow(a, -1, p) over F_p).
+
+ff_factor is the one factorization for every q, F_p included: the
+power of y dividing the polynomial split off, then squarefree, then
+distinct-degree, then Cantor-Zassenhaus equal-degree factorization
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 from . import fppoly
 from .errors import ValidationError
@@ -31,27 +37,30 @@ from .intarith import require_prime
 _SPLIT_SEED = 0
 
 
-def _op():
-    return dataclasses.field(init=False, repr=False, compare=False)
-
-
 @dataclass(frozen=True)
 class ResidueField:
     """The field F_p[x]/(modulus), modulus monic irreducible over F_p.
 
-    zero, one and the element operations add(a, b), sub(a, b), mul(a, b)
-    and pow(a, e) are set on construction for the element representation
-    of the field's degree.
+    ResidueField(p, modulus) is a PrimeField when the modulus is linear
+    and an ExtensionField otherwise.  Both have zero, one and the element
+    operations add(a, b), sub(a, b), mul(a, b), pow(a, e), inv(a) and
+    scale(a, n) (a times the integer n).  They also have the unreduced
+    accumulators that ff_mul and ff_divmod sum products in, one per
+    polynomial coefficient: lift(a) is the element a as an accumulator,
+    fma(accs, i, q, ys) and fms(accs, i, q, ys) add and subtract q*ys[j]
+    to and from accs[i + j] in place, and reduce(acc) is the element that
+    acc stands for (acc is used up).
     """
 
     p: int
     modulus: fppoly.FpPoly
-    zero: object = _op()
-    one: object = _op()
-    add: Callable = _op()
-    sub: Callable = _op()
-    mul: Callable = _op()
-    pow: Callable = _op()
+
+    def __new__(cls, p=None, modulus=None):
+        # the element representation follows the degree; unpickling
+        # passes no arguments, but the subclass itself
+        if cls is ResidueField:
+            cls = PrimeField if len(modulus) == 2 else ExtensionField
+        return super().__new__(cls)
 
     def __post_init__(self):
         require_prime(self.p)
@@ -61,27 +70,6 @@ class ResidueField:
             raise ValidationError(
                 f"residue field modulus {self.modulus} is reducible over F_{self.p}"
             )
-        p, modulus = self.p, self.modulus
-        if self.degree == 1:
-            ops = {
-                "zero": 0,
-                "one": 1,
-                "add": lambda a, b: (a + b) % p,
-                "sub": lambda a, b: (a - b) % p,
-                "mul": lambda a, b: a * b % p,
-                "pow": lambda a, e: pow(a, e, p),
-            }
-        else:
-            ops = {
-                "zero": fppoly.ZERO,
-                "one": fppoly.ONE,
-                "add": lambda a, b: fppoly.add(a, b, p),
-                "sub": lambda a, b: fppoly.sub(a, b, p),
-                "mul": lambda a, b: fppoly.mod_(fppoly.mul(a, b, p), modulus, p),
-                "pow": lambda a, e: fppoly.pow_mod(a, e, modulus, p),
-            }
-        for name, value in ops.items():
-            object.__setattr__(self, name, value)
 
     @property
     def degree(self) -> int:
@@ -98,9 +86,142 @@ class ResidueField:
             return rep[0] if rep else 0
         return rep
 
+
+class PrimeField(ResidueField):
+    """F_p: elements are ints 0..p-1, and an int is its own accumulator."""
+
+    zero = 0
+    one = 1
+    lift = int
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def pow(self, a, e):
+        return pow(a, e, self.p)
+
     def inv(self, a):
-        """Inverse of a nonzero element, a**(q - 2)."""
-        return a if a == self.one else self.pow(a, self.order - 2)
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, -1, self.p)
+
+    def scale(self, a, n):
+        return a * n % self.p
+
+    def fma(self, accs, i, q, ys):
+        for j, y in enumerate(ys, i):
+            accs[j] += q * y
+
+    def fms(self, accs, i, q, ys):
+        for j, y in enumerate(ys, i):
+            accs[j] -= q * y
+
+    def reduce(self, acc):
+        return acc % self.p
+
+
+class ExtensionField(ResidueField):
+    """F_(p^k), k >= 2: elements are reduced FpPoly tuples of length <= k.
+
+    An accumulator is a list of 2k - 1 unreduced ints, the coefficients
+    of a polynomial in x of degree <= 2k - 2, which is what a product of
+    two elements is.  reduce replaces each x^j, j = k..2k-2, by its fold
+    row x^j mod modulus, then takes each of the k coefficients mod p
+    once.
+    """
+
+    zero = fppoly.ZERO
+    one = fppoly.ONE
+
+    def __post_init__(self):
+        super().__post_init__()
+        p, k = self.p, self.degree
+        rows = []
+        row = tuple(-c % p for c in self.modulus[:k])  # x^k = x^k - modulus
+        for _ in range(k - 1):
+            rows.append(row)
+            top = row[-1]  # x * row, with its x^k term folded back in
+            row = tuple((c + top * r) % p for c, r in zip((0,) + row[:-1], rows[0]))
+        # (j, the nonzero (i, coefficient of x^i) of the fold row of x^j)
+        folds = tuple(
+            (j, tuple((i, r) for i, r in enumerate(row) if r)) for j, row in enumerate(rows, k)
+        )
+        object.__setattr__(self, "_folds", folds)
+        object.__setattr__(self, "_width", 2 * k - 1)
+
+    def add(self, a, b):
+        return fppoly.add(a, b, self.p)
+
+    def sub(self, a, b):
+        return fppoly.sub(a, b, self.p)
+
+    def mul(self, a, b):
+        acc = [0] * self._width
+        self.fma([acc], 0, a, (b,))
+        return self.reduce(acc)
+
+    def pow(self, a, e):
+        result = fppoly.ONE
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def inv(self, a):
+        # extended Euclid in F_p[x]: s*a = r (mod modulus) along the remainders
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        p = self.p
+        r0, r1 = self.modulus, a
+        s0, s1 = fppoly.ZERO, fppoly.ONE
+        while len(r1) > 1:
+            q, r = fppoly.divmod_(r0, r1, p)
+            r0, r1 = r1, r
+            s0, s1 = s1, fppoly.sub(s0, fppoly.mul(q, s1, p), p)
+        c = pow(r1[0], -1, p)
+        return tuple(s * c % p for s in s1)
+
+    def scale(self, a, n):
+        p = self.p
+        return tuple(c * n % p for c in a) if n % p else ()
+
+    def lift(self, a):
+        return list(a) + [0] * (self._width - len(a))
+
+    def fma(self, accs, i, q, ys):
+        _accumulate(accs, i, [(t, c) for t, c in enumerate(q) if c], ys)
+
+    def fms(self, accs, i, q, ys):
+        _accumulate(accs, i, [(t, -c) for t, c in enumerate(q) if c], ys)
+
+    def reduce(self, acc):
+        for j, terms in self._folds:
+            c = acc[j]
+            if c:
+                for i, r in terms:
+                    acc[i] += c * r
+        p = self.p
+        out = [c % p for c in acc[: len(self.modulus) - 1]]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+
+def _accumulate(accs, i, terms, ys):
+    # accs[i + j] += q * ys[j], q given by its nonzero terms (t, c)
+    for j, y in enumerate(ys, i):
+        acc = accs[j]
+        for t, c in terms:
+            for u, d in enumerate(y, t):
+                acc[u] += c * d
 
 
 # Bounded: a scan meets a new F_q for almost every new prime q of m, and an
@@ -189,16 +310,40 @@ def ff_sub(field: ResidueField, a, b) -> tuple:
     return ff_normalize(out)
 
 
+def _product(field: ResidueField, a, b) -> list:
+    """The coefficients of a*b as unreduced accumulators."""
+    fma = field.fma
+    out = [field.lift(field.zero) for _ in range(len(a) + len(b) - 1)]
+    for i, c in enumerate(a):
+        if c:
+            fma(out, i, c, b)
+    return out
+
+
+def _divide(field: ResidueField, rem: list, b) -> tuple[tuple, tuple]:
+    """Long division of the polynomial with accumulators rem by b.
+
+    Each remainder coefficient is reduced once, the top one when the
+    division reads it; a monic b needs no multiply by its inverse lead.
+    Subtracting q*b leaves the top accumulator at 0 mod p, unread.
+    """
+    lb = len(b)
+    reduce, fms, mul = field.reduce, field.fms, field.mul
+    inv_lead = None if b[-1] == field.one else field.inv(b[-1])
+    quo = [field.zero] * (len(rem) - lb + 1)
+    for shift in range(len(rem) - lb, -1, -1):
+        c = reduce(rem[shift + lb - 1])
+        if c:
+            q = c if inv_lead is None else mul(c, inv_lead)
+            quo[shift] = q
+            fms(rem, shift, q, b)
+    return ff_normalize(quo), ff_normalize(list(map(reduce, rem[: lb - 1])))
+
+
 def ff_mul(field: ResidueField, a, b) -> tuple:
     if not a or not b:
         return ()
-    add, mul = field.add, field.mul
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = add(out[i + j], mul(ca, cb))
-    return ff_normalize(out)
+    return ff_normalize(list(map(field.reduce, _product(field, a, b))))
 
 
 def ff_divmod(field: ResidueField, a, b) -> tuple[tuple, tuple]:
@@ -206,18 +351,7 @@ def ff_divmod(field: ResidueField, a, b) -> tuple[tuple, tuple]:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return (), a
-    sub, mul = field.sub, field.mul
-    inv_lead = field.inv(b[-1])
-    rem = list(a)
-    quo = [field.zero] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        c = rem[shift + len(b) - 1]
-        if c:
-            q = mul(c, inv_lead)
-            quo[shift] = q
-            for j, cb in enumerate(b):
-                rem[shift + j] = sub(rem[shift + j], mul(q, cb))
-    return ff_normalize(quo), ff_normalize(rem)
+    return _divide(field, list(map(field.lift, a)), b)
 
 
 def ff_mod(field: ResidueField, a, b) -> tuple:
@@ -226,6 +360,13 @@ def ff_mod(field: ResidueField, a, b) -> tuple:
 
 def ff_quo(field: ResidueField, a, b) -> tuple:
     return ff_divmod(field, a, b)[0]
+
+
+def ff_mulmod(field: ResidueField, a, b, g) -> tuple:
+    """a*b mod g, the product's coefficients reduced only by the division."""
+    if not a or not b:
+        return ()
+    return _divide(field, _product(field, a, b), g)[1]
 
 
 def ff_make_monic(field: ResidueField, g) -> tuple:
@@ -247,14 +388,15 @@ def ff_pow_mod(field: ResidueField, base, e: int, modulus) -> tuple:
     base = ff_mod(field, base, modulus)
     while e:
         if e & 1:
-            result = ff_mod(field, ff_mul(field, result, base), modulus)
-        base = ff_mod(field, ff_mul(field, base, base), modulus)
+            result = ff_mulmod(field, result, base, modulus)
+        base = ff_mulmod(field, base, base, modulus)
         e >>= 1
     return result
 
 
 def ff_derivative(field: ResidueField, g) -> tuple:
-    return ff_normalize([field.mul(field.element((i,)), c) for i, c in enumerate(g)][1:])
+    scale, p = field.scale, field.p
+    return ff_normalize([scale(c, i % p) for i, c in enumerate(g)][1:])
 
 
 def ff_pth_root(field: ResidueField, g) -> tuple:
@@ -346,7 +488,7 @@ def _equal_degree(field: ResidueField, g, d: int, rng: random.Random) -> list[tu
             # the trace of a from F_(2^(kd)) down to F_2
             t = acc = a
             for _ in range(field.degree * d - 1):
-                acc = ff_mod(field, ff_mul(field, acc, acc), g)
+                acc = ff_mulmod(field, acc, acc, g)
                 t = ff_add(field, t, acc)
             h = ff_gcd(field, t, g)
         else:
@@ -372,10 +514,13 @@ def ff_factor(field: ResidueField, g) -> list[tuple[tuple, int]]:
         raise ValidationError("factorization requires a monic polynomial")
     if ff_degree(g) == 1:
         return [(g, 1)]
+    # y^e, e the run of zero low coefficients, is split off first: Yun's
+    # loop would walk its e multiplicities one gcd at a time
+    e = next(i for i, c in enumerate(g) if c)
+    found: dict[tuple, int] = {(field.zero, field.one): e} if e else {}
     parts: dict[int, tuple] = {}
-    _squarefree_into(field, g, 1, parts)
+    _squarefree_into(field, g[e:], 1, parts)
     rng = None
-    found: dict[tuple, int] = {}
     for mult, part in parts.items():
         for block, d in _distinct_degree(field, part):
             if ff_degree(block) == d:

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -12,7 +13,7 @@ from monogenity.classify import (
     is_common_index_divisor,
     pure_prime_analysis,
 )
-from monogenity.errors import ValidationError
+from monogenity.errors import InvariantError, ValidationError
 from monogenity.intarith import is_squarefree, valuation
 from monogenity.oracle import brute_hull
 from monogenity.ore import NOT_REGULAR, phi_report
@@ -133,6 +134,17 @@ class TestDedekind:
     def test_nonprime_rejected(self):
         with pytest.raises(ValidationError):
             dedekind_divides_index((1, 0, 1), 4)
+
+    def test_pure_power_reduction(self):
+        # x^4096 - 17 = x^4096 mod 17: gbar = x, hbar = fbar / gbar = x^4095
+        assert dedekind_divides_index(pure_polynomial(PureFieldParams(2, 12, 17)), 17) is False
+
+    def test_radical_not_dividing_raises(self, monkeypatch):
+        # x does not divide x^2 + 1 over F_2, so hbar = fbar / gbar is not exact
+        module = importlib.import_module("monogenity.classify")  # the package exports a function classify
+        monkeypatch.setattr(module, "ff_factor", lambda field, g: [((0, 1), 2)])
+        with pytest.raises(InvariantError):
+            dedekind_divides_index((1, 0, 1), 2)
 
     def test_agrees_with_pivot_on_corpus(self):
         rng = random.Random(6)

@@ -70,6 +70,17 @@ class TestAnalyze:
         assert payload["oracle"]
         assert all(check["agree"] for check in payload["oracle"])
 
+    def test_verify_at_degree_cap(self, capsys):
+        # the Dedekind oracle at 17 factors x^4096 over F_17
+        code, out, _ = run(
+            capsys, "analyze", "--p", "2", "--r", "12", "--m", "17",
+            "--format", "json", "--verify",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["oracle"]
+        assert all(check["agree"] for check in payload["oracle"])
+
     def test_degree_cap(self, capsys):
         code, _, err = run(capsys, "analyze", "--p", "2", "--r", "13", "--m", "3")
         assert code == 2
@@ -406,8 +417,7 @@ def _json_fields(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11]))
     r = draw(st.integers(1, int(math.log(4096, p) + 1e-9)))
     m = draw(st.integers(2, 10**6).filter(is_squarefree)) * draw(st.sampled_from([1, -1]))
-    # the Dedekind oracle takes seconds past degree 256
-    return p, r, m, draw(st.booleans()) and p**r <= 256
+    return p, r, m, draw(st.booleans())
 
 
 class TestJsonEmitter:
@@ -417,6 +427,7 @@ class TestJsonEmitter:
     @given(_json_fields())
     @settings(max_examples=40, deadline=None)
     @example((2, 12, 6, False))  # p | m at degree 4096
+    @example((2, 12, 6, True))
     @example((5, 3, 10, True))  # p | m under --verify
     @example((3, 7, -7, False))
     @example((11, 2, -2, True))

@@ -4,15 +4,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monogenity import fppoly, residue
 from monogenity.errors import ValidationError
 from monogenity.residue import (
     ResidueField,
+    ff_add,
     ff_degree,
     ff_derivative,
+    ff_divmod,
     ff_factor,
     ff_gcd,
     ff_make_monic,
     ff_mul,
+    ff_mulmod,
     ff_normalize,
     residue_class,
     residue_field,
@@ -258,3 +262,127 @@ class TestFFFactorPrimeField:
         for linear in linears:
             g = _poly_mul(f2401, g, linear)
         assert ff_factor(f2401, g) == [(linear, 1) for linear in linears]
+
+
+def _irreducible_from(p, k, start):
+    """The first monic irreducible of degree k over F_p whose low
+    coefficients, read as base-p digits, are start or later (cyclically)."""
+    for n in range(start, start + p**k):
+        low = tuple(n % p**k // p**i % p for i in range(k))
+        if fppoly.is_irreducible(low + (1,), p):
+            return low + (1,)
+
+
+def _ref_mul(field, a, b):
+    """Element product by full F_p[x] product and full reduction."""
+    return fppoly.mod_(fppoly.mul(a, b, field.p), field.modulus, field.p)
+
+
+def _ref_inv(field, a):
+    """a**(q - 2) by square-and-multiply on _ref_mul."""
+    result, e = fppoly.ONE, field.order - 2
+    while e:
+        if e & 1:
+            result = _ref_mul(field, result, a)
+        a = _ref_mul(field, a, a)
+        e >>= 1
+    return result
+
+
+def _ref_poly_mul(field, a, b):
+    out = [fppoly.ZERO] * max(0, len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = fppoly.add(out[i + j], _ref_mul(field, ca, cb), field.p)
+    return ff_normalize(out)
+
+
+def _ref_divmod(field, a, b):
+    """Schoolbook long division, every element operation reduced at once."""
+    p = field.p
+    inv_lead = _ref_inv(field, b[-1])
+    rem = list(a)
+    quo = [fppoly.ZERO] * max(0, len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        q = _ref_mul(field, rem[shift + len(b) - 1], inv_lead)
+        quo[shift] = q
+        for j, cb in enumerate(b):
+            rem[shift + j] = fppoly.sub(rem[shift + j], _ref_mul(field, q, cb), p)
+    return ff_normalize(quo), ff_normalize(rem)
+
+
+@st.composite
+def lazy_cases(draw):
+    """F_(p^k), p <= 7 and k = 2..4, with a drawn irreducible modulus; two
+    elements; and polynomials a, b (b nonzero) and g (deg >= 1) of degree <= 8."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(2, 4))
+    field = residue_field(p, _irreducible_from(p, k, draw(st.integers(0, p**k - 1))))
+    element = st.lists(st.integers(0, p - 1), min_size=k, max_size=k).map(
+        lambda c: fppoly.normalize(c, p)
+    )
+    poly = st.lists(element, max_size=9).map(ff_normalize)
+    return (
+        field,
+        draw(element),
+        draw(element),
+        draw(poly),
+        draw(poly.filter(bool)),
+        draw(poly.filter(lambda g: len(g) >= 2)),
+    )
+
+
+class TestLazyReduction:
+    """The one-reduction-per-coefficient arithmetic against fppoly products
+    reduced at every step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lazy_cases())
+    def test_against_full_reduction(self, case):
+        field, x, y, a, b, g = case
+        assert field.mul(x, y) == _ref_mul(field, x, y)
+        assert ff_mul(field, a, b) == _ref_poly_mul(field, a, b)
+        quo, rem = ff_divmod(field, a, b)
+        assert (quo, rem) == _ref_divmod(field, a, b)
+        assert ff_add(field, ff_mul(field, quo, b), rem) == a
+        assert ff_degree(rem) < ff_degree(b)
+        assert ff_mulmod(field, a, b, g) == ff_divmod(field, ff_mul(field, a, b), g)[1]
+
+    def test_every_inverse_of_f625(self):
+        field = residue_field(5, (2, 0, 0, 0, 1))  # x^4 + 2
+        one = field.one
+        for z in _elements(field):
+            if z:
+                assert field.mul(field.inv(z), z) == one
+                assert field.inv(z) == _ref_inv(field, z)
+
+    @pytest.mark.parametrize("field", [F3, F9])
+    def test_zero_has_no_inverse(self, field):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(field.zero)
+
+
+class TestPurePower:
+    """y^e is split off before the squarefree loop, which would take one
+    gcd per multiplicity."""
+
+    def test_y_to_4096_over_f17(self, monkeypatch):
+        calls = []
+        gcd = residue.ff_gcd
+        monkeypatch.setattr(residue, "ff_gcd", lambda *args: calls.append(args) or gcd(*args))
+        f17 = residue_field(17, (0, 1))
+        assert ff_factor(f17, (0,) * 4096 + (1,)) == [((0, 1), 4096)]
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("field", [F3, F9])
+    def test_power_times_cofactor(self, field):
+        # y^5 (y + 1)^2: y^5 is split off, (y + 1)^2 goes through the loop
+        one, zero = field.one, field.zero
+        y_plus_1 = (one, one)
+        g = (zero,) * 5 + (one,)
+        for _ in range(2):
+            g = ff_mul(field, g, y_plus_1)
+        factors = ff_factor(field, g)
+        assert ((zero, one), 5) in factors
+        assert (y_plus_1, 2) in factors
+        assert factors == sorted(factors, key=lambda item: (ff_degree(item[0]), item[0]))

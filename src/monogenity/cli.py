@@ -47,6 +47,9 @@ _SCAN_FIELDS = (
     "skipped_reason",
 )
 
+# Rows a scan needs per pool worker; see cmd_scan.
+_ROWS_PER_WORKER = 256
+
 
 def _check_degree(p: int, r: int) -> None:
     # p >= 2, so r > 12 is past the cap: building 3**(10**7) alone takes seconds
@@ -363,13 +366,25 @@ def _scan_row(task) -> dict:
 
 
 def cmd_scan(args) -> int:
+    """Classify every m in [m_from, m_to] (of one residue class, if given) and
+    write one row per m, in m-order.
+
+    --jobs caps the number of pool workers.  The scan starts at most one
+    worker per _ROWS_PER_WORKER rows, and runs in process when that allows
+    fewer than two; the same bytes come out either way.  Starting and tearing
+    down a pool costs as much as 100-200 rows.  On 2 CPUs, where a row at
+    p=7 r=1 or p=2 r=8 takes about 0.2 ms, two workers ran at x0.35-1.06
+    the speed of one process on 50-200 rows, x0.82-1.31 on 256 rows and
+    x1.07-1.71 from 512 rows on (medians over 7-15 runs per size); 256 is
+    the smallest power of two K at which 2K rows never ran slower in the
+    pool.  K scales with the cost of a row, so a change that makes rows
+    much cheaper (a per-class memo) must measure it again.
+    """
     config = _load_config(args.config)
     fmt = _resolve("format", args.format, config, "csv")
     if fmt not in ("csv", "jsonl"):
         raise ValidationError(f"unknown scan format {fmt!r}")
-    jobs = int(_resolve("jobs", args.jobs, config, 1))
-    if jobs < 1:
-        raise ValidationError("--jobs must be at least 1")
+    jobs = _resolve_jobs(args.jobs, config)
     if args.m_from > args.m_to:
         raise ValidationError("--m-from must not exceed --m-to")
     if not is_prime(args.p):
@@ -390,14 +405,15 @@ def cmd_scan(args) -> int:
         if modulus is None or m % modulus == residue % modulus
     ]
     tasks = [(args.p, args.r, m) for m in ms]
-    if jobs == 1:
+    workers = min(jobs, len(tasks) // _ROWS_PER_WORKER)
+    if workers <= 1:
         rows = [_scan_row(t) for t in tasks]
     else:
-        # imported here, since only --jobs > 1 needs it and with logging it adds ~0.5 MiB RSS
+        # imported only when a pool starts: with logging it adds ~0.5 MiB RSS
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (jobs * 4))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (workers * 4))
             rows = list(pool.map(_scan_row, tasks, chunksize=chunk))
 
     with _replacing(args.out) as handle:
@@ -493,6 +509,27 @@ def _resolve(name: str, flag_value, config: dict, default):
     if name in config:
         return config[name]
     return default
+
+
+def _resolve_jobs(flag_value, config: dict) -> int:
+    """jobs from --jobs (an int), MONO_JOBS (a decimal string) or the config
+    (a JSON integer, not a boolean); anything else, or a value below 1, is
+    rejected."""
+    env = os.environ.get("MONO_JOBS")
+    if flag_value is not None:
+        source, value = "--jobs", flag_value
+    elif env is not None:
+        source, value = "MONO_JOBS", env
+        if env.isascii() and env.isdigit():
+            with contextlib.suppress(ValueError):  # int() refuses past 4300 digits
+                value = int(env)
+    elif "jobs" in config:
+        source, value = "config key 'jobs'", config["jobs"]
+    else:
+        return 1
+    if type(value) is not int or value < 1:
+        raise ValidationError(f"{source} must be an integer of at least 1, got {value!r}")
+    return value
 
 
 def _resolve_bool(name: str, flag_value, config: dict, default: bool) -> bool:

@@ -247,8 +247,11 @@ def test_criterion_8_property_suites():
     assert nu_ok, nu_failures[:5]
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, monkeypatch):
+    from monogenity import cli
     from monogenity.cli import main
+
+    monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)  # 119 rows still start 8 workers
 
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"

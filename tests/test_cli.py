@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import monogenity
+from monogenity import cli
 from monogenity.cli import main
 from monogenity.intarith import is_squarefree
 
@@ -251,13 +252,68 @@ class TestScan:
         ms = [int(line.split(",")[0]) for line in out_path.read_text().splitlines()[1:]]
         assert ms == [17, 33, 49, 65, 81, 97]
 
-    def test_parallel_matches_serial(self, tmp_path, capsys):
+    def test_parallel_matches_serial(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)  # 39 rows still start 4 workers
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
         base = ["scan", "--p", "2", "--r", "2", "--m-from", "2", "--m-to", "40"]
         assert run(capsys, *base, "--out", str(serial))[0] == 0
         assert run(capsys, *base, "--out", str(parallel), "--jobs", "4")[0] == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_short_scan_starts_no_process(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan below two workers' rows started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        rows = 2 * cli._ROWS_PER_WORKER - 1
+        base = ["scan", "--p", "7", "--r", "1", "--m-from", "2", "--m-to", str(rows + 1)]
+        assert run(capsys, *base, "--out", str(tmp_path / "serial.csv"))[0] == 0
+        for jobs in ("2", "8"):
+            parallel = tmp_path / f"jobs{jobs}.csv"
+            assert run(capsys, *base, "--out", str(parallel), "--jobs", jobs)[0] == 0
+            assert parallel.read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows_in_k, first, extra",
+        [
+            ((2, -1), -40, []),
+            ((2, 0), -40, ["--residue", "1", "--modulus", "3"]),
+            ((4, 0), 10000, []),
+        ],
+    )
+    def test_pool_boundary_bytes(self, tmp_path, capsys, monkeypatch, rows_in_k, first, extra):
+        """--jobs 2 writes the same CSV and JSONL as --jobs 1 at 2K - 1, 2K
+        and 4K rows (K = _ROWS_PER_WORKER), and starts two workers from 2K on."""
+        import concurrent.futures
+
+        started = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        multiple, offset = rows_in_k
+        rows = multiple * cli._ROWS_PER_WORKER + offset
+        step = 3 if extra else 1
+        base = [
+            "scan", "--p", "7", "--r", "1",
+            "--m-from", str(first), "--m-to", str(first + step * rows - 1), *extra,
+        ]
+        for fmt in ("csv", "jsonl"):
+            outputs = {}
+            for jobs in ("1", "2"):
+                out_path = tmp_path / f"jobs{jobs}.{fmt}"
+                code, _, _ = run(capsys, *base, "--format", fmt, "--jobs", jobs, "--out", str(out_path))
+                assert code == 0
+                outputs[jobs] = out_path.read_bytes()
+            assert outputs["1"] == outputs["2"]
+            assert len(outputs["1"].splitlines()) == rows + (fmt == "csv")
+        assert started == ([2, 2] if rows >= 2 * cli._ROWS_PER_WORKER else [])
 
     def test_unwritable_path(self, capsys):
         code, _, err = run(
@@ -355,7 +411,8 @@ class TestByteIdentity:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_scan_csv_prime_field(self, tmp_path, capsys, jobs):
+    def test_scan_csv_prime_field(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)  # 200 rows still start a pool at --jobs 2
         out_path = tmp_path / "rows.csv"
         code, _, _ = run(
             capsys, "scan", "--p", "7", "--r", "1",
@@ -605,6 +662,64 @@ class TestConfigPrecedence:
         code, out, _ = run(capsys, "analyze", "--p", "2", "--r", "2", "--m", "3")
         assert code == 0
         assert out.startswith("x^4 - 3")
+
+    SCAN = ("scan", "--p", "7", "--r", "1", "--m-from", "2", "--m-to", "20")
+
+    @pytest.mark.parametrize(
+        "env, config",
+        [
+            ("abc", None),
+            ("0", None),
+            ("2.0", None),
+            ("1_0", None),  # int() would take it
+            ("9" * 5000, None),  # past int()'s digit limit
+            (None, 2.7),
+            (None, True),
+            (None, "2"),
+            (None, 0),
+        ],
+        ids=[
+            "env-word", "env-zero", "env-decimal-point", "env-underscore", "env-5000-digits",
+            "config-float", "config-bool", "config-string", "config-zero",
+        ],
+    )
+    def test_bad_jobs_rejected(self, capsys, tmp_path, monkeypatch, env, config):
+        monkeypatch.delenv("MONO_CONFIG", raising=False)
+        if env is None:
+            monkeypatch.delenv("MONO_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("MONO_JOBS", env)
+        argv = [*self.SCAN, "--out", str(tmp_path / "rows.csv")]
+        if config is not None:
+            path = tmp_path / "mono.json"
+            path.write_text(json.dumps({"jobs": config}))
+            argv += ["--config", str(path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "jobs" in err.lower()
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_bad_jobs_flag_rejected(self, capsys, tmp_path):
+        out_path = tmp_path / "rows.csv"
+        code, _, err = run(capsys, *self.SCAN, "--out", str(out_path), "--jobs", "0")
+        assert code == 2
+        assert err.startswith("error: --jobs")
+        with pytest.raises(SystemExit) as exc:
+            main([*self.SCAN, "--out", str(out_path), "--jobs", "2.5"])
+        assert exc.value.code == 2
+        assert not out_path.exists()
+
+    def test_good_jobs_accepted(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("MONO_CONFIG", raising=False)
+        out_path = tmp_path / "rows.csv"
+        monkeypatch.setenv("MONO_JOBS", "2")
+        assert run(capsys, *self.SCAN, "--out", str(out_path))[0] == 0
+        monkeypatch.delenv("MONO_JOBS")
+        config = tmp_path / "mono.json"
+        config.write_text(json.dumps({"jobs": 2}))
+        assert run(capsys, *self.SCAN, "--out", str(out_path), "--config", str(config))[0] == 0
+        monkeypatch.setenv("MONO_JOBS", "abc")  # the flag beats an invalid MONO_JOBS
+        assert run(capsys, *self.SCAN, "--out", str(out_path), "--jobs", "1")[0] == 0
 
     def test_bad_config_rejected(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "mono.json"

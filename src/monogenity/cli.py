@@ -16,8 +16,8 @@ import functools
 import io
 import json
 import os
-import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, oracle, render, zpoly
 from .classify import MonogenityVerdict, PrimeAnalysis, classify, dedekind_divides_index
@@ -141,10 +141,6 @@ def _analyze_payload(verdict: MonogenityVerdict, oracle_reports) -> dict:
     }
 
 
-# a placeholder json.dumps writes unchanged and no other payload string contains
-_POINTS_SLOT = re.compile(r'^( *)"points": "@points:(\d+)@"', re.M)
-
-
 def _points_text(columns, piece: str, sep: str) -> str:
     """Point columns as text: piece, with %d for i and {} for v, is made once per
     valuation (at most r + 2), joined into one %-template the abscissas fill."""
@@ -155,34 +151,45 @@ def _points_text(columns, piece: str, sep: str) -> str:
 
 def _json_text(payload: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True) with each report's point
-    columns as a list of [i, v] pairs, byte for byte.
+    columns as a list of [i, v] pairs, byte for byte, in one walk.
 
-    A point list holds p**r + 1 pairs, too many for the encoder's
-    per-element recursion: each report's points are swapped for a
-    placeholder in a copy of the payload, and filled in at the
-    placeholder's indentation.  A report always holds its unit point, so
-    no list is empty (json.dumps would write one as []).
+    indent makes json.dumps run its pure-Python encoder, a generator per
+    container; _emit appends the same text to one list.  A point list
+    holds p**r + 1 pairs, written by _points_text's template at its own
+    indentation; a report always holds its unit point, so no list is
+    empty (json.dumps would write one as []).
     """
-    point_columns = []
-    primes = {}
-    for prime, analysis in payload["certificate"]["primes"].items():
-        factors = []
-        for factor in analysis["factors"]:
-            factors.append({**factor, "points": f"@points:{len(point_columns)}@"})
-            point_columns.append(factor["points"])
-        primes[prime] = {**analysis, "factors": factors}
-    shell = {**payload, "certificate": {**payload["certificate"], "primes": primes}}
-    text = json.dumps(shell, indent=2, sort_keys=True)
+    out: list[str] = []
+    _emit(payload, "\n", out.append)
+    return "".join(out)
 
-    def splice(match) -> str:
-        indent = match.group(1)
+
+def _emit(value, indent: str, append) -> None:
+    # indent is the newline and spaces that start a line at value's depth
+    if value is None or value is True or value is False:
+        append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    elif isinstance(value, str):
+        append(encode_basestring_ascii(value))
+    elif isinstance(value, tuple):  # point columns
         pair = indent + "  "
-        entry = pair + "  "
-        piece = f"{pair}[\n{entry}%d,\n{entry}{{}}\n{pair}]"
-        body = _points_text(point_columns[int(match.group(2))], piece, ",\n")
-        return f'{indent}"points": [\n{body}\n{indent}]'
-
-    return _POINTS_SLOT.sub(splice, text)
+        append("[")
+        append(_points_text(value, f"{pair}[{pair}  %d,{pair}  {{}}{pair}]", ","))
+        append(indent + "]")  # apart, so the 10-20 bytes a point are not copied again
+    elif isinstance(value, (dict, list)) and value:
+        keyed = isinstance(value, dict)
+        inner = indent + "  "
+        sep = ("{" if keyed else "[") + inner
+        for item in sorted(value) if keyed else value:
+            append(sep + encode_basestring_ascii(item) + ": " if keyed else sep)
+            _emit(value[item] if keyed else item, inner, append)
+            sep = "," + inner
+        append(indent + ("}" if keyed else "]"))
+    elif isinstance(value, (dict, list)):
+        append("{}" if isinstance(value, dict) else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _oracle_reports(verdict: MonogenityVerdict) -> list[dict]:
@@ -310,7 +317,7 @@ def cmd_analyze(args) -> int:
     fmt = _resolve("format", args.format, config, "human")
     if fmt not in ("human", "json"):
         raise ValidationError(f"unknown analyze format {fmt!r}")
-    verify = _resolve_bool("verify", args.verify, config, False)
+    verify = _resolve_bool("verify", args.verify, config)
     params = _params(args.p, args.r, args.m)
     verdict = classify(params)
     oracle_reports = _oracle_reports(verdict) if verify else None
@@ -462,7 +469,7 @@ def cmd_render(args) -> int:
     fmt = _resolve("format", args.format, config, "ascii")
     if fmt not in ("ascii", "svg"):
         raise ValidationError(f"unknown render format {fmt!r}")
-    linear = _resolve_bool("linear_x", args.linear_x, config, False)
+    linear = _resolve_bool("linear_x", args.linear_x, config)
     params = _params(args.p, args.r, args.m)
     fig = render.figure_for(params, args.at)
     with _replacing(args.out) as handle:
@@ -490,11 +497,12 @@ def _load_config(path: "str | None") -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}")
+        try:
+            config = json.loads(handle.read())
+        # JSONDecodeError, UnicodeDecodeError and int()'s digit limit are
+        # ValueErrors; arrays nested past the recursion limit raise RecursionError
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
     return config
@@ -532,13 +540,29 @@ def _resolve_jobs(flag_value, config: dict) -> int:
     return value
 
 
-def _resolve_bool(name: str, flag_value, config: dict, default: bool) -> bool:
-    value = _resolve(name, flag_value, config, default)
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    return bool(value)
+def _resolve_bool(name: str, flag_value, config: dict) -> bool:
+    """name from its flag (which only sets True), MONO_<NAME> (1, true, yes,
+    on or 0, false, no, off in any case, spaces around ignored, empty for
+    false) or the config (a JSON boolean); anything else is rejected."""
+    if flag_value is not None:
+        return flag_value
+    env_name = f"MONO_{name.upper()}"
+    env = os.environ.get(env_name)
+    if env is not None:
+        word = env.strip().lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("", "0", "false", "no", "off"):
+            return False
+        source, value = env_name, env
+    elif name in config:
+        value = config[name]
+        if isinstance(value, bool):
+            return value
+        source = f"config key {name!r}"
+    else:
+        return False
+    raise ValidationError(f"{source} must be a boolean, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -477,25 +477,51 @@ def _json_fields(draw):
     return p, r, m, draw(st.booleans())
 
 
+# characters json.dumps escapes or passes through: quote, backslash, C0
+# controls, DEL, Latin-1, the JavaScript line separator, a lone surrogate
+# and an astral character (written as a surrogate pair)
+_JSON_CHARS = st.sampled_from('"\\/\x00\x08\n\x1f\x7f\u00e9\u2028\ud800\U0001f600') | st.characters()
+_JSON_STRINGS = st.text(_JSON_CHARS, max_size=8)
+_JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.integers(2**64, 10**40)
+    | _JSON_STRINGS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    max_leaves=40,
+)
+
+
+def _nested(depth, leaf):
+    tree = leaf
+    for level in range(depth):
+        tree = [tree] if level % 2 else {"k": tree, "": []}
+    return tree
+
+
 class TestJsonEmitter:
     """cli._json_text against the reference encoder, with the point
     columns materialized as the [i, v] lists the schema describes."""
 
-    @given(_json_fields())
-    @settings(max_examples=40, deadline=None)
-    @example((2, 12, 6, False))  # p | m at degree 4096
-    @example((2, 12, 6, True))
-    @example((5, 3, 10, True))  # p | m under --verify
-    @example((3, 7, -7, False))
-    @example((11, 2, -2, True))
-    def test_matches_json_dumps(self, field):
-        from monogenity import cli
+    # bench/workloads.py ANCHORS: the analyze_ladder rungs
+    LADDER = (
+        (2, 2, 17), (3, 3, 161), (7, 1, 2), (5, 1, 7), (3, 5, 10), (2, 10, 33),
+        (3, 7, 10), (7, 4, 2), (5, 5, 7), (61, 2, 3), (2, 12, 3), (2, 12, 17),
+        (3, 1, 1000003 * 1000000007),
+    )
+
+    @staticmethod
+    def payload(p, r, m, verify):
         from monogenity.classify import classify
         from monogenity.zpoly import PureFieldParams
 
-        p, r, m, verify = field
         verdict = classify(PureFieldParams(p, r, m))
-        payload = cli._analyze_payload(verdict, cli._oracle_reports(verdict) if verify else None)
+        return cli._analyze_payload(verdict, cli._oracle_reports(verdict) if verify else None)
+
+    def check(self, p, r, m, verify):
+        payload = self.payload(p, r, m, verify)
         primes = {
             prime: {
                 **analysis,
@@ -508,6 +534,40 @@ class TestJsonEmitter:
         }
         reference = {**payload, "certificate": {**payload["certificate"], "primes": primes}}
         assert cli._json_text(payload) == json.dumps(reference, indent=2, sort_keys=True)
+
+    @given(_json_fields())
+    @settings(max_examples=40, deadline=None)
+    @example((2, 12, 6, False))  # p | m at degree 4096
+    @example((2, 12, 6, True))
+    @example((5, 3, 10, True))  # p | m under --verify
+    @example((3, 7, -7, False))
+    @example((11, 2, -2, True))
+    def test_matches_json_dumps(self, field):
+        self.check(*field)
+
+    @pytest.mark.parametrize("p, r, m", LADDER)
+    def test_ladder(self, p, r, m):
+        self.check(p, r, m, False)
+
+    @given(_JSON_TREES)
+    @settings(max_examples=300, deadline=None)
+    @example({})
+    @example([])
+    @example({"a": {}, "b": [], "c": [{}, []], "": ""})
+    @example(["\"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600", -(2**64), 2**64, True, False, None, 0, 1])
+    @example({"\U0001f600": 1, "\u00e9": 2, "z": 3, "a": 4, "\x00": 5, "A": 6})
+    @example(_nested(120, "leaf"))
+    @example(_nested(121, {}))
+    def test_trees_match_json_dumps(self, tree):
+        assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), {1, 2}, frozenset(), b"x"])
+    def test_other_types_raise(self, bad):
+        payload = self.payload(2, 2, 17, False)
+        with pytest.raises(TypeError):
+            cli._json_text({**payload, "extra": bad})
+        with pytest.raises(TypeError):
+            cli._json_text({**payload, "oracle": [{"engine": [bad]}]})
 
 
 class TestAtomicOutput:
@@ -728,3 +788,119 @@ class TestConfigPrecedence:
         code, _, err = run(capsys, "analyze", "--p", "2", "--r", "2", "--m", "3")
         assert code == 2
         assert "config" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"format": "json", "note": "\xff"}',  # not UTF-8
+            b'{"jobs": ' + b"9" * 5000 + b"}",  # past int()'s digit limit
+            b"[" * 100_000 + b"]" * 100_000,  # past the recursion limit
+        ],
+        ids=["not-utf8", "5000-digit-int", "nested-arrays"],
+    )
+    @pytest.mark.parametrize("via", ["analyze-flag", "scan-env"])
+    def test_undecodable_config_rejected(self, capsys, tmp_path, monkeypatch, content, via):
+        config = tmp_path / "mono.json"
+        config.write_bytes(content)
+        out_path = tmp_path / "rows.csv"
+        if via == "analyze-flag":
+            monkeypatch.delenv("MONO_CONFIG", raising=False)
+            argv = ["analyze", "--p", "2", "--r", "2", "--m", "3", "--config", str(config)]
+        else:
+            monkeypatch.setenv("MONO_CONFIG", str(config))
+            argv = [*self.SCAN, "--out", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: config file {config} is not valid JSON: ")
+        assert not out_path.exists()
+
+
+class TestBooleanOptions:
+    """verify (analyze) and linear_x (render) from MONO_VERIFY/MONO_LINEAR_X or
+    the config file: a boolean word or a JSON boolean, anything else exits 2."""
+
+    ANALYZE = ("analyze", "--p", "3", "--r", "1", "--m", "2")
+    RENDER = ("render", "--p", "2", "--r", "6", "--m", "3", "--at", "2", "--format", "svg")
+
+    def outcome(self, capsys, tmp_path, monkeypatch, name, env, config):
+        """(exit code, stderr, whether the option took effect) with the option
+        set by env (a string) and by config (JSON text for its value)."""
+        for var in ("MONO_CONFIG", "MONO_VERIFY", "MONO_LINEAR_X"):
+            monkeypatch.delenv(var, raising=False)
+        if env is not None:
+            monkeypatch.setenv(f"MONO_{name.upper()}", env)
+        extra = []
+        if config is not None:
+            path = tmp_path / "mono.json"
+            path.write_text(f'{{"{name}": {config}}}')
+            extra = ["--config", str(path)]
+        if name == "verify":
+            code, out, err = run(capsys, *self.ANALYZE, *extra)
+            assert code == 0 or out == ""
+            return code, err, "verify:" in out
+        svg = tmp_path / "fig.svg"
+        code, _, err = run(capsys, *self.RENDER, "--out", str(svg), *extra)
+        if code != 0:
+            assert not svg.exists()
+            return code, err, None
+        linear = tmp_path / "linear.svg"
+        assert run(capsys, *self.RENDER, "--out", str(linear), "--linear-x")[0] == 0
+        return code, err, svg.read_bytes() == linear.read_bytes()
+
+    @pytest.mark.parametrize("name", ["verify", "linear_x"])
+    @pytest.mark.parametrize(
+        "env, config",
+        [
+            ("ture", None),
+            ("2", None),
+            ("y", None),
+            ("true false", None),
+            (None, '"maybe"'),
+            (None, '"true"'),
+            (None, "2.7"),
+            (None, "1"),
+            (None, "[]"),
+            (None, "null"),
+        ],
+        ids=[
+            "env-typo", "env-two", "env-y", "env-two-words", "config-word", "config-string",
+            "config-float", "config-int", "config-list", "config-null",
+        ],
+    )
+    def test_bad_values_rejected(self, capsys, tmp_path, monkeypatch, name, env, config):
+        code, err, _ = self.outcome(capsys, tmp_path, monkeypatch, name, env, config)
+        assert code == 2
+        source = f"MONO_{name.upper()}" if env is not None else f"config key '{name}'"
+        assert err.startswith(f"error: {source} must be a boolean, got ")
+
+    @pytest.mark.parametrize("name", ["verify", "linear_x"])
+    @pytest.mark.parametrize(
+        "env, config, expected",
+        [
+            ("1", None, True),
+            ("true", None, True),
+            (" YES ", None, True),
+            ("On", None, True),
+            ("0", None, False),
+            ("False", None, False),
+            ("no", None, False),
+            (" off\n", None, False),
+            ("", None, False),
+            ("  ", None, False),
+            (None, "true", True),
+            (None, "false", False),
+            (None, None, False),
+            ("no", "true", False),  # the environment beats the config
+        ],
+    )
+    def test_good_values_accepted(self, capsys, tmp_path, monkeypatch, name, env, config, expected):
+        code, err, took_effect = self.outcome(capsys, tmp_path, monkeypatch, name, env, config)
+        assert (code, err) == (0, "")
+        assert took_effect is expected
+
+    def test_flag_beats_invalid_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONO_VERIFY", "maybe")
+        code, out, _ = run(capsys, *self.ANALYZE, "--verify")
+        assert code == 0
+        assert "verify:" in out

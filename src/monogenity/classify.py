@@ -13,10 +13,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from . import fppoly, ore, zpoly
+from . import ore, zpoly
 from .errors import InvariantError, ValidationError
 from .intarith import _count_monic_irreducibles, _valuation
-from .residue import ff_factor, residue_field
+from .residue import X, ff_divmod, ff_factor, ff_gcd, ff_mul, reduce_mod_p, residue_field
 from .zpoly import PureFieldParams, candidate_index_primes, pure_polynomial
 
 
@@ -213,15 +213,15 @@ def dedekind_divides_index(f: zpoly.ZPoly, q: int) -> bool:
     lift both monically, and test whether gcd((g*h - f)/q, gbar, hbar)
     is nonconstant over F_q.
     """
-    prime_field = residue_field(q, fppoly.X)
+    prime_field = residue_field(q, X)
     f = zpoly.poly(f)
     if not zpoly.is_monic(f):
         raise ValidationError("Dedekind's criterion needs a monic polynomial")
-    fbar = fppoly.normalize(f, q)
-    gbar: fppoly.FpPoly = fppoly.ONE
+    fbar = reduce_mod_p(f, q)
+    gbar = (1,)
     for factor_bar, _ in ff_factor(prime_field, fbar):
-        gbar = fppoly.mul(gbar, factor_bar, q)
-    hbar, rem = fppoly.divmod_(fbar, gbar, q)
+        gbar = ff_mul(prime_field, gbar, factor_bar)
+    hbar, rem = ff_divmod(prime_field, fbar, gbar)
     if rem:
         raise InvariantError("the radical of f mod q does not divide f mod q")
     product = zpoly.mul(gbar, hbar)
@@ -232,6 +232,6 @@ def dedekind_divides_index(f: zpoly.ZPoly, q: int) -> bool:
         if rem:
             raise InvariantError("g*h - f is not divisible by q")
         t_coeffs.append(quo)
-    tbar = fppoly.normalize(t_coeffs, q)
-    common = fppoly.gcd(fppoly.gcd(tbar, gbar, q), hbar, q)
-    return fppoly.degree(common) >= 1
+    tbar = reduce_mod_p(t_coeffs, q)
+    common = ff_gcd(prime_field, ff_gcd(prime_field, tbar, gbar), hbar)
+    return len(common) > 1

@@ -223,10 +223,6 @@ def _brent_rho(n: int) -> int:
             return g
 
 
-def prime_divisors(n: int) -> tuple[int, ...]:
-    return tuple(p for p, _ in factorize(n))
-
-
 def is_squarefree(m: int) -> bool:
     """True iff no prime square divides |m| (read off factorize)."""
     if m == 0:

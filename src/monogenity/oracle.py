@@ -172,7 +172,7 @@ def resultant_discriminant_valuation(f, q: int) -> int:
 
 
 def _poly_mod_small(a, b, p):
-    # local F_p remainder, kept independent of fppoly
+    # local F_p remainder, kept independent of residue's ff_* arithmetic
     a = [c % p for c in a]
     b = [c % p for c in b]
     while b and b[-1] == 0:
@@ -189,22 +189,24 @@ def _poly_mod_small(a, b, p):
     return out
 
 
-def enumerate_monic_irreducibles(p: int, f: int) -> int:
-    """Count monic irreducible degree-f polynomials over F_p exhaustively.
+def is_irreducible_by_trial_division(g, p: int) -> bool:
+    """Whether g, reduced over F_p with a nonzero top coefficient, is
+    irreducible: no monic polynomial of degree 1..deg(g)//2 divides it."""
+    n = len(g) - 1
+    return n >= 1 and all(
+        _poly_mod_small(g, tail + (1,), p)
+        for d in range(1, n // 2 + 1)
+        for tail in itertools.product(range(p), repeat=d)
+    )
 
-    A candidate is irreducible iff no monic polynomial of degree
-    1..f//2 divides it.  Guarded to p**f <= 2**20.
+
+def enumerate_monic_irreducibles(p: int, f: int) -> int:
+    """Count monic irreducible degree-f polynomials over F_p exhaustively,
+    by trial division.  Guarded to p**f <= 2**20.
     """
     if p**f > 2**20:
         raise ValidationError("exhaustive enumeration is guarded to p**f <= 2**20")
-    divisors = [
-        tail + (1,)
-        for d in range(1, f // 2 + 1)
-        for tail in itertools.product(range(p), repeat=d)
-    ]
-    count = 0
-    for tail in itertools.product(range(p), repeat=f):
-        cand = tail + (1,)
-        if all(_poly_mod_small(cand, div, p) for div in divisors):
-            count += 1
-    return count
+    return sum(
+        is_irreducible_by_trial_division(tail + (1,), p)
+        for tail in itertools.product(range(p), repeat=f)
+    )

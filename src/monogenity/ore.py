@@ -11,9 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import fppoly, polygon, zpoly
+from . import polygon, zpoly
 from .errors import InvariantError, ValidationError
-from .residue import ff_degree, ff_factor, ff_make_monic, ff_to_string, residue_field
+from .residue import (
+    X,
+    ff_degree,
+    ff_factor,
+    ff_make_monic,
+    ff_to_string,
+    reduce_mod_p,
+    residue_field,
+)
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,7 @@ def phi_report(
         raise ValidationError("analysis requires a monic polynomial")
     # F_phi exists only for a prime p and an irreducible reduction of phi;
     # residual_polynomial then finds the field built
-    residue_field(p, fppoly.normalize(phi, p))
+    residue_field(p, reduce_mod_p(phi, p))
     if expansion is None:
         expansion = zpoly.phi_expansion(f, phi)
     elif zpoly.poly(expansion.phi) != phi:
@@ -193,12 +201,12 @@ def analyze_prime(f: zpoly.ZPoly, p: int) -> list[PhiReport]:
     Expansion bases are the canonical monic lifts with coefficients in
     0..p-1, in the canonical factor order.  Building F_p checks p.
     """
-    prime_field = residue_field(p, fppoly.X)
+    prime_field = residue_field(p, X)
     f = zpoly.poly(f)
     if not zpoly.is_monic(f):
         raise ValidationError("analysis requires a monic polynomial")
     return [
-        phi_report(f, p, phibar) for phibar, _ in ff_factor(prime_field, fppoly.normalize(f, p))
+        phi_report(f, p, phibar) for phibar, _ in ff_factor(prime_field, reduce_mod_p(f, p))
     ]
 
 

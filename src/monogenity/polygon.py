@@ -12,10 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import fppoly
 from .errors import InvariantError, ValidationError
 from .intarith import INFINITY, require_prime
-from .residue import ResidueField, _residue_class, ff_normalize, ff_to_string, residue_field
+from .residue import (
+    ResidueField,
+    _residue_class,
+    ff_normalize,
+    ff_to_string,
+    reduce_mod_p,
+    residue_field,
+)
 from .zpoly import PhiExpansion, PureShiftExpansion, ZPoly, _poly_valuation
 
 
@@ -235,7 +241,7 @@ def residual_polynomial(
         raise ValidationError("expansion was taken with a different base")
     if side.h < 0:
         raise ValidationError("residual polynomials do not attach to ascending sides")
-    field = residue_field(p, fppoly.normalize(phi, p))
+    field = residue_field(p, reduce_mod_p(phi, p))
     pure = isinstance(expansion, PureShiftExpansion)
     coeffs = []
     for k in range(side.degree + 1):

@@ -1,11 +1,13 @@
 """Residue fields F_q = F_p[x]/(phibar) and the polynomials over them.
 
-An element of a field of degree 1 (F_q = F_p) is a plain int 0..p-1.
-An element of a field of degree k >= 2 is its reduced representative,
-an FpPoly tuple.  Elements do not carry their field: it is the first
-argument of every ff_* function.  A polynomial over F_q is a tuple of
-elements in ascending degree order with a nonzero top coefficient, as
-in fppoly, so a polynomial over F_p is an FpPoly.
+This is the one finite-field layer: F_p[x] is the case q = p, with the
+prime field residue_field(p, X).  A polynomial over F_q is a tuple of
+elements in ascending degree order with a nonzero top coefficient; the
+empty tuple is the zero polynomial.  An element of a field of degree 1
+(F_q = F_p) is a plain int 0..p-1, so a polynomial over F_p, an FpPoly,
+is a tuple of ints.  An element of a field of degree k >= 2 is its
+reduced representative, an FpPoly of degree < k.  Elements do not
+carry their field: it is the first argument of every ff_* function.
 
 Arithmetic reduces once per output coefficient.  A field of degree
 k >= 2 precomputes the fold rows x^j mod phibar, j = k..2k-2: a product
@@ -15,6 +17,8 @@ the products that make one polynomial coefficient in an unreduced
 accumulator (an int over F_p) and reduce it once; the division reduces
 its top remainder coefficient when it reads it.  Inverses come from
 the extended Euclidean algorithm in F_p[x] (pow(a, -1, p) over F_p).
+A modulus of degree >= 2 is irreducible when ff_factor over F_p
+returns it whole.
 
 ff_factor is the one factorization for every q, F_p included: the
 power of y dividing the polynomial split off, then squarefree, then
@@ -28,7 +32,6 @@ import functools
 import random
 from dataclasses import dataclass
 
-from . import fppoly
 from .errors import ValidationError
 from .intarith import require_prime
 
@@ -36,15 +39,31 @@ from .intarith import require_prime
 # returned sorted, so no result depends on this value.
 _SPLIT_SEED = 0
 
+FpPoly = tuple[int, ...]
+
+X: FpPoly = (0, 1)
+
+
+def reduce_mod_p(coeffs, p: int) -> FpPoly:
+    """Coefficientwise reduction of an integer polynomial into F_p[x].
+
+    p is not checked: the residue field built over it checks.
+    """
+    out = [c % p for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
 
 @dataclass(frozen=True)
 class ResidueField:
     """The field F_p[x]/(modulus), modulus monic irreducible over F_p.
 
     ResidueField(p, modulus) is a PrimeField when the modulus is linear
-    and an ExtensionField otherwise.  Both have zero, one and the element
-    operations add(a, b), sub(a, b), mul(a, b), pow(a, e), inv(a) and
-    scale(a, n) (a times the integer n).  They also have the unreduced
+    and an ExtensionField otherwise.  Both have zero, one, element(coeffs)
+    (the class of an integer polynomial) and the element operations
+    add(a, b), sub(a, b), mul(a, b), pow(a, e), inv(a) and scale(a, n)
+    (a times the integer n).  They also have the unreduced
     accumulators that ff_mul and ff_divmod sum products in, one per
     polynomial coefficient: lift(a) is the element a as an accumulator,
     fma(accs, i, q, ys) and fms(accs, i, q, ys) add and subtract q*ys[j]
@@ -53,7 +72,7 @@ class ResidueField:
     """
 
     p: int
-    modulus: fppoly.FpPoly
+    modulus: FpPoly
 
     def __new__(cls, p=None, modulus=None):
         # the element representation follows the degree; unpickling
@@ -64,27 +83,16 @@ class ResidueField:
 
     def __post_init__(self):
         require_prime(self.p)
-        if not fppoly.is_monic(self.modulus) or fppoly.degree(self.modulus) < 1:
+        if len(self.modulus) < 2 or self.modulus[-1] != 1:
             raise ValidationError("residue field modulus must be monic of degree >= 1")
-        if not fppoly.is_irreducible(self.modulus, self.p):
-            raise ValidationError(
-                f"residue field modulus {self.modulus} is reducible over F_{self.p}"
-            )
 
     @property
     def degree(self) -> int:
-        return fppoly.degree(self.modulus)
+        return len(self.modulus) - 1
 
     @property
     def order(self) -> int:
         return self.p**self.degree
-
-    def element(self, coeffs):
-        """The class of the integer polynomial coeffs."""
-        rep = fppoly.mod_(fppoly.normalize(coeffs, self.p), self.modulus, self.p)
-        if self.degree == 1:
-            return rep[0] if rep else 0
-        return rep
 
 
 class PrimeField(ResidueField):
@@ -114,6 +122,11 @@ class PrimeField(ResidueField):
     def scale(self, a, n):
         return a * n % self.p
 
+    def element(self, coeffs):
+        """The class of the integer polynomial coeffs."""
+        rep = ff_mod(self, reduce_mod_p(coeffs, self.p), self.modulus)
+        return rep[0] if rep else 0
+
     def fma(self, accs, i, q, ys):
         for j, y in enumerate(ys, i):
             accs[j] += q * y
@@ -133,15 +146,19 @@ class ExtensionField(ResidueField):
     of a polynomial in x of degree <= 2k - 2, which is what a product of
     two elements is.  reduce replaces each x^j, j = k..2k-2, by its fold
     row x^j mod modulus, then takes each of the k coefficients mod p
-    once.
+    once.  Sums, differences and inverses are ff_* operations over the
+    prime field F_p, held on the field.
     """
 
-    zero = fppoly.ZERO
-    one = fppoly.ONE
+    zero = ()
+    one = (1,)
 
     def __post_init__(self):
         super().__post_init__()
         p, k = self.p, self.degree
+        prime = residue_field(p, X)
+        if ff_factor(prime, self.modulus) != [(self.modulus, 1)]:
+            raise ValidationError(f"residue field modulus {self.modulus} is reducible over F_{p}")
         rows = []
         row = tuple(-c % p for c in self.modulus[:k])  # x^k = x^k - modulus
         for _ in range(k - 1):
@@ -152,14 +169,15 @@ class ExtensionField(ResidueField):
         folds = tuple(
             (j, tuple((i, r) for i, r in enumerate(row) if r)) for j, row in enumerate(rows, k)
         )
+        object.__setattr__(self, "_prime", prime)
         object.__setattr__(self, "_folds", folds)
         object.__setattr__(self, "_width", 2 * k - 1)
 
     def add(self, a, b):
-        return fppoly.add(a, b, self.p)
+        return ff_add(self._prime, a, b)
 
     def sub(self, a, b):
-        return fppoly.sub(a, b, self.p)
+        return ff_sub(self._prime, a, b)
 
     def mul(self, a, b):
         acc = [0] * self._width
@@ -167,7 +185,7 @@ class ExtensionField(ResidueField):
         return self.reduce(acc)
 
     def pow(self, a, e):
-        result = fppoly.ONE
+        result = self.one
         while e:
             if e & 1:
                 result = self.mul(result, a)
@@ -179,19 +197,23 @@ class ExtensionField(ResidueField):
         # extended Euclid in F_p[x]: s*a = r (mod modulus) along the remainders
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        p = self.p
+        prime, p = self._prime, self.p
         r0, r1 = self.modulus, a
-        s0, s1 = fppoly.ZERO, fppoly.ONE
+        s0, s1 = (), (1,)
         while len(r1) > 1:
-            q, r = fppoly.divmod_(r0, r1, p)
+            q, r = ff_divmod(prime, r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, fppoly.sub(s0, fppoly.mul(q, s1, p), p)
+            s0, s1 = s1, ff_sub(prime, s0, ff_mul(prime, q, s1))
         c = pow(r1[0], -1, p)
         return tuple(s * c % p for s in s1)
 
     def scale(self, a, n):
         p = self.p
         return tuple(c * n % p for c in a) if n % p else ()
+
+    def element(self, coeffs):
+        """The class of the integer polynomial coeffs."""
+        return ff_mod(self._prime, reduce_mod_p(coeffs, self.p), self.modulus)
 
     def lift(self, a):
         return list(a) + [0] * (self._width - len(a))
@@ -229,11 +251,11 @@ def _accumulate(accs, i, terms, ys):
 # 512 holds every field one classify call touches and the few hundred
 # F_{p^k} that a batch of general polynomials reuses.
 @functools.lru_cache(maxsize=512)
-def residue_field(p: int, modulus: fppoly.FpPoly) -> ResidueField:
+def residue_field(p: int, modulus: FpPoly) -> ResidueField:
     return ResidueField(p, modulus)
 
 
-def _rep_str(rep: fppoly.FpPoly) -> str:
+def _rep_str(rep: FpPoly) -> str:
     if not rep:
         return "0"
     terms = []
@@ -258,7 +280,7 @@ def residue_class(a, p: int, phi, u: int):
     """
     if u < 0:
         raise ValidationError("valuation shift must be a natural number")
-    return _residue_class(residue_field(p, fppoly.normalize(phi, p)), a, u)
+    return _residue_class(residue_field(p, reduce_mod_p(phi, p)), a, u)
 
 
 def _residue_class(field: ResidueField, a, u: int):

@@ -430,7 +430,7 @@ class TestPrimeChecks:
 
     @pytest.mark.parametrize("q", [4, 9, 15])
     def test_composite_rejected_at_every_entry(self, q):
-        from monogenity import fppoly, intarith, ore, polygon, residue, zpoly
+        from monogenity import intarith, ore, polygon, residue, zpoly
 
         params = PureFieldParams(2, 1, 30)  # 15 divides m
         f = (-12, 0, 1)
@@ -442,8 +442,6 @@ class TestPrimeChecks:
             lambda: intarith.count_monic_irreducibles(q, 2),
             lambda: zpoly.poly_valuation(q, f),
             lambda: zpoly.discriminant_valuation(params, q),
-            lambda: fppoly.reduce_mod_p(f, q),
-            lambda: fppoly.factor((1, 0, 1), q),
             lambda: residue.residue_field(q, (0, 1)),
             lambda: residue.residue_class((12,), q, (0, 1), 0),
             lambda: polygon.valued_points(expansion, q),

@@ -333,8 +333,8 @@ class TestScan:
 class TestByteIdentity:
     """sha256 of outputs from before the closed-form engine at t = p,
     (human text, the p = 7 scan) from before residuals over F_p were
-    factored by fppoly, (residuals over F_(p^k)) from before F_p and
-    F_(p^k) shared one factorization, and (analyze JSON at (2, 12, 17),
+    factored by the F_p[x] module, (residuals over F_(p^k)) from before
+    F_p and F_(p^k) shared one factorization, and (analyze JSON at (2, 12, 17),
     (61, 2, 3), (7, 1, 197), with --verify at (3, 5, 10), human text at
     (2, 10, 33)) from before the hull was taken over the support points
     and the point lists were spliced into the JSON, (analyze JSON at

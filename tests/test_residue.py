@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monogenity import fppoly, residue
+from monogenity import residue
 from monogenity.errors import ValidationError
+from monogenity.oracle import _poly_mod_small, is_irreducible_by_trial_division
 from monogenity.residue import (
+    X,
     ResidueField,
     ff_add,
     ff_degree,
@@ -15,9 +17,12 @@ from monogenity.residue import (
     ff_factor,
     ff_gcd,
     ff_make_monic,
+    ff_mod,
     ff_mul,
     ff_mulmod,
-    ff_normalize,
+    ff_pow_mod,
+    ff_sub,
+    reduce_mod_p,
     residue_class,
     residue_field,
 )
@@ -28,9 +33,54 @@ F4 = residue_field(2, (1, 1, 1))  # F_2[x]/(x^2 + x + 1)
 F9 = residue_field(3, (1, 0, 1))  # F_3[x]/(x^2 + 1)
 
 
+def _trim(coeffs):
+    """A coefficient list without its zero top coefficients."""
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+# Reference element arithmetic: integer polynomials reduced by the oracle's
+# F_p[x] remainder, sharing no code with residue's arithmetic
+
+
+def _ref_element(field, coeffs):
+    """The class of the integer polynomial coeffs."""
+    rep = tuple(_poly_mod_small(coeffs, field.modulus, field.p))
+    if field.degree > 1:
+        return rep
+    return rep[0] if rep else 0
+
+
+def _ints(field, a):
+    # an element as a list of integer coefficients
+    return [a] if field.degree == 1 else list(a)
+
+
+def _ref_add(field, a, b):
+    pairs = itertools.zip_longest(_ints(field, a), _ints(field, b), fillvalue=0)
+    return _ref_element(field, [x + y for x, y in pairs])
+
+
+def _ref_sub(field, a, b):
+    pairs = itertools.zip_longest(_ints(field, a), _ints(field, b), fillvalue=0)
+    return _ref_element(field, [x - y for x, y in pairs])
+
+
+def _ref_mul(field, a, b):
+    """Element product by full integer product and full reduction."""
+    a, b = _ints(field, a), _ints(field, b)
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _ref_element(field, out)
+
+
 def _elements(field):
     """Every element of the field, from its representatives."""
-    return [field.element(c) for c in itertools.product(range(field.p), repeat=field.degree)]
+    return [_ref_element(field, c) for c in itertools.product(range(field.p), repeat=field.degree)]
 
 
 class TestResidueField:
@@ -52,7 +102,7 @@ class TestResidueField:
         for z in _elements(field):
             if not z:
                 continue
-            assert field.mul(z, field.inv(z)) == field.one
+            assert _ref_mul(field, z, field.inv(z)) == field.one
 
     def test_field_axioms_sample(self):
         rng = random.Random(1)
@@ -123,7 +173,7 @@ class TestFFFactor:
         for _ in range(25):
             coeffs = [rng.choice(elems) for _ in range(rng.randint(1, 6))]
             coeffs.append(field.one)
-            g = ff_normalize(coeffs)
+            g = _trim(coeffs)
             factors = ff_factor(field, g)
             product = (field.one,)
             for irr, mult in factors:
@@ -157,11 +207,16 @@ class TestFFFactor:
 
 def _poly_mul(field, a, b):
     """Product of two polynomials over the field, by schoolbook multiplication."""
-    out = [field.zero] * (len(a) + len(b) - 1)
+    out = [field.zero] * max(0, len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ca, cb))
-    return tuple(out)
+            out[i + j] = _ref_add(field, out[i + j], _ref_mul(field, ca, cb))
+    return _trim(out)
+
+
+def _poly_add(field, a, b):
+    pairs = itertools.zip_longest(a, b, fillvalue=field.zero)
+    return _trim(_ref_add(field, x, y) for x, y in pairs)
 
 
 def _divides(field, b, a):
@@ -170,7 +225,7 @@ def _divides(field, b, a):
     for shift in range(len(a) - len(b), -1, -1):
         c = rem[shift + len(b) - 1]
         for j, bj in enumerate(b):
-            rem[shift + j] = field.sub(rem[shift + j], field.mul(c, bj))
+            rem[shift + j] = _ref_sub(field, rem[shift + j], _ref_mul(field, c, bj))
     return not any(rem)
 
 
@@ -198,7 +253,7 @@ def prime_field_polys(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     field = residue_field(p, (draw(st.integers(0, p - 1)), 1))
     tail = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=7))
-    return field, ff_normalize(tail + [field.one])
+    return field, _trim(tail + [field.one])
 
 
 # F_4, F_8, F_9, F_25, F_27, F_49, each with the largest factor degree that
@@ -221,11 +276,13 @@ def extension_field_polys(draw):
     block, so the squarefree and equal-degree steps both have work.
     """
     field, max_degree = draw(st.sampled_from(EXTENSION_FIELDS))
-    element = st.tuples(*[st.integers(0, field.p - 1)] * field.degree).map(field.element)
+    element = st.tuples(*[st.integers(0, field.p - 1)] * field.degree).map(
+        lambda c: _ref_element(field, c)
+    )
     g = (field.one,)
     for _ in range(draw(st.integers(1, 3))):
         tail = draw(st.lists(element, min_size=1, max_size=max_degree))
-        g = _poly_mul(field, g, ff_normalize(tail + [field.one]))
+        g = _poly_mul(field, g, _trim(tail + [field.one]))
     return field, g
 
 
@@ -269,18 +326,13 @@ def _irreducible_from(p, k, start):
     coefficients, read as base-p digits, are start or later (cyclically)."""
     for n in range(start, start + p**k):
         low = tuple(n % p**k // p**i % p for i in range(k))
-        if fppoly.is_irreducible(low + (1,), p):
+        if is_irreducible_by_trial_division(low + (1,), p):
             return low + (1,)
-
-
-def _ref_mul(field, a, b):
-    """Element product by full F_p[x] product and full reduction."""
-    return fppoly.mod_(fppoly.mul(a, b, field.p), field.modulus, field.p)
 
 
 def _ref_inv(field, a):
     """a**(q - 2) by square-and-multiply on _ref_mul."""
-    result, e = fppoly.ONE, field.order - 2
+    result, e = field.one, field.order - 2
     while e:
         if e & 1:
             result = _ref_mul(field, result, a)
@@ -289,26 +341,17 @@ def _ref_inv(field, a):
     return result
 
 
-def _ref_poly_mul(field, a, b):
-    out = [fppoly.ZERO] * max(0, len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = fppoly.add(out[i + j], _ref_mul(field, ca, cb), field.p)
-    return ff_normalize(out)
-
-
 def _ref_divmod(field, a, b):
     """Schoolbook long division, every element operation reduced at once."""
-    p = field.p
     inv_lead = _ref_inv(field, b[-1])
     rem = list(a)
-    quo = [fppoly.ZERO] * max(0, len(a) - len(b) + 1)
+    quo = [field.zero] * max(0, len(a) - len(b) + 1)
     for shift in range(len(a) - len(b), -1, -1):
         q = _ref_mul(field, rem[shift + len(b) - 1], inv_lead)
         quo[shift] = q
         for j, cb in enumerate(b):
-            rem[shift + j] = fppoly.sub(rem[shift + j], _ref_mul(field, q, cb), p)
-    return ff_normalize(quo), ff_normalize(rem)
+            rem[shift + j] = _ref_sub(field, rem[shift + j], _ref_mul(field, q, cb))
+    return _trim(quo), _trim(rem)
 
 
 @st.composite
@@ -319,9 +362,9 @@ def lazy_cases(draw):
     k = draw(st.integers(2, 4))
     field = residue_field(p, _irreducible_from(p, k, draw(st.integers(0, p**k - 1))))
     element = st.lists(st.integers(0, p - 1), min_size=k, max_size=k).map(
-        lambda c: fppoly.normalize(c, p)
+        lambda c: _ref_element(field, c)
     )
-    poly = st.lists(element, max_size=9).map(ff_normalize)
+    poly = st.lists(element, max_size=9).map(_trim)
     return (
         field,
         draw(element),
@@ -333,15 +376,15 @@ def lazy_cases(draw):
 
 
 class TestLazyReduction:
-    """The one-reduction-per-coefficient arithmetic against fppoly products
-    reduced at every step."""
+    """The one-reduction-per-coefficient arithmetic against integer
+    products reduced at every step by the oracle's F_p[x] remainder."""
 
     @settings(max_examples=300, deadline=None)
     @given(lazy_cases())
     def test_against_full_reduction(self, case):
         field, x, y, a, b, g = case
         assert field.mul(x, y) == _ref_mul(field, x, y)
-        assert ff_mul(field, a, b) == _ref_poly_mul(field, a, b)
+        assert ff_mul(field, a, b) == _poly_mul(field, a, b)
         quo, rem = ff_divmod(field, a, b)
         assert (quo, rem) == _ref_divmod(field, a, b)
         assert ff_add(field, ff_mul(field, quo, b), rem) == a
@@ -353,7 +396,7 @@ class TestLazyReduction:
         one = field.one
         for z in _elements(field):
             if z:
-                assert field.mul(field.inv(z), z) == one
+                assert _ref_mul(field, field.inv(z), z) == one
                 assert field.inv(z) == _ref_inv(field, z)
 
     @pytest.mark.parametrize("field", [F3, F9])
@@ -386,3 +429,146 @@ class TestPurePower:
         assert ((zero, one), 5) in factors
         assert (y_plus_1, 2) in factors
         assert factors == sorted(factors, key=lambda item: (ff_degree(item[0]), item[0]))
+
+
+class TestReduceModP:
+    def test_spec_examples(self):
+        # x^4 - 17 over F_2 -> x^4 + 1
+        assert reduce_mod_p((-17, 0, 0, 0, 1), 2) == (1, 0, 0, 0, 1)
+        # x^9 - 5 over F_3 -> x^9 + 1
+        assert reduce_mod_p((-5,) + (0,) * 8 + (1,), 3) == (1,) + (0,) * 8 + (1,)
+        # x^2 - 4 over F_2 -> x^2
+        assert reduce_mod_p((-4, 0, 1), 2) == (0, 0, 1)
+
+
+class TestPrimeFieldArithmetic:
+    """Polynomials over residue_field(p, X), that is F_p[x]."""
+
+    def test_divmod_roundtrip(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            p = rng.choice([2, 3, 5, 13])
+            field = residue_field(p, X)
+            a = reduce_mod_p([rng.randrange(p) for _ in range(rng.randint(0, 9))], p)
+            b = reduce_mod_p([rng.randrange(p) for _ in range(rng.randint(1, 6))], p)
+            if not b:
+                continue
+            q, r = ff_divmod(field, a, b)
+            assert _poly_add(field, _poly_mul(field, q, b), r) == a
+            assert ff_degree(r) < ff_degree(b)
+
+    def test_gcd_divides_both(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            p = rng.choice([2, 3, 7])
+            field = residue_field(p, X)
+            a = reduce_mod_p([rng.randrange(p) for _ in range(6)], p)
+            b = reduce_mod_p([rng.randrange(p) for _ in range(4)], p)
+            g = ff_gcd(field, a, b)
+            if g:
+                assert g[-1] == 1
+                assert _divides(field, g, a)
+                assert _divides(field, g, b)
+
+    def test_pow_mod_fermat(self):
+        # x^p = x in F_p[x]/(x + 3) = F_5, where x is -3 = 2, and
+        # x^(p^2) = x in F_p[x]/(x^2 + 2) = F_25
+        p = 5
+        field = residue_field(p, X)
+        assert ff_pow_mod(field, X, p, (3, 1)) == ff_mod(field, X, (3, 1)) == (2,)
+        assert ff_pow_mod(field, X, p**2, (2, 0, 1)) == X
+
+
+class TestPrimeFieldFactor:
+    """ff_factor over residue_field(p, X), that is F_p[x]."""
+
+    def test_frobenius_powers(self):
+        # (x+1)^4 = x^4 + 1 over F_2
+        assert ff_factor(F2, (1, 0, 0, 0, 1)) == [((1, 1), 4)]
+        # (x+1)^9 = x^9 + 1 over F_3
+        assert ff_factor(F3, (1,) + (0,) * 8 + (1,)) == [((1, 1), 9)]
+
+    def test_irreducible_stays(self):
+        assert ff_factor(F2, (1, 1, 1)) == [((1, 1, 1), 1)]
+
+    def test_non_monic_rejected(self):
+        with pytest.raises(ValidationError):
+            ff_factor(F3, (1, 2))
+        with pytest.raises(ValidationError):
+            ff_factor(F3, ())
+
+    def test_roundtrip_and_independent_irreducibility(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            p = rng.choice([2, 3, 5])
+            field = residue_field(p, X)
+            g = reduce_mod_p([rng.randrange(p) for _ in range(rng.randint(1, 9))] + [1], p)
+            product = (1,)
+            for irr, mult in ff_factor(field, g):
+                assert is_irreducible_by_trial_division(irr, p)
+                for _ in range(mult):
+                    product = _poly_mul(field, product, irr)
+            assert product == g
+
+    def test_factor_order_canonical(self):
+        field = residue_field(5, X)
+        g = _poly_mul(field, _poly_mul(field, (0, 0, 1), (1, 1)), (2, 1))  # x^2 (x+1) (x+2)
+        assert ff_factor(field, g) == [((0, 1), 2), ((1, 1), 1), ((2, 1), 1)]
+
+    def test_seed_independent(self, monkeypatch):
+        # the equal-degree split draws from residue._SPLIT_SEED; the second
+        # polynomial has three linear factors, so the split runs
+        p = 7
+        field = residue_field(p, X)
+        three_linears = _poly_mul(field, _poly_mul(field, (1, 1), (2, 1)), (3, 1))
+        for g in (
+            reduce_mod_p([3, 1, 4, 1, 5, 9, 2, 6, 1], p),
+            _poly_mul(field, three_linears, (1, 0, 1)),
+        ):
+            results = []
+            for seed in (0, 123456):
+                monkeypatch.setattr(residue, "_SPLIT_SEED", seed)
+                results.append(ff_factor(field, g))
+            assert results[0] == results[1]
+
+    def test_larger_prime_with_edf(self):
+        # x^4 - 2 over F_7 has a mix of linear and quadratic factors
+        p = 7
+        field = residue_field(p, X)
+        g = reduce_mod_p((-2, 0, 0, 0, 1), p)
+        result = ff_factor(field, g)
+        product = (1,)
+        for irr, mult in result:
+            assert is_irreducible_by_trial_division(irr, p)
+            for _ in range(mult):
+                product = _poly_mul(field, product, irr)
+        assert product == g
+        assert sum(ff_degree(f) * m for f, m in result) == 4
+
+
+class TestModulusIrreducibility:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_accepts_exactly_the_irreducibles(self, p):
+        # every monic modulus of degree d <= 6 with p**d <= 729, then 100
+        # drawn ones of degree 6; ResidueField itself, not the cached
+        # residue_field, so each modulus is checked afresh
+        rng = random.Random(p)
+        moduli = [
+            tail + (1,)
+            for d in range(1, 7)
+            if p**d <= 729
+            for tail in itertools.product(range(p), repeat=d)
+        ]
+        moduli += [tuple(rng.randrange(p) for _ in range(6)) + (1,) for _ in range(100)]
+        for g in moduli:
+            try:
+                ResidueField(p, g)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert accepted == is_irreducible_by_trial_division(g, p)
+
+    def test_sub_and_constants(self):
+        assert ff_sub(F2, (1, 1), (1,)) == (0, 1)
+        with pytest.raises(ValidationError):
+            ResidueField(5, (1,))

@@ -11,7 +11,7 @@ an independent check that a prime divides the index of Z[alpha].
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ore, zpoly
 from .errors import InvariantError, ValidationError
@@ -41,8 +41,7 @@ class ComIndexEvidence(str, enum.Enum):
     UNKNOWN_IRREGULAR = "UNKNOWN_IRREGULAR"
 
 
-@dataclass(frozen=True)
-class PrimeAnalysis:
+class PrimeAnalysis(NamedTuple):
     """Engine results for the pure polynomial at one prime."""
 
     prime: int
@@ -63,8 +62,7 @@ class PrimeAnalysis:
         return None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-checkable evidence; every number is recomputable from (p, r, m)."""
 
     params: PureFieldParams
@@ -83,8 +81,7 @@ class Certificate:
         raise ValidationError(f"certificate has no analysis at {prime}")
 
 
-@dataclass(frozen=True)
-class MonogenityVerdict:
+class MonogenityVerdict(NamedTuple):
     status: Status
     provenance: Provenance
     certificate: Certificate

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -19,7 +18,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import __version__, oracle, render, zpoly
+from . import __version__, zpoly
 from .classify import MonogenityVerdict, PrimeAnalysis, classify, dedekind_divides_index
 from .errors import InvariantError, OracleDisagreement, ValidationError
 from .intarith import is_prime
@@ -193,57 +192,35 @@ def _emit(value, indent: str, append) -> None:
 
 
 def _oracle_reports(verdict: MonogenityVerdict) -> list[dict]:
+    from . import oracle  # only --verify runs the oracles
+
     cert = verdict.certificate
     params = cert.params
     f = pure_polynomial(params)
-    reports: list[oracle.OracleReport] = []
+    reports: list[dict] = []
+
+    def check(name: str, engine, expected) -> None:
+        agree = engine == expected
+        reports.append(
+            {"name": name, "engine": _plain(engine), "oracle": _plain(expected), "agree": agree}
+        )
+
     for analysis in cert.analyses:
         for rep in analysis.reports:
             tag = f"prime {analysis.prime}, base {to_string(rep.phi)}"
-            reports.append(
-                oracle.OracleReport(
-                    name=f"hull vertices ({tag})",
-                    engine=rep.polygon.vertices,
-                    oracle=oracle.brute_hull(rep.points).vertices,
-                )
-            )
-            reports.append(
-                oracle.OracleReport(
-                    name=f"lattice index ({tag})",
-                    engine=rep.index,
-                    oracle=zpoly.degree(rep.phi)
-                    * oracle.brute_phi_index(principal_part(rep.polygon)),
-                )
-            )
+            hull = oracle.brute_hull(rep.points)
+            check(f"hull vertices ({tag})", rep.polygon.vertices, hull.vertices)
+            index = oracle.brute_phi_index(principal_part(rep.polygon))
+            check(f"lattice index ({tag})", rep.index, zpoly.degree(rep.phi) * index)
     if params.degree <= 64:
         for q, engine_value in cert.discriminant_valuations:
-            reports.append(
-                oracle.OracleReport(
-                    name=f"discriminant valuation at {q}",
-                    engine=engine_value,
-                    oracle=oracle.resultant_discriminant_valuation(f, q),
-                )
-            )
-    reports.append(
-        oracle.OracleReport(
-            name=f"Dedekind test at {params.p}",
-            engine=cert.nu_pivot >= 2,
-            oracle=dedekind_divides_index(f, params.p),
-        )
-    )
+            expected = oracle.resultant_discriminant_valuation(f, q)
+            check(f"discriminant valuation at {q}", engine_value, expected)
+    check(f"Dedekind test at {params.p}", cert.nu_pivot >= 2, dedekind_divides_index(f, params.p))
     for q, _ in cert.discriminant_valuations:
         if params.m % q == 0:
-            reports.append(
-                oracle.OracleReport(
-                    name=f"Dedekind test at {q} (divides m)",
-                    engine=False,
-                    oracle=dedekind_divides_index(f, q),
-                )
-            )
-    return [
-        {"name": r.name, "engine": _plain(r.engine), "oracle": _plain(r.oracle), "agree": r.agree}
-        for r in reports
-    ]
+            check(f"Dedekind test at {q} (divides m)", False, dedekind_divides_index(f, q))
+    return reports
 
 
 def _plain(value):
@@ -447,6 +424,8 @@ def _format_rows(rows, fmt: str) -> str:
             full = {key: row.get(key) for key in _SCAN_FIELDS}
             lines.append(json.dumps(full, sort_keys=True))
         return "\n".join(lines) + ("\n" if lines else "")
+    import csv  # only a CSV scan writes it
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_SCAN_FIELDS)
@@ -465,6 +444,8 @@ def _format_rows(rows, fmt: str) -> str:
 
 
 def cmd_render(args) -> int:
+    from . import render
+
     config = _load_config(args.config)
     fmt = _resolve("format", args.format, config, "ascii")
     if fmt not in ("ascii", "svg"):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Union
 
 from .errors import InvariantError, ValidationError
 
@@ -25,10 +24,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # cofactor to Pollard-Brent rho, which takes one gcd per _RHO_BATCH steps
 _TRIAL_BOUND = 1000
 _RHO_BATCH = 128
-
-
-def _restore_infinity():
-    return INFINITY
 
 
 class _Infinity:
@@ -57,12 +52,10 @@ class _Infinity:
         return "INFINITY"
 
     def __reduce__(self):
-        return (_restore_infinity, ())
+        return "INFINITY"  # pickled as the module's one instance
 
 
 INFINITY = _Infinity()
-
-Valuation = Union[int, _Infinity]
 
 
 def is_prime(n: int) -> bool:

@@ -8,22 +8,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import zpoly
 from .errors import ValidationError
 from .polygon import NewtonPolygon, Side, ValuedPoint
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    name: str
-    engine: object
-    oracle: object
-
-    @property
-    def agree(self) -> bool:
-        return self.engine == self.oracle
 
 
 def brute_hull(points) -> NewtonPolygon:
@@ -52,7 +40,7 @@ def brute_hull(points) -> NewtonPolygon:
             if lhs < rhs or (lhs == rhs and cand.i > chosen.i):
                 chosen = cand
         vertices.append(chosen)
-    sides = tuple(Side.from_endpoints(a, b) for a, b in zip(vertices, vertices[1:]))
+    sides = tuple(Side(a, b) for a, b in zip(vertices, vertices[1:]))
     return NewtonPolygon(sides)
 
 

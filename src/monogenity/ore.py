@@ -9,7 +9,7 @@ case) the shape of the factorization of p in the ring of integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import polygon, zpoly
 from .errors import InvariantError, ValidationError
@@ -24,8 +24,7 @@ from .residue import (
 )
 
 
-@dataclass(frozen=True)
-class SideAnalysis:
+class SideAnalysis(NamedTuple):
     """One principal side together with its residual data."""
 
     side: polygon.Side
@@ -44,8 +43,7 @@ class SideAnalysis:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(NamedTuple):
     """Everything the polygon machinery knows about one factor of the reduction;
     the valued points (i, v_p(a_i)) come as two columns, which points pairs up."""
 
@@ -68,8 +66,7 @@ class PhiReport:
         return zpoly.degree(self.phi)
 
 
-@dataclass(frozen=True)
-class IndexBound:
+class IndexBound(NamedTuple):
     """Lower bound for v_p of the index; exact when the analysis is regular."""
 
     value: int
@@ -89,8 +86,7 @@ class _NotRegular:
 NOT_REGULAR = _NotRegular()
 
 
-@dataclass(frozen=True)
-class SplittingShape:
+class SplittingShape(NamedTuple):
     """Multiset of (ramification index, residue degree) pairs, canonically sorted."""
 
     pairs: tuple[tuple[int, int], ...]

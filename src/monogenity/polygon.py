@@ -1,19 +1,20 @@
 """Valued points, lower convex envelopes with exact rational slopes,
 the principal part, lattice-point index counts, and residual polynomials.
 
-Slopes are fractions.Fraction values; every comparison in hull
-construction is an integer cross product, so nothing here ever rounds.
+A side's slope is -h/e in lowest terms, kept as the integers h and e:
+hull construction, the chain check, the principal part and the index
+compare slopes by integer cross products or by the sign of h, so
+nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvariantError, ValidationError
 from .intarith import INFINITY, require_prime
+from .record import Record
 from .residue import (
     ResidueField,
     _residue_class,
@@ -32,45 +33,39 @@ class ValuedPoint(NamedTuple):
     v: int
 
 
-@dataclass(frozen=True)
-class Side:
-    """One side of a Newton polygon.
+class Side(Record):
+    """One side of a Newton polygon, from its endpoints.
 
-    The slope is the exact fraction -h/e with gcd(h, e) = 1 and e >= 1;
-    length is the x-projection, height the (signed) y-drop, and the
-    degree is length/e, the number of lattice steps along the side.
+    The slope is -h/e with gcd(h, e) = 1 and e >= 1; length is the
+    x-projection, height the (signed) y-drop, and the degree is
+    length/e, the number of lattice steps along the side.
     """
 
-    start: ValuedPoint
-    end: ValuedPoint
-    slope: Fraction
-    h: int
-    e: int
-    length: int
-    height: int
-    degree: int
+    __slots__ = ("start", "end", "h", "e", "length", "height", "degree")
+    _fields = ("start", "end")
 
-    @classmethod
-    def from_endpoints(cls, start: ValuedPoint, end: ValuedPoint) -> "Side":
-        if end.i <= start.i:
-            raise ValidationError("side endpoints must have increasing abscissas")
-        slope = Fraction(end.v - start.v, end.i - start.i)
-        h = -slope.numerator
-        e = slope.denominator
+    def __init__(self, start: ValuedPoint, end: ValuedPoint):
         length = end.i - start.i
-        return cls(
-            start=start,
-            end=end,
-            slope=slope,
-            h=h,
-            e=e,
-            length=length,
-            height=start.v - end.v,
-            degree=length // e,
-        )
+        if length <= 0:
+            raise ValidationError("side endpoints must have increasing abscissas")
+        height = start.v - end.v
+        g = math.gcd(height, length)
+        e = length // g
+        for name, value in zip(self.__slots__, (start, end, height // g, e, length, height, g)):
+            object.__setattr__(self, name, value)
 
-    def ordinate_at(self, x: int) -> Fraction:
-        return Fraction(self.start.v) + self.slope * (x - self.start.i)
+    @property
+    def slope(self):
+        """The slope -h/e as a fractions.Fraction, imported here only."""
+        from fractions import Fraction
+
+        return Fraction(-self.h, self.e)
+
+    def ordinate_at(self, x: int):
+        """The exact ordinate at abscissa x, a fractions.Fraction."""
+        from fractions import Fraction
+
+        return Fraction(self.start.v * self.e - (x - self.start.i) * self.h, self.e)
 
     def lattice_points(self) -> list[ValuedPoint]:
         """The integral points on the side: start, start + (e, -h), ..."""
@@ -80,18 +75,18 @@ class Side:
         ]
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """A chain of sides with strictly increasing slopes."""
 
-    sides: tuple[Side, ...]
+    __slots__ = _fields = ("sides",)
 
-    def __post_init__(self):
-        for a, b in zip(self.sides, self.sides[1:]):
+    def __init__(self, sides: tuple[Side, ...]):
+        for a, b in zip(sides, sides[1:]):
             if a.end != b.start:
                 raise InvariantError("polygon sides do not chain")
-            if not a.slope < b.slope:
+            if not b.h * a.e < a.h * b.e:  # -a.h/a.e < -b.h/b.e
                 raise InvariantError("polygon slopes must strictly increase")
+        super().__init__(sides)
 
     @property
     def is_empty(self) -> bool:
@@ -152,13 +147,13 @@ def lower_convex_hull(points) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
-    sides = tuple(Side.from_endpoints(a, b) for a, b in zip(hull, hull[1:]))
+    sides = tuple(Side(a, b) for a, b in zip(hull, hull[1:]))
     return NewtonPolygon(sides)
 
 
 def principal_part(polygon: NewtonPolygon) -> NewtonPolygon:
     """The sub-chain of sides with strictly negative slope."""
-    return NewtonPolygon(tuple(s for s in polygon.sides if s.slope < 0))
+    return NewtonPolygon(tuple(s for s in polygon.sides if s.h > 0))
 
 
 def phi_index(principal: NewtonPolygon, deg_phi: int) -> int:
@@ -174,7 +169,7 @@ def phi_index(principal: NewtonPolygon, deg_phi: int) -> int:
     if deg_phi < 1:
         raise ValidationError("deg_phi must be positive")
     for side in principal.sides:
-        if side.slope >= 0:
+        if side.h <= 0:
             raise ValidationError("phi_index expects the principal part only")
     if principal.is_empty:
         return 0
@@ -198,13 +193,13 @@ def index_lattice_points(principal: NewtonPolygon) -> list[tuple[int, int]]:
     for side in principal.sides:
         lo = side.start.i if side.start.i == first else side.start.i + 1
         for x in range(max(1, lo), side.end.i + 1):
-            for y in range(1, math.floor(side.ordinate_at(x)) + 1):
+            top = (side.start.v * side.e - (x - side.start.i) * side.h) // side.e
+            for y in range(1, top + 1):
                 out.append((x, y))
     return out
 
 
-@dataclass(frozen=True)
-class ResidualPolynomial:
+class ResidualPolynomial(NamedTuple):
     """The polynomial over F_phi attached to one side.
 
     coefficients[k], an element of field, is the residue class of the

@@ -7,7 +7,7 @@ point sets without going through the pure-field pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 from .classify import pure_prime_analysis
@@ -16,13 +16,12 @@ from .polygon import NewtonPolygon, index_lattice_points, principal_part
 from .zpoly import PureFieldParams, candidate_index_primes, to_string
 
 
-@dataclass(frozen=True)
-class PolygonFigure:
+class PolygonFigure(NamedTuple):
     title: str
     points: tuple[tuple[int, int], ...]  # (i, v) pairs
     polygon: NewtonPolygon
     index_points: tuple[tuple[int, int], ...]
-    side_labels: tuple[str, ...] = field(default=())
+    side_labels: tuple[str, ...] = ()
 
 
 def figure_from_polygon(title: str, points, polygon: NewtonPolygon) -> PolygonFigure:

@@ -30,14 +30,18 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .intarith import require_prime
+from .record import Record
 
 # Cantor-Zassenhaus draws from random.Random(_SPLIT_SEED).  Factors are
 # returned sorted, so no result depends on this value.
 _SPLIT_SEED = 0
+# A draw fails to split with probability at most 5/9 (q**d = 3), about
+# 1/2 otherwise, so a split that needs more draws than this is a fault
+# in the field arithmetic, not bad luck.
+_SPLIT_DRAWS = 64
 
 FpPoly = tuple[int, ...]
 
@@ -55,8 +59,7 @@ def reduce_mod_p(coeffs, p: int) -> FpPoly:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ResidueField:
+class ResidueField(Record):
     """The field F_p[x]/(modulus), modulus monic irreducible over F_p.
 
     ResidueField(p, modulus) is a PrimeField when the modulus is linear
@@ -71,20 +74,20 @@ class ResidueField:
     acc stands for (acc is used up).
     """
 
-    p: int
-    modulus: FpPoly
+    __slots__ = _fields = ("p", "modulus")
 
-    def __new__(cls, p=None, modulus=None):
+    def __new__(cls, p, modulus):
         # the element representation follows the degree; unpickling
-        # passes no arguments, but the subclass itself
+        # calls the subclass itself
         if cls is ResidueField:
             cls = PrimeField if len(modulus) == 2 else ExtensionField
-        return super().__new__(cls)
+        return object.__new__(cls)
 
-    def __post_init__(self):
-        require_prime(self.p)
-        if len(self.modulus) < 2 or self.modulus[-1] != 1:
+    def __init__(self, p: int, modulus: FpPoly):
+        require_prime(p)
+        if len(modulus) < 2 or modulus[-1] != 1:
             raise ValidationError("residue field modulus must be monic of degree >= 1")
+        super().__init__(p, modulus)
 
     @property
     def degree(self) -> int:
@@ -98,6 +101,7 @@ class ResidueField:
 class PrimeField(ResidueField):
     """F_p: elements are ints 0..p-1, and an int is its own accumulator."""
 
+    __slots__ = ()
     zero = 0
     one = 1
     lift = int
@@ -150,12 +154,13 @@ class ExtensionField(ResidueField):
     prime field F_p, held on the field.
     """
 
+    __slots__ = ("_prime", "_folds", "_width")
     zero = ()
     one = (1,)
 
-    def __post_init__(self):
-        super().__post_init__()
-        p, k = self.p, self.degree
+    def __init__(self, p: int, modulus: FpPoly):
+        super().__init__(p, modulus)
+        k = self.degree
         prime = residue_field(p, X)
         if ff_factor(prime, self.modulus) != [(self.modulus, 1)]:
             raise ValidationError(f"residue field modulus {self.modulus} is reducible over F_{p}")
@@ -499,7 +504,7 @@ def _equal_degree(field: ResidueField, g, d: int, rng: random.Random) -> list[tu
     """Split g, a product of distinct monic irreducibles of degree d, into them."""
     if ff_degree(g) == d:
         return [g]
-    while True:
+    for _ in range(_SPLIT_DRAWS):
         a = ff_normalize(
             [field.element([rng.randrange(field.p) for _ in range(field.degree)])
              for _ in range(ff_degree(g))]
@@ -520,6 +525,10 @@ def _equal_degree(field: ResidueField, g, d: int, rng: random.Random) -> list[tu
             return _equal_degree(field, h, d, rng) + _equal_degree(
                 field, ff_quo(field, g, h), d, rng
             )
+    raise InvariantError(
+        f"no equal-degree split of a degree-{ff_degree(g)} product of degree-{d} "
+        f"factors over {field!r} in {_SPLIT_DRAWS} draws"
+    )
 
 
 def ff_factor(field: ResidueField, g) -> list[tuple[tuple, int]]:

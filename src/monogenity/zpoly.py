@@ -8,11 +8,12 @@ order with no trailing zeros; () is the zero polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import intarith
 from .errors import ValidationError
 from .intarith import INFINITY, _valuation, is_prime, require_prime
+from .record import Record
 
 ZPoly = tuple[int, ...]
 
@@ -43,12 +44,8 @@ def add(a: ZPoly, b: ZPoly) -> ZPoly:
     return poly(out)
 
 
-def neg(a: ZPoly) -> ZPoly:
-    return tuple(-c for c in a)
-
-
 def sub(a: ZPoly, b: ZPoly) -> ZPoly:
-    return add(a, neg(b))
+    return add(a, tuple(-c for c in b))
 
 
 def mul(a: ZPoly, b: ZPoly) -> ZPoly:
@@ -114,8 +111,7 @@ def to_string(f: ZPoly, var: str = "x") -> str:
     return " ".join(terms)
 
 
-@dataclass(frozen=True)
-class PureFieldParams:
+class PureFieldParams(Record):
     """The triple (p, r, m) defining x**(p**r) - m.
 
     Validity: p prime, r >= 1, m squarefree with |m| >= 2.  Under these
@@ -126,23 +122,22 @@ class PureFieldParams:
     that nothing else has to factor m again.
     """
 
-    p: int
-    r: int
-    m: int
-    m_primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "r", "m", "m_primes")
+    _fields = ("p", "r", "m")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValidationError(f"p must be prime, got {self.p}")
-        if self.r < 1:
-            raise ValidationError(f"r must be a positive integer, got {self.r}")
-        if self.m in (-1, 0, 1):
-            raise ValidationError(f"m must satisfy |m| >= 2, got {self.m}")
+    def __init__(self, p: int, r: int, m: int):
+        if not is_prime(p):
+            raise ValidationError(f"p must be prime, got {p}")
+        if r < 1:
+            raise ValidationError(f"r must be a positive integer, got {r}")
+        if m in (-1, 0, 1):
+            raise ValidationError(f"m must satisfy |m| >= 2, got {m}")
         # looked up on the module, where a tracer can wrap it
-        factors = intarith.factorize(self.m)
+        factors = intarith.factorize(m)
         if any(e > 1 for _, e in factors):
-            raise ValidationError(f"m must be squarefree, got {self.m}")
-        object.__setattr__(self, "m_primes", tuple(q for q, _ in factors))
+            raise ValidationError(f"m must be squarefree, got {m}")
+        for name, value in zip(self.__slots__, (p, r, m, tuple(q for q, _ in factors))):
+            object.__setattr__(self, name, value)
 
     @property
     def degree(self) -> int:
@@ -158,12 +153,11 @@ def pure_polynomial(params: PureFieldParams) -> ZPoly:
     return (-params.m,) + (0,) * (n - 1) + (1,)
 
 
-@dataclass(frozen=True)
-class PhiExpansion:
-    """f written as sum of coefficients[i] * phi**i with deg coefficients[i] < deg phi."""
+class PhiExpansion(Record):
+    """f written as sum of coefficients[i] * phi**i with deg coefficients[i] < deg phi:
+    PhiExpansion(phi, coefficients), both ZPoly tuples."""
 
-    phi: ZPoly
-    coefficients: tuple[ZPoly, ...]
+    __slots__ = _fields = ("phi", "coefficients")
 
     def __len__(self):
         return len(self.coefficients)
@@ -222,8 +216,7 @@ def phi_expansion(f: ZPoly, phi: ZPoly, force_general: bool = False) -> PhiExpan
     return PhiExpansion(phi, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class PureShiftExpansion:
+class PureShiftExpansion(NamedTuple):
     """x**n - m expanded at phi = x - m, for a prime p that does not divide m.
 
     The binomial theorem gives a_0 = m**n - m and

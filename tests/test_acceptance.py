@@ -49,7 +49,7 @@ def _squarefree_range(lo: int, hi: int, step: int = 1, start=None):
 
 def polygon_from_vertices(vertices) -> NewtonPolygon:
     pts = [ValuedPoint(i, v) for i, v in vertices]
-    return NewtonPolygon(tuple(Side.from_endpoints(a, b) for a, b in zip(pts, pts[1:])))
+    return NewtonPolygon(tuple(Side(a, b) for a, b in zip(pts, pts[1:])))
 
 
 def test_criterion_1_binomial_lemma():

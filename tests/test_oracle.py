@@ -19,7 +19,7 @@ from monogenity.polygon import NewtonPolygon, Side, ValuedPoint
 
 def polygon_from_vertices(vertices):
     pts = [ValuedPoint(i, v) for i, v in vertices]
-    return NewtonPolygon(tuple(Side.from_endpoints(a, b) for a, b in zip(pts, pts[1:])))
+    return NewtonPolygon(tuple(Side(a, b) for a, b in zip(pts, pts[1:])))
 
 
 class TestBruteHull:

@@ -25,7 +25,7 @@ FIG2_POINTS_V4 = [(0, 4), (1, 3), (3, 2), (9, 1), (27, 0)]
 
 def polygon_from_vertices(vertices):
     pts = [ValuedPoint(i, v) for i, v in vertices]
-    return NewtonPolygon(tuple(Side.from_endpoints(a, b) for a, b in zip(pts, pts[1:])))
+    return NewtonPolygon(tuple(Side(a, b) for a, b in zip(pts, pts[1:])))
 
 
 @st.composite
@@ -125,7 +125,7 @@ class TestLowerConvexHull:
 
 class TestSide:
     def test_exact_slope_fields(self):
-        side = Side.from_endpoints(ValuedPoint(1, 3), ValuedPoint(5, 1))
+        side = Side(ValuedPoint(1, 3), ValuedPoint(5, 1))
         assert side.slope == Fraction(-1, 2)
         assert (side.h, side.e) == (1, 2)
         assert side.length == 4
@@ -133,9 +133,9 @@ class TestSide:
         assert side.degree == 2
 
     def test_lattice_points(self):
-        side = Side.from_endpoints(ValuedPoint(3, 2), ValuedPoint(9, 1))
+        side = Side(ValuedPoint(3, 2), ValuedPoint(9, 1))
         assert side.lattice_points() == [ValuedPoint(3, 2), ValuedPoint(9, 1)]
-        side = Side.from_endpoints(ValuedPoint(0, 2), ValuedPoint(4, 0))
+        side = Side(ValuedPoint(0, 2), ValuedPoint(4, 0))
         assert side.lattice_points() == [
             ValuedPoint(0, 2),
             ValuedPoint(2, 1),
@@ -149,7 +149,7 @@ class TestSide:
             dx = rng.randint(1, 30)
             y0 = rng.randint(0, 30)
             y1 = rng.randint(0, 30)
-            side = Side.from_endpoints(ValuedPoint(x0, y0), ValuedPoint(x0 + dx, y1))
+            side = Side(ValuedPoint(x0, y0), ValuedPoint(x0 + dx, y1))
             assert side.length % side.e == 0
             assert side.height * side.e == side.length * side.h
 
@@ -278,7 +278,7 @@ class TestResidualPolynomial:
 
     def test_wrong_base_rejected(self):
         exp = phi_expansion((4, 0, 2, 0, 1), (0, 1))
-        side = Side.from_endpoints(ValuedPoint(0, 2), ValuedPoint(4, 0))
+        side = Side(ValuedPoint(0, 2), ValuedPoint(4, 0))
         with pytest.raises(ValidationError):
             residual_polynomial(exp, 2, (1, 1), side)
 

@@ -1,11 +1,12 @@
 import itertools
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monogenity import residue
-from monogenity.errors import ValidationError
+from monogenity.errors import InvariantError, ValidationError
 from monogenity.oracle import _poly_mod_small, is_irreducible_by_trial_division
 from monogenity.residue import (
     X,
@@ -29,6 +30,7 @@ from monogenity.residue import (
 
 F2 = residue_field(2, (0, 1))  # F_2 as F_2[x]/(x)
 F3 = residue_field(3, (0, 1))
+F5 = residue_field(5, (0, 1))
 F4 = residue_field(2, (1, 1, 1))  # F_2[x]/(x^2 + x + 1)
 F9 = residue_field(3, (1, 0, 1))  # F_3[x]/(x^2 + 1)
 
@@ -572,3 +574,32 @@ class TestModulusIrreducibility:
         assert ff_sub(F2, (1, 1), (1,)) == (0, 1)
         with pytest.raises(ValidationError):
             ResidueField(5, (1,))
+
+
+class TestBoundedSplit:
+    """A wrong field arithmetic makes the equal-degree split fail loudly."""
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    @pytest.mark.parametrize(
+        "field, g",
+        [
+            (F5, ff_mul(F5, (4, 1), (3, 1))),  # (y - 1)(y - 2)
+            (F4, ff_mul(F4, ((1,), (1,)), ((0, 1), (1,)))),  # (y + 1)(y + x), the trace branch
+        ],
+    )
+    def test_broken_modular_product_raises(self, monkeypatch, field, g):
+        # a product mod g that drops its second factor: a**e mod g stays 1
+        # and every trace is 0, so no draw can split g
+        monkeypatch.setattr(residue, "ff_mulmod", lambda fld, a, b, m: ff_mod(fld, a, m))
+
+        def expire(signum, frame):
+            raise TimeoutError("the split did not give up within 30 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(30)
+        try:
+            with pytest.raises(InvariantError, match="equal-degree split.*draws"):
+                residue._equal_degree(field, g, 1, random.Random(0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)

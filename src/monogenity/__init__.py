@@ -11,62 +11,30 @@ machine-checkable certificate.
 
 __version__ = "0.1.0"
 
-from .classify import (
-    Certificate,
-    ComIndexEvidence,
-    MonogenityVerdict,
-    PrimeAnalysis,
-    Provenance,
-    Status,
-    classify,
-    dedekind_divides_index,
-    is_common_index_divisor,
-    pure_prime_analysis,
-)
-from .errors import (
-    InvariantError,
-    MonogenityError,
-    OracleDisagreement,
-    ValidationError,
-)
-from .intarith import (
-    INFINITY,
-    binomial_valuation,
-    count_monic_irreducibles,
-    is_prime,
-    is_squarefree,
-    valuation,
-)
-from .ore import (
-    NOT_REGULAR,
-    IndexBound,
-    PhiReport,
-    SplittingShape,
-    analyze_prime,
-    count_primes_with_residue_degree,
-    index_lower_bound,
-    phi_report,
-    splitting_shape,
-)
-from .polygon import (
-    NewtonPolygon,
-    ResidualPolynomial,
-    Side,
-    ValuedPoint,
-    lower_convex_hull,
-    phi_index,
-    principal_part,
-    residual_polynomial,
-    valued_points,
-)
-from .zpoly import (
-    PhiExpansion,
-    PureFieldParams,
-    candidate_index_primes,
-    discriminant_valuation,
-    phi_expansion,
-    pure_polynomial,
-)
+import sys
+
+# each public name by the module that defines it; a module loads when
+# one of its names is first read (PEP 562), so importing the package
+# alone loads none of them
+_HOMES = {
+    name: module
+    for module, names in (
+        ("classify", "Certificate MonogenityVerdict PrimeAnalysis Provenance Status "
+                     "classify pure_prime_analysis"),
+        ("errors", "InvariantError MonogenityError OracleDisagreement ValidationError"),
+        ("general", "ComIndexEvidence analyze_prime count_primes_with_residue_degree "
+                    "dedekind_divides_index is_common_index_divisor phi_expansion valued_points"),
+        ("intarith", "INFINITY binomial_valuation count_monic_irreducibles is_prime "
+                     "is_squarefree valuation"),
+        ("ore", "NOT_REGULAR IndexBound PhiReport SplittingShape index_lower_bound "
+                "phi_report splitting_shape"),
+        ("polygon", "NewtonPolygon ResidualPolynomial Side ValuedPoint lower_convex_hull "
+                    "phi_index principal_part residual_polynomial"),
+        ("zpoly", "PhiExpansion PureFieldParams candidate_index_primes "
+                  "discriminant_valuation pure_polynomial"),
+    )
+    for name in names.split()
+}
 
 __all__ = [
     "__version__",
@@ -115,3 +83,27 @@ __all__ = [
     "valuation",
     "valued_points",
 ]
+
+
+def __getattr__(name):
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{module}")
+    return getattr(sys.modules[f"{__name__}.{module}"], name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(type(sys)):
+    # The import system binds each submodule on its package as it loads,
+    # and the submodule classify would then hide the function classify,
+    # which the package exported before it loaded lazily.
+    def __setattr__(self, name, value):
+        if name != "classify" or not isinstance(value, type(sys)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -4,19 +4,19 @@ The decision tree certifies Z[alpha] = Z_K when v_p(m**p - m) = 1,
 proves non-monogenity through a common index divisor when the engine
 splitting exhibits more degree-f primes than there are monic
 irreducibles of degree f over F_p, and otherwise reports UNDETERMINED
-with full diagnostics.  The Dedekind criterion is carried alongside as
-an independent check that a prime divides the index of Z[alpha].
+with full diagnostics.  The Dedekind criterion, an independent check
+that a prime divides the index of Z[alpha], and the common-index test
+at one prime live in monogenity.general; their names still resolve here.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 from . import ore, zpoly
 from .errors import InvariantError, ValidationError
 from .intarith import _count_monic_irreducibles, _valuation
-from .residue import X, ff_divmod, ff_factor, ff_gcd, ff_mul, reduce_mod_p, residue_field
+from .record import TupleRecord
 from .zpoly import PureFieldParams, candidate_index_primes, pure_polynomial
 
 
@@ -35,13 +35,7 @@ class Provenance(str, enum.Enum):
     NONE = "NONE"
 
 
-class ComIndexEvidence(str, enum.Enum):
-    YES = "YES"
-    NO_EVIDENCE = "NO_EVIDENCE"
-    UNKNOWN_IRREGULAR = "UNKNOWN_IRREGULAR"
-
-
-class PrimeAnalysis(NamedTuple):
+class PrimeAnalysis(TupleRecord):
     """Engine results for the pure polynomial at one prime."""
 
     prime: int
@@ -62,7 +56,7 @@ class PrimeAnalysis(NamedTuple):
         return None
 
 
-class Certificate(NamedTuple):
+class Certificate(TupleRecord):
     """Machine-checkable evidence; every number is recomputable from (p, r, m)."""
 
     params: PureFieldParams
@@ -81,7 +75,7 @@ class Certificate(NamedTuple):
         raise ValidationError(f"certificate has no analysis at {prime}")
 
 
-class MonogenityVerdict(NamedTuple):
+class MonogenityVerdict(TupleRecord):
     status: Status
     provenance: Provenance
     certificate: Certificate
@@ -106,7 +100,9 @@ def pure_prime_analysis(params: PureFieldParams, t: int, f=None) -> PrimeAnalysi
         shift = zpoly.pure_shift_expansion(params)
         reports = (ore.phi_report(f, t, shift.phi, shift, range(n + 1), shift.valuations()),)
     else:
-        reports = tuple(ore.analyze_prime(f, t))
+        from .general import analyze_prime  # no candidate prime of classify gets here
+
+        reports = tuple(analyze_prime(f, t))
     index = ore.index_lower_bound(reports)
     shape = ore.splitting_shape(reports)
     pn_table = ()
@@ -115,9 +111,7 @@ def pure_prime_analysis(params: PureFieldParams, t: int, f=None) -> PrimeAnalysi
             (f, shape.count_residue_degree(f), _count_monic_irreducibles(t, f))
             for f in shape.residue_degrees()
         )
-    return PrimeAnalysis(
-        prime=t, reports=reports, index=index, shape=shape, pn_table=pn_table
-    )
+    return PrimeAnalysis(t, reports, index, shape, pn_table)
 
 
 def _build_certificate(params: PureFieldParams, all_candidates: bool) -> Certificate:
@@ -130,16 +124,8 @@ def _build_certificate(params: PureFieldParams, all_candidates: bool) -> Certifi
     disc = tuple((t, zpoly.discriminant_valuation(params, t)) for t in candidate_index_primes(params))
     at_p = analyses[0] if not all_candidates else next(a for a in analyses if a.prime == p)
     witness = at_p.comindex_witness() if at_p.regular else None
-    return Certificate(
-        params=params,
-        nu_pivot=nu_pivot,
-        nu_fermat=nu_fermat,
-        negative_m=m < 0,
-        analyses=analyses,
-        discriminant_valuations=disc,
-        comindex_prime=p if witness is not None else None,
-        comindex_degree=witness,
-    )
+    comindex_prime = p if witness is not None else None
+    return Certificate(params, nu_pivot, nu_fermat, m < 0, analyses, disc, comindex_prime, witness)
 
 
 def classify(params: PureFieldParams) -> MonogenityVerdict:
@@ -188,47 +174,9 @@ def classify(params: PureFieldParams) -> MonogenityVerdict:
     return MonogenityVerdict(Status.UNDETERMINED, Provenance.NONE, certificate)
 
 
-def is_common_index_divisor(params: PureFieldParams, p: int) -> ComIndexEvidence:
-    """One-directional test: YES proves p divides the index of every generator.
+def __getattr__(name):  # PEP 562: the names that moved to the general engine
+    if name in ("ComIndexEvidence", "is_common_index_divisor", "dedekind_divides_index"):
+        from . import general
 
-    NO_EVIDENCE does not certify monogenity, and an irregular analysis
-    gives no splitting to count.
-    """
-    analysis = pure_prime_analysis(params, p)
-    if not analysis.regular:
-        return ComIndexEvidence.UNKNOWN_IRREGULAR
-    if analysis.comindex_witness() is not None:
-        return ComIndexEvidence.YES
-    return ComIndexEvidence.NO_EVIDENCE
-
-
-def dedekind_divides_index(f: zpoly.ZPoly, q: int) -> bool:
-    """Dedekind's criterion: does q divide the index of Z[x]/(f)?
-
-    Factor the reduction of f as the product of gbar_i**e_i, set
-    gbar = prod gbar_i and hbar = prod gbar_i**(e_i - 1) = fbar / gbar,
-    lift both monically, and test whether gcd((g*h - f)/q, gbar, hbar)
-    is nonconstant over F_q.
-    """
-    prime_field = residue_field(q, X)
-    f = zpoly.poly(f)
-    if not zpoly.is_monic(f):
-        raise ValidationError("Dedekind's criterion needs a monic polynomial")
-    fbar = reduce_mod_p(f, q)
-    gbar = (1,)
-    for factor_bar, _ in ff_factor(prime_field, fbar):
-        gbar = ff_mul(prime_field, gbar, factor_bar)
-    hbar, rem = ff_divmod(prime_field, fbar, gbar)
-    if rem:
-        raise InvariantError("the radical of f mod q does not divide f mod q")
-    product = zpoly.mul(gbar, hbar)
-    diff = zpoly.sub(product, f)
-    t_coeffs = []
-    for c in diff:
-        quo, rem = divmod(c, q)
-        if rem:
-            raise InvariantError("g*h - f is not divisible by q")
-        t_coeffs.append(quo)
-    tbar = reduce_mod_p(t_coeffs, q)
-    common = ff_gcd(prime_field, ff_gcd(prime_field, tbar, gbar), hbar)
-    return len(common) > 1
+        return getattr(general, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__, zpoly
-from .classify import MonogenityVerdict, PrimeAnalysis, classify, dedekind_divides_index
+from .classify import MonogenityVerdict, PrimeAnalysis, classify
 from .errors import InvariantError, OracleDisagreement, ValidationError
 from .intarith import is_prime
 from .ore import NOT_REGULAR, PhiReport
@@ -193,6 +193,7 @@ def _emit(value, indent: str, append) -> None:
 
 def _oracle_reports(verdict: MonogenityVerdict) -> list[dict]:
     from . import oracle  # only --verify runs the oracles
+    from .general import dedekind_divides_index
 
     cert = verdict.certificate
     params = cert.params
@@ -354,14 +355,16 @@ def cmd_scan(args) -> int:
     write one row per m, in m-order.
 
     --jobs caps the number of pool workers.  The scan starts at most one
-    worker per _ROWS_PER_WORKER rows, and runs in process when that allows
-    fewer than two; the same bytes come out either way.  Starting and tearing
-    down a pool costs as much as 100-200 rows.  On 2 CPUs, where a row at
-    p=7 r=1 or p=2 r=8 takes about 0.2 ms, two workers ran at x0.35-1.06
-    the speed of one process on 50-200 rows, x0.82-1.31 on 256 rows and
-    x1.07-1.71 from 512 rows on (medians over 7-15 runs per size); 256 is
-    the smallest power of two K at which 2K rows never ran slower in the
-    pool.  K scales with the cost of a row, so a change that makes rows
+    worker per _ROWS_PER_WORKER rows and one per CPU it may run on, and
+    runs in process when that allows fewer than two; the same bytes come
+    out either way.  The pool forks all its workers at its first task, so
+    without the CPU cap --jobs 5000 would fork 5000 processes.  Starting
+    and tearing down a pool costs as much as 100-200 rows.  On 2 CPUs,
+    where a row at p=7 r=1 or p=2 r=8 takes about 0.2 ms, two workers ran
+    at x0.35-1.06 the speed of one process on 50-200 rows, x0.82-1.31 on
+    256 rows and x1.07-1.71 from 512 rows on (medians over 7-15 runs per
+    size); 256 is the smallest power of two K at which 2K rows never ran
+    slower in the pool.  K scales with the cost of a row, so a change that makes rows
     much cheaper (a per-class memo) must measure it again.
     """
     config = _load_config(args.config)
@@ -389,7 +392,7 @@ def cmd_scan(args) -> int:
         if modulus is None or m % modulus == residue % modulus
     ]
     tasks = [(args.p, args.r, m) for m in ms]
-    workers = min(jobs, len(tasks) // _ROWS_PER_WORKER)
+    workers = min(jobs, len(tasks) // _ROWS_PER_WORKER, _usable_cpus())
     if workers <= 1:
         rows = [_scan_row(t) for t in tasks]
     else:
@@ -415,6 +418,15 @@ def cmd_scan(args) -> int:
         print(f"{status}: {counts.get(status, 0)}")
     print(f"skipped: {skipped}")
     return 0
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where the platform
+    cannot say which."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS and Windows
+        return os.cpu_count() or 1
 
 
 def _format_rows(rows, fmt: str) -> str:

@@ -1,20 +1,22 @@
 """Regularity analysis, the index lower bound, and splitting shapes.
 
-For a monic irreducible f and a prime p this runs the whole first-order
-pipeline: factor the reduction of f, expand f at a lift of each
-irreducible factor, build the principal polygon, attach and factor the
-residual polynomials, and read off the index bound and (in the regular
-case) the shape of the factorization of p in the ring of integers.
+For a monic irreducible f, a prime p and a base phi whose reduction
+is an irreducible factor of the reduction of f, phi_report runs the
+first-order pipeline: expand f at phi, build the principal polygon,
+attach and factor the residual polynomials.  The index bound and (in
+the regular case) the shape of the factorization of p in the ring of
+integers are read off the reports.  analyze_prime, which factors the
+reduction of f and reports at a lift of each factor, lives in
+monogenity.general with the rest of the dense path; its name still
+resolves here.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import polygon, zpoly
 from .errors import InvariantError, ValidationError
+from .record import TupleRecord
 from .residue import (
-    X,
     ff_degree,
     ff_factor,
     ff_make_monic,
@@ -24,7 +26,7 @@ from .residue import (
 )
 
 
-class SideAnalysis(NamedTuple):
+class SideAnalysis(TupleRecord):
     """One principal side together with its residual data."""
 
     side: polygon.Side
@@ -43,7 +45,7 @@ class SideAnalysis(NamedTuple):
         return tuple(out)
 
 
-class PhiReport(NamedTuple):
+class PhiReport(TupleRecord):
     """Everything the polygon machinery knows about one factor of the reduction;
     the valued points (i, v_p(a_i)) come as two columns, which points pairs up."""
 
@@ -66,7 +68,7 @@ class PhiReport(NamedTuple):
         return zpoly.degree(self.phi)
 
 
-class IndexBound(NamedTuple):
+class IndexBound(TupleRecord):
     """Lower bound for v_p of the index; exact when the analysis is regular."""
 
     value: int
@@ -86,7 +88,7 @@ class _NotRegular:
 NOT_REGULAR = _NotRegular()
 
 
-class SplittingShape(NamedTuple):
+class SplittingShape(TupleRecord):
     """Multiset of (ramification index, residue degree) pairs, canonically sorted."""
 
     pairs: tuple[tuple[int, int], ...]
@@ -137,12 +139,16 @@ def phi_report(
     # residual_polynomial then finds the field built
     residue_field(p, reduce_mod_p(phi, p))
     if expansion is None:
-        expansion = zpoly.phi_expansion(f, phi)
+        from .general import phi_expansion  # the dense path: never reached from classify
+
+        expansion = phi_expansion(f, phi)
     elif zpoly.poly(expansion.phi) != phi:
         raise ValidationError("provided expansion was taken at a different base")
 
     if valuations is None:
-        abscissas, valuations = zip(*polygon.valued_points(expansion, p))
+        from .general import valued_points
+
+        abscissas, valuations = zip(*valued_points(expansion, p))
     # valued points skip zero coefficients, so a_0 = 0 leaves abscissa 0 out
     if abscissas[0] and zpoly.degree(f) != zpoly.degree(phi):
         raise ValidationError(
@@ -174,44 +180,18 @@ def phi_report(
         factors = tuple(ff_factor(residual.field, monic))
         if sum(ff_degree(psi) * mult for psi, mult in factors) != side.degree:
             raise InvariantError("residual factorization does not match the side degree")
-        sides.append(SideAnalysis(side=side, residual=residual, factors=factors))
+        sides.append(SideAnalysis(side, residual, factors))
 
     index = polygon.phi_index(principal, zpoly.degree(phi))
     regular = all(s.squarefree for s in sides)
     return PhiReport(
-        phi=phi,
-        multiplicity=multiplicity,
-        abscissas=abscissas,
-        valuations=valuations,
-        polygon=hull,
-        principal=principal,
-        sides=tuple(sides),
-        index=index,
-        regular=regular,
+        phi, multiplicity, abscissas, valuations, hull, principal, tuple(sides), index, regular
     )
-
-
-def analyze_prime(f: zpoly.ZPoly, p: int) -> list[PhiReport]:
-    """One PhiReport per irreducible factor of the reduction of f mod p.
-
-    Expansion bases are the canonical monic lifts with coefficients in
-    0..p-1, in the canonical factor order.  Building F_p checks p.
-    """
-    prime_field = residue_field(p, X)
-    f = zpoly.poly(f)
-    if not zpoly.is_monic(f):
-        raise ValidationError("analysis requires a monic polynomial")
-    return [
-        phi_report(f, p, phibar) for phibar, _ in ff_factor(prime_field, reduce_mod_p(f, p))
-    ]
 
 
 def index_lower_bound(reports) -> IndexBound:
     """Sum of the per-factor indices; exact iff every report is regular."""
-    return IndexBound(
-        value=sum(r.index for r in reports),
-        exact=all(r.regular for r in reports),
-    )
+    return IndexBound(sum(r.index for r in reports), all(r.regular for r in reports))
 
 
 def splitting_shape(reports):
@@ -244,8 +224,9 @@ def splitting_shape(reports):
     return shape
 
 
-def count_primes_with_residue_degree(shape: SplittingShape, f: int) -> int:
-    """Number of primes in the shape with residue degree f."""
-    if f < 1:
-        raise ValidationError("residue degree must be positive")
-    return shape.count_residue_degree(f)
+def __getattr__(name):  # PEP 562: the names that moved to the general engine
+    if name in ("analyze_prime", "count_primes_with_residue_degree"):
+        from . import general
+
+        return getattr(general, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

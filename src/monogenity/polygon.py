@@ -1,5 +1,7 @@
 """Valued points, lower convex envelopes with exact rational slopes,
 the principal part, lattice-point index counts, and residual polynomials.
+The valued points of a dense expansion and the lattice points that
+render draws live in monogenity.general; their names still resolve here.
 
 A side's slope is -h/e in lowest terms, kept as the integers h and e:
 hull construction, the chain check, the principal part and the index
@@ -10,11 +12,9 @@ nothing here ever rounds.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import InvariantError, ValidationError
-from .intarith import INFINITY, require_prime
-from .record import Record
+from .record import Record, TupleRecord
 from .residue import (
     ResidueField,
     _residue_class,
@@ -26,7 +26,7 @@ from .residue import (
 from .zpoly import PhiExpansion, PureShiftExpansion, ZPoly, _poly_valuation
 
 
-class ValuedPoint(NamedTuple):
+class ValuedPoint(TupleRecord):
     """Abscissa = position in the phi-expansion, ordinate = Gauss valuation."""
 
     i: int
@@ -67,13 +67,6 @@ class Side(Record):
 
         return Fraction(self.start.v * self.e - (x - self.start.i) * self.h, self.e)
 
-    def lattice_points(self) -> list[ValuedPoint]:
-        """The integral points on the side: start, start + (e, -h), ..."""
-        return [
-            ValuedPoint(self.start.i + k * self.e, self.start.v - k * self.h)
-            for k in range(self.degree + 1)
-        ]
-
 
 class NewtonPolygon(Record):
     """A chain of sides with strictly increasing slopes."""
@@ -109,18 +102,6 @@ class NewtonPolygon(Record):
             if side.start.i <= x <= side.end.i:
                 return side
         raise ValidationError(f"abscissa {x} outside polygon span")
-
-
-def valued_points(expansion: PhiExpansion, p: int) -> list[ValuedPoint]:
-    """The points (i, v_p(a_i)) for the nonzero expansion coefficients."""
-    require_prime(p)
-    points = []
-    for i, a in enumerate(expansion.coefficients):
-        if a:
-            v = _poly_valuation(p, a)
-            if v is not INFINITY:
-                points.append(ValuedPoint(i, v))
-    return points
 
 
 def _dedupe(points) -> list[ValuedPoint]:
@@ -184,22 +165,7 @@ def phi_index(principal: NewtonPolygon, deg_phi: int) -> int:
     return deg_phi * total
 
 
-def index_lattice_points(principal: NewtonPolygon) -> list[tuple[int, int]]:
-    """The lattice points counted by phi_index (with deg_phi = 1), column by column."""
-    out = []
-    if principal.is_empty:
-        return out
-    first = principal.sides[0].start.i
-    for side in principal.sides:
-        lo = side.start.i if side.start.i == first else side.start.i + 1
-        for x in range(max(1, lo), side.end.i + 1):
-            top = (side.start.v * side.e - (x - side.start.i) * side.h) // side.e
-            for y in range(1, top + 1):
-                out.append((x, y))
-    return out
-
-
-class ResidualPolynomial(NamedTuple):
+class ResidualPolynomial(TupleRecord):
     """The polynomial over F_phi attached to one side.
 
     coefficients[k], an element of field, is the residue class of the
@@ -257,4 +223,12 @@ def residual_polynomial(
             coeffs.append(digit if pure else _residue_class(field, a, u))
     if not coeffs[0] or not coeffs[-1]:
         raise ValidationError("side endpoints must lie on the polygon")
-    return ResidualPolynomial(side=side, field=field, coefficients=tuple(coeffs))
+    return ResidualPolynomial(side, field, tuple(coeffs))
+
+
+def __getattr__(name):  # PEP 562: the names that moved to the general engine
+    if name in ("valued_points", "lattice_points", "index_lattice_points"):
+        from . import general
+
+        return getattr(general, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,21 +7,22 @@ point sets without going through the pure-field pipeline.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from . import __version__
 from .classify import pure_prime_analysis
 from .errors import ValidationError
-from .polygon import NewtonPolygon, index_lattice_points, principal_part
+from .general import index_lattice_points
+from .polygon import NewtonPolygon, principal_part
+from .record import TupleRecord
 from .zpoly import PureFieldParams, candidate_index_primes, to_string
 
 
-class PolygonFigure(NamedTuple):
+class PolygonFigure(TupleRecord):
     title: str
     points: tuple[tuple[int, int], ...]  # (i, v) pairs
     polygon: NewtonPolygon
     index_points: tuple[tuple[int, int], ...]
-    side_labels: tuple[str, ...] = ()
+    side_labels: tuple[str, ...]
 
 
 def figure_from_polygon(title: str, points, polygon: NewtonPolygon) -> PolygonFigure:

@@ -10,9 +10,10 @@ reduced representative, an FpPoly of degree < k.  Elements do not
 carry their field: it is the first argument of every ff_* function.
 
 Arithmetic reduces once per output coefficient.  A field of degree
-k >= 2 precomputes the fold rows x^j mod phibar, j = k..2k-2: a product
-of two elements is a schoolbook product with plain int coefficients,
-then one fold and one % p per coefficient.  ff_mul and ff_divmod sum
+k >= 2, an ExtensionField, lives in monogenity.general, which classify
+never imports.  It precomputes the fold rows x^j mod phibar,
+j = k..2k-2: a product of two elements is a schoolbook product with
+plain int coefficients, then one fold and one % p per coefficient.  ff_mul and ff_divmod sum
 the products that make one polynomial coefficient in an unreduced
 accumulator (an int over F_p) and reduce it once; the division reduces
 its top remainder coefficient when it reads it.  Inverses come from
@@ -63,10 +64,11 @@ class ResidueField(Record):
     """The field F_p[x]/(modulus), modulus monic irreducible over F_p.
 
     ResidueField(p, modulus) is a PrimeField when the modulus is linear
-    and an ExtensionField otherwise.  Both have zero, one, element(coeffs)
-    (the class of an integer polynomial) and the element operations
-    add(a, b), sub(a, b), mul(a, b), pow(a, e), inv(a) and scale(a, n)
-    (a times the integer n).  They also have the unreduced
+    and otherwise a monogenity.general.ExtensionField, imported then.
+    Both have zero, one, element(coeffs) (the class of an integer
+    polynomial) and the element operations add(a, b), sub(a, b),
+    mul(a, b), pow(a, e), inv(a) and scale(a, n) (a times the integer
+    n).  They also have the unreduced
     accumulators that ff_mul and ff_divmod sum products in, one per
     polynomial coefficient: lift(a) is the element a as an accumulator,
     fma(accs, i, q, ys) and fms(accs, i, q, ys) add and subtract q*ys[j]
@@ -80,7 +82,12 @@ class ResidueField(Record):
         # the element representation follows the degree; unpickling
         # calls the subclass itself
         if cls is ResidueField:
-            cls = PrimeField if len(modulus) == 2 else ExtensionField
+            if len(modulus) > 2:
+                from .general import ExtensionField  # classify meets F_p only
+
+                cls = ExtensionField
+            else:
+                cls = PrimeField
         return object.__new__(cls)
 
     def __init__(self, p: int, modulus: FpPoly):
@@ -141,114 +148,6 @@ class PrimeField(ResidueField):
 
     def reduce(self, acc):
         return acc % self.p
-
-
-class ExtensionField(ResidueField):
-    """F_(p^k), k >= 2: elements are reduced FpPoly tuples of length <= k.
-
-    An accumulator is a list of 2k - 1 unreduced ints, the coefficients
-    of a polynomial in x of degree <= 2k - 2, which is what a product of
-    two elements is.  reduce replaces each x^j, j = k..2k-2, by its fold
-    row x^j mod modulus, then takes each of the k coefficients mod p
-    once.  Sums, differences and inverses are ff_* operations over the
-    prime field F_p, held on the field.
-    """
-
-    __slots__ = ("_prime", "_folds", "_width")
-    zero = ()
-    one = (1,)
-
-    def __init__(self, p: int, modulus: FpPoly):
-        super().__init__(p, modulus)
-        k = self.degree
-        prime = residue_field(p, X)
-        if ff_factor(prime, self.modulus) != [(self.modulus, 1)]:
-            raise ValidationError(f"residue field modulus {self.modulus} is reducible over F_{p}")
-        rows = []
-        row = tuple(-c % p for c in self.modulus[:k])  # x^k = x^k - modulus
-        for _ in range(k - 1):
-            rows.append(row)
-            top = row[-1]  # x * row, with its x^k term folded back in
-            row = tuple((c + top * r) % p for c, r in zip((0,) + row[:-1], rows[0]))
-        # (j, the nonzero (i, coefficient of x^i) of the fold row of x^j)
-        folds = tuple(
-            (j, tuple((i, r) for i, r in enumerate(row) if r)) for j, row in enumerate(rows, k)
-        )
-        object.__setattr__(self, "_prime", prime)
-        object.__setattr__(self, "_folds", folds)
-        object.__setattr__(self, "_width", 2 * k - 1)
-
-    def add(self, a, b):
-        return ff_add(self._prime, a, b)
-
-    def sub(self, a, b):
-        return ff_sub(self._prime, a, b)
-
-    def mul(self, a, b):
-        acc = [0] * self._width
-        self.fma([acc], 0, a, (b,))
-        return self.reduce(acc)
-
-    def pow(self, a, e):
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
-
-    def inv(self, a):
-        # extended Euclid in F_p[x]: s*a = r (mod modulus) along the remainders
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        prime, p = self._prime, self.p
-        r0, r1 = self.modulus, a
-        s0, s1 = (), (1,)
-        while len(r1) > 1:
-            q, r = ff_divmod(prime, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, ff_sub(prime, s0, ff_mul(prime, q, s1))
-        c = pow(r1[0], -1, p)
-        return tuple(s * c % p for s in s1)
-
-    def scale(self, a, n):
-        p = self.p
-        return tuple(c * n % p for c in a) if n % p else ()
-
-    def element(self, coeffs):
-        """The class of the integer polynomial coeffs."""
-        return ff_mod(self._prime, reduce_mod_p(coeffs, self.p), self.modulus)
-
-    def lift(self, a):
-        return list(a) + [0] * (self._width - len(a))
-
-    def fma(self, accs, i, q, ys):
-        _accumulate(accs, i, [(t, c) for t, c in enumerate(q) if c], ys)
-
-    def fms(self, accs, i, q, ys):
-        _accumulate(accs, i, [(t, -c) for t, c in enumerate(q) if c], ys)
-
-    def reduce(self, acc):
-        for j, terms in self._folds:
-            c = acc[j]
-            if c:
-                for i, r in terms:
-                    acc[i] += c * r
-        p = self.p
-        out = [c % p for c in acc[: len(self.modulus) - 1]]
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
-
-
-def _accumulate(accs, i, terms, ys):
-    # accs[i + j] += q * ys[j], q given by its nonzero terms (t, c)
-    for j, y in enumerate(ys, i):
-        acc = accs[j]
-        for t, c in terms:
-            for u, d in enumerate(y, t):
-                acc[u] += c * d
 
 
 # Bounded: a scan meets a new F_q for almost every new prime q of m, and an
@@ -563,3 +462,11 @@ def ff_factor(field: ResidueField, g) -> list[tuple[tuple, int]]:
             for irr in irreducibles:
                 found[irr] = found.get(irr, 0) + mult
     return sorted(found.items(), key=lambda item: (ff_degree(item[0]), item[0]))
+
+
+def __getattr__(name):  # PEP 562: the names that moved to the general engine
+    if name == "ExtensionField":
+        from . import general
+
+        return general.ExtensionField
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

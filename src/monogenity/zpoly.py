@@ -1,19 +1,21 @@
-"""Monic integer polynomials, phi-adic expansion, and the pure-field
-family x**(p**r) - m.
+"""Monic integer polynomials, the pure-field family x**(p**r) - m, and
+its expansion at x - m in closed form.
 
 Integer polynomials are tuples of Python ints in ascending degree
-order with no trailing zeros; () is the zero polynomial.
+order with no trailing zeros; () is the zero polynomial.  The dense
+Z[x] arithmetic and the phi-adic expansion at any base live in
+monogenity.general, which classify never needs; their names still
+resolve here.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from . import intarith
 from .errors import ValidationError
 from .intarith import INFINITY, _valuation, is_prime, require_prime
-from .record import Record
+from .record import Record, TupleRecord
 
 ZPoly = tuple[int, ...]
 
@@ -33,47 +35,6 @@ def degree(f: ZPoly) -> int:
 
 def is_monic(f: ZPoly) -> bool:
     return bool(f) and f[-1] == 1
-
-
-def add(a: ZPoly, b: ZPoly) -> ZPoly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly(out)
-
-
-def sub(a: ZPoly, b: ZPoly) -> ZPoly:
-    return add(a, tuple(-c for c in b))
-
-
-def mul(a: ZPoly, b: ZPoly) -> ZPoly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return poly(out)
-
-
-def divmod_monic(f: ZPoly, g: ZPoly) -> tuple[ZPoly, ZPoly]:
-    """Euclidean division by a monic divisor; stays inside Z[x]."""
-    if not is_monic(g):
-        raise ValidationError("divisor must be monic")
-    rem = list(f)
-    if len(f) < len(g):
-        return (), f
-    quo = [0] * (len(f) - len(g) + 1)
-    for shift in range(len(f) - len(g), -1, -1):
-        c = rem[shift + len(g) - 1]
-        if c:
-            quo[shift] = c
-            for j, cg in enumerate(g):
-                rem[shift + j] -= c * cg
-    return poly(quo), poly(rem)
 
 
 def derivative(f: ZPoly) -> ZPoly:
@@ -166,57 +127,15 @@ class PhiExpansion(Record):
         return self.coefficients[i] if i < len(self.coefficients) else ()
 
     def reconstruct(self) -> ZPoly:
+        from .general import add, mul  # the dense arithmetic; classify never reconstructs
+
         acc: ZPoly = ()
         for a in reversed(self.coefficients):
             acc = add(mul(acc, self.phi), a)
         return acc
 
 
-def _expand_linear(f: ZPoly, c: int) -> list[ZPoly]:
-    # repeated synthetic division by (x - c); the Taylor shift
-    work = list(f)
-    out: list[ZPoly] = []
-    for _ in range(len(f)):
-        carry = 0
-        for j in range(len(work) - 1, -1, -1):
-            carry = carry * c + work[j]
-            work[j] = carry
-        out.append(poly((work[0],)))
-        work = work[1:]
-        if not work:
-            break
-    return out
-
-
-def phi_expansion(f: ZPoly, phi: ZPoly, force_general: bool = False) -> PhiExpansion:
-    """Expansion of f by euclidean division against successive powers of phi.
-
-    Implemented as a remainder tower (repeated division by phi).  For
-    linear phi = x - c the synthetic-division fast path produces
-    identical output; force_general bypasses it for testing.
-    """
-    f = poly(f)
-    phi = poly(phi)
-    if degree(phi) < 1 or not is_monic(phi):
-        raise ValidationError("expansion base must be monic of degree >= 1")
-    if not f:
-        return PhiExpansion(phi, ((),))
-    if phi == (0, 1) and not force_general:
-        coeffs = [(c,) if c else () for c in f]
-    elif degree(phi) == 1 and not force_general:
-        coeffs = _expand_linear(f, -phi[0])
-    else:
-        coeffs = []
-        g = f
-        while g:
-            g, rem = divmod_monic(g, phi)
-            coeffs.append(rem)
-    while len(coeffs) > 1 and coeffs[-1] == ():
-        coeffs.pop()
-    return PhiExpansion(phi, tuple(coeffs))
-
-
-class PureShiftExpansion(NamedTuple):
+class PureShiftExpansion(TupleRecord):
     """x**n - m expanded at phi = x - m, for a prime p that does not divide m.
 
     The binomial theorem gives a_0 = m**n - m and
@@ -317,3 +236,11 @@ def discriminant_valuation(params: PureFieldParams, q: int) -> int:
 def candidate_index_primes(params: PureFieldParams) -> tuple[int, ...]:
     """The primes that can divide the index of Z[alpha]: p and the divisors of m."""
     return tuple(sorted({params.p, *params.m_primes}))
+
+
+def __getattr__(name):  # PEP 562: the names that moved to the general engine
+    if name in ("add", "sub", "mul", "divmod_monic", "phi_expansion"):
+        from . import general
+
+        return getattr(general, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

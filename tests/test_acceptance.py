@@ -5,12 +5,14 @@ with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import os
 import random
 
 import pytest
 
-from monogenity.classify import Status, classify, dedekind_divides_index
+from monogenity.classify import Status, classify
 from monogenity.errors import ValidationError
+from monogenity.general import dedekind_divides_index
 from monogenity.intarith import (
     binomial_valuation,
     count_monic_irreducibles,
@@ -252,6 +254,8 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
     from monogenity.cli import main
 
     monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)  # 119 rows still start 8 workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"

@@ -1,19 +1,16 @@
-import importlib
 import math
 import random
 
 import pytest
 
-from monogenity.classify import (
+from monogenity.classify import Provenance, Status, classify, pure_prime_analysis
+from monogenity.errors import InvariantError, ValidationError
+from monogenity.general import (
     ComIndexEvidence,
-    Provenance,
-    Status,
-    classify,
     dedekind_divides_index,
     is_common_index_divisor,
-    pure_prime_analysis,
+    phi_expansion,
 )
-from monogenity.errors import InvariantError, ValidationError
 from monogenity.intarith import is_squarefree, valuation
 from monogenity.oracle import brute_hull
 from monogenity.ore import NOT_REGULAR, phi_report
@@ -22,7 +19,6 @@ from monogenity.zpoly import (
     PhiExpansion,
     PureFieldParams,
     candidate_index_primes,
-    phi_expansion,
     pure_polynomial,
     pure_shift_expansion,
 )
@@ -141,8 +137,9 @@ class TestDedekind:
 
     def test_radical_not_dividing_raises(self, monkeypatch):
         # x does not divide x^2 + 1 over F_2, so hbar = fbar / gbar is not exact
-        module = importlib.import_module("monogenity.classify")  # the package exports a function classify
-        monkeypatch.setattr(module, "ff_factor", lambda field, g: [((0, 1), 2)])
+        from monogenity import general
+
+        monkeypatch.setattr(general, "ff_factor", lambda field, g: [((0, 1), 2)])
         with pytest.raises(InvariantError):
             dedekind_divides_index((1, 0, 1), 2)
 
@@ -238,7 +235,8 @@ class TestEngineDedekindCross:
         # exact index bound is positive exactly when Dedekind's criterion
         # says p divides the index.  Two fully independent routes.
         from monogenity.oracle import resultant
-        from monogenity.ore import analyze_prime, index_lower_bound
+        from monogenity.general import analyze_prime
+        from monogenity.ore import index_lower_bound
         from monogenity.zpoly import derivative, poly
 
         rng = random.Random(0)
@@ -375,7 +373,7 @@ class TestClosedFormAtP:
         "p, r", [(p, r) for p in (2, 3, 5, 7) for r in range(1, 9) if p**r <= 343]
     )
     def test_points_match_dense_valued_points(self, p, r):
-        from monogenity.polygon import valued_points
+        from monogenity.general import valued_points
 
         # m = 1 mod p**2 puts nu0 past 1; 2 * 3 * 5 * 7 makes every p divide m
         for m in ({2: 17, 3: 10, 5: 26, 7: 197}[p], -6 if p > 3 else 5, 210):
@@ -430,7 +428,7 @@ class TestPrimeChecks:
 
     @pytest.mark.parametrize("q", [4, 9, 15])
     def test_composite_rejected_at_every_entry(self, q):
-        from monogenity import intarith, ore, polygon, residue, zpoly
+        from monogenity import general, intarith, ore, polygon, residue, zpoly
 
         params = PureFieldParams(2, 1, 30)  # 15 divides m
         f = (-12, 0, 1)
@@ -444,10 +442,10 @@ class TestPrimeChecks:
             lambda: zpoly.discriminant_valuation(params, q),
             lambda: residue.residue_field(q, (0, 1)),
             lambda: residue.residue_class((12,), q, (0, 1), 0),
-            lambda: polygon.valued_points(expansion, q),
+            lambda: general.valued_points(expansion, q),
             lambda: polygon.residual_polynomial(expansion, q, (0, 1), side),
             lambda: ore.phi_report(f, q, (0, 1)),
-            lambda: ore.analyze_prime(f, q),
+            lambda: general.analyze_prime(f, q),
             lambda: pure_prime_analysis(params, q),
             lambda: dedekind_divides_index(f, q),
         ]

@@ -24,6 +24,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usable_cpus(monkeypatch, n):
+    """Make the scan see n usable CPUs, with or without sched_getaffinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 def load_schema():
     text = resources.files("monogenity").joinpath("schemas/analyze.schema.json").read_text()
     return json.loads(text)
@@ -254,6 +260,7 @@ class TestScan:
 
     def test_parallel_matches_serial(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)  # 39 rows still start 4 workers
+        usable_cpus(monkeypatch, 4)
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
         base = ["scan", "--p", "2", "--r", "2", "--m-from", "2", "--m-to", "40"]
@@ -297,6 +304,7 @@ class TestScan:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        usable_cpus(monkeypatch, 2)
         multiple, offset = rows_in_k
         rows = multiple * cli._ROWS_PER_WORKER + offset
         step = 3 if extra else 1
@@ -314,6 +322,52 @@ class TestScan:
             assert outputs["1"] == outputs["2"]
             assert len(outputs["1"].splitlines()) == rows + (fmt == "csv")
         assert started == ([2, 2] if rows >= 2 * cli._ROWS_PER_WORKER else [])
+
+    @pytest.mark.parametrize(
+        "cpus, affinity, jobs, started",
+        [
+            (2, True, 5000, [2]),  # a huge --jobs forks no more workers than CPUs
+            (4, True, 3, [3]),
+            (1, True, 8, []),  # one CPU: in process
+            (3, False, 8, [3]),  # no sched_getaffinity: os.cpu_count()
+            (None, False, 8, []),  # cpu_count() unknown: one CPU, in process
+        ],
+    )
+    def test_pool_workers_capped_at_usable_cpus(
+        self, tmp_path, capsys, monkeypatch, cpus, affinity, jobs, started
+    ):
+        import concurrent.futures
+
+        seen = []
+
+        class InProcess:
+            # records the pool's size and maps in this process: no worker starts
+            def __init__(self, max_workers=None, **kwargs):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)  # 64 rows allow 64 workers
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        base = ["scan", "--p", "7", "--r", "1", "--m-from", "2", "--m-to", "65"]
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        assert run(capsys, *base, "--out", str(serial))[0] == 0
+        assert seen == []
+        assert run(capsys, *base, "--jobs", str(jobs), "--out", str(pooled))[0] == 0
+        assert seen == started
+        assert pooled.read_bytes() == serial.read_bytes()
 
     def test_unwritable_path(self, capsys):
         code, _, err = run(
@@ -413,6 +467,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_scan_csv_prime_field(self, tmp_path, capsys, monkeypatch, jobs):
         monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)  # 200 rows still start a pool at --jobs 2
+        usable_cpus(monkeypatch, 2)
         out_path = tmp_path / "rows.csv"
         code, _, _ = run(
             capsys, "scan", "--p", "7", "--r", "1",
@@ -445,20 +500,20 @@ class TestByteIdentity:
     def test_residuals_over_extension_fields(self):
         # the pure family only meets F_phi = F_p, so no other digest covers
         # residuals and factors over F_{p^k} with k >= 2
-        from monogenity import ore, zpoly
+        from monogenity import general
 
         def power(phi, k):
             out = (1,)
             for _ in range(k):
-                out = zpoly.mul(out, phi)
+                out = general.mul(out, phi)
             return out
 
         lines = []
         for phi, p, k, terms in self.EXTENSION_CASES:
             f = power(phi, k)
             for j, a, c in terms:
-                f = zpoly.add(f, zpoly.mul((p**a,), zpoly.mul(c, power(phi, j))))
-            for report in ore.analyze_prime(f, p):
+                f = general.add(f, general.mul((p**a,), general.mul(c, power(phi, j))))
+            for report in general.analyze_prime(f, p):
                 for side in report.sides:
                     lines.append(f"{side.residual}|{';'.join(side.factor_strings())}")
         text = "\n".join(lines)

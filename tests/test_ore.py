@@ -1,11 +1,10 @@
 import pytest
 
 from monogenity.errors import ValidationError
+from monogenity.general import analyze_prime, count_primes_with_residue_degree
 from monogenity.ore import (
     NOT_REGULAR,
     SplittingShape,
-    analyze_prime,
-    count_primes_with_residue_degree,
     index_lower_bound,
     phi_report,
     splitting_shape,

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monogenity.errors import ValidationError
+from monogenity.general import index_lattice_points, lattice_points, phi_expansion, valued_points
 from monogenity.oracle import brute_hull, brute_phi_index
 from monogenity.polygon import (
     NewtonPolygon,
     Side,
     ValuedPoint,
-    index_lattice_points,
     lower_convex_hull,
     phi_index,
     principal_part,
     residual_polynomial,
-    valued_points,
 )
-from monogenity.zpoly import PureFieldParams, phi_expansion, pure_polynomial
+from monogenity.zpoly import PureFieldParams, pure_polynomial
 
 FIG1_VERTICES = [(0, 5), (1, 3), (5, 1), (9, 0)]
 FIG2_POINTS_V4 = [(0, 4), (1, 3), (3, 2), (9, 1), (27, 0)]
@@ -134,9 +133,9 @@ class TestSide:
 
     def test_lattice_points(self):
         side = Side(ValuedPoint(3, 2), ValuedPoint(9, 1))
-        assert side.lattice_points() == [ValuedPoint(3, 2), ValuedPoint(9, 1)]
+        assert lattice_points(side) == [ValuedPoint(3, 2), ValuedPoint(9, 1)]
         side = Side(ValuedPoint(0, 2), ValuedPoint(4, 0))
-        assert side.lattice_points() == [
+        assert lattice_points(side) == [
             ValuedPoint(0, 2),
             ValuedPoint(2, 1),
             ValuedPoint(4, 0),
@@ -334,5 +333,5 @@ class TestPolygonInvariants:
             drop = principal.sides[0].start.v - principal.sides[-1].end.v
             assert sum(s.height for s in principal.sides) == drop
             for side in principal.sides:
-                for pt in side.lattice_points():
+                for pt in lattice_points(side):
                     assert side.ordinate_at(pt.i) == pt.v

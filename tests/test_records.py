@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import monogenity
 from monogenity import (
     INFINITY,
     IndexBound,
@@ -18,15 +19,49 @@ from monogenity import (
     ValuedPoint,
     classify,
 )
+from monogenity.general import ExtensionField
 from monogenity.polygon import NewtonPolygon
-from monogenity.residue import ExtensionField, PrimeField, ResidueField, residue_field
-from monogenity.zpoly import PhiExpansion
+from monogenity.residue import PrimeField, ResidueField, residue_field
+from monogenity.zpoly import PhiExpansion, pure_shift_expansion
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Loaded by --verify, render, scan or Side.slope only, never by a load
-# of the CLI: each would be built or compiled on every command.
-NOT_LOADED = ("monogenity.oracle", "monogenity.render", "dataclasses", "fractions", "csv")
+# Loaded by --verify, render, scan, Side.slope or a polynomial outside the
+# pure family only, never by a load of the CLI: each would be built or
+# compiled on every command.
+NOT_LOADED = (
+    "monogenity.oracle",
+    "monogenity.render",
+    "monogenity.general",
+    "dataclasses",
+    "fractions",
+    "csv",
+    "typing",
+)
+
+# (module, name) for every public name that moved into monogenity.general
+MOVED = [
+    ("zpoly", name) for name in ("add", "sub", "mul", "divmod_monic", "phi_expansion")
+] + [
+    ("polygon", name) for name in ("valued_points", "lattice_points", "index_lattice_points")
+] + [
+    ("ore", "analyze_prime"),
+    ("ore", "count_primes_with_residue_degree"),
+    ("classify", "ComIndexEvidence"),
+    ("classify", "is_common_index_divisor"),
+    ("classify", "dedekind_divides_index"),
+    ("residue", "ExtensionField"),
+]
+
+
+def _run_bare(code: str) -> str:
+    """Run code in a fresh python -S process on src/ and return its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 class TestImportGraph:
@@ -36,12 +71,74 @@ class TestImportGraph:
             "import monogenity.cli\n"
             f"print(' '.join(sorted(set({NOT_LOADED!r}) & set(sys.modules))))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        done = subprocess.run(
-            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        assert _run_bare(code).split() == []
+
+    def test_analyze_and_scan_never_load_the_general_engine(self, tmp_path):
+        out = tmp_path / "scan"
+        code = (
+            "import contextlib, io, sys\n"
+            "from monogenity.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for fmt in ('json', 'human'):\n"
+            "        for p, r, m in ((2, 12, 17), (61, 2, 3), (3, 2, 10), (2, 3, -15)):\n"
+            "            main(['analyze', '--p', str(p), '--r', str(r), '--m', str(m), '--format', fmt])\n"
+            "    for fmt in ('csv', 'jsonl'):\n"
+            "        for p, r in ((7, 1), (2, 8), (3, 2), (5, 1)):\n"
+            "            main(['scan', '--p', str(p), '--r', str(r), '--m-from', '-60',\n"
+            f"                  '--m-to', '60', '--format', fmt, '--out', {str(out)!r}])\n"
+            "print('monogenity.general' in sys.modules, 'typing' in sys.modules)\n"
+            "from monogenity.residue import residue_field\n"
+            "residue_field(7, (3, 1))\n"
+            "print('monogenity.general' in sys.modules)\n"
+            "residue_field(3, (1, 0, 1))\n"
+            "print('monogenity.general' in sys.modules)\n"
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == []
+        assert _run_bare(code).split() == ["False", "False", "False", "True"]
+
+    def test_package_import_loads_no_submodule(self):
+        code = (
+            "import sys\n"
+            "import monogenity\n"
+            "print(' '.join(sorted(n for n in sys.modules if n.startswith('monogenity.'))))\n"
+            "missing = set(monogenity.__all__) - set(dir(monogenity))\n"
+            "print(' '.join(sorted(missing)) or 'none')\n"
+            "print(' '.join(sorted(n for n in sys.modules if n.startswith('monogenity.'))))\n"
+        )
+        assert _run_bare(code).split() == ["none"]
+
+    def test_every_exported_name_resolves(self):
+        # resolved in a fresh process, where each name loads its module on first use
+        code = (
+            "import sys\n"
+            "import monogenity\n"
+            "monogenity.ValidationError\n"
+            "print(' '.join(sorted(n for n in sys.modules if n.startswith('monogenity.'))))\n"
+            "for name in monogenity.__all__:\n"
+            "    value = getattr(monogenity, name)\n"
+            "    home = getattr(value, '__module__', None)\n"
+            "    if home and home.startswith('monogenity.') and name != '__version__':\n"
+            "        assert getattr(sys.modules[home], name) is value, name\n"
+            "import monogenity.classify\n"
+            "print(callable(monogenity.classify), monogenity.classify.__module__)\n"
+        )
+        assert _run_bare(code).split() == ["monogenity.errors", "True", "monogenity.classify"]
+        assert set(monogenity.__all__) <= set(dir(monogenity))
+        for name in monogenity.__all__:
+            assert getattr(monogenity, name) is not None
+        with pytest.raises(AttributeError):
+            monogenity.no_such_name
+
+    @pytest.mark.parametrize("module, name", MOVED, ids=[".".join(pair) for pair in MOVED])
+    def test_moved_name_resolves_to_the_general_engine(self, module, name):
+        import importlib
+
+        from monogenity import general
+
+        old = importlib.import_module(f"monogenity.{module}")
+        assert getattr(old, name) is getattr(general, name)
+        assert name in dir(general) and name not in vars(old)
+        with pytest.raises(AttributeError):
+            getattr(old, "no_such_name")
 
     def test_lazy_modules_still_load(self):
         code = (
@@ -50,12 +147,7 @@ class TestImportGraph:
             "print(Side(ValuedPoint(0, 2), ValuedPoint(4, 0)).slope)\n"
             "print('fractions' in sys.modules)\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        done = subprocess.run(
-            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["-1/2", "True"]
+        assert _run_bare(code).split() == ["-1/2", "True"]
 
 
 def _side(a, b):
@@ -63,6 +155,34 @@ def _side(a, b):
 
 
 VERDICT = classify(PureFieldParams(p=3, r=3, m=10))
+REPORT = VERDICT.certificate.analyses[0].reports[0]
+
+
+def _analysis(p=3, r=3, m=10):
+    # built afresh on every call, so that two calls give equal, distinct records
+    return classify(PureFieldParams(p, r, m)).certificate.analyses[0]
+
+
+def _figure():
+    from monogenity.render import figure_for
+
+    return figure_for(PureFieldParams(3, 3, 10), 3)
+
+
+# one instance of every tuple record, built by the code that builds it
+TUPLE_RECORDS = {
+    "ValuedPoint": lambda: ValuedPoint(1, 2),
+    "ResidualPolynomial": lambda: _analysis().reports[0].sides[0].residual,
+    "PureShiftExpansion": lambda: pure_shift_expansion(PureFieldParams(3, 3, 10)),
+    "SideAnalysis": lambda: _analysis().reports[0].sides[0],
+    "PhiReport": lambda: _analysis().reports[0],
+    "IndexBound": lambda: _analysis().index,
+    "SplittingShape": lambda: _analysis(2, 2, 17).shape,
+    "PrimeAnalysis": _analysis,
+    "Certificate": lambda: classify(PureFieldParams(3, 3, 10)).certificate,
+    "MonogenityVerdict": lambda: classify(PureFieldParams(3, 3, 10)),
+    "PolygonFigure": _figure,
+}
 
 
 class TestRecordSemantics:
@@ -77,6 +197,7 @@ class TestRecordSemantics:
             lambda: PhiExpansion((0, 1), ((5,), (), (1,))),
             lambda: IndexBound(value=3, exact=False),
             lambda: SplittingShape.from_pairs([(2, 1), (1, 1)]),
+            *TUPLE_RECORDS.values(),
         ],
     )
     def test_equal_and_hashed_by_value(self, make):
@@ -104,6 +225,7 @@ class TestRecordSemantics:
             (PhiExpansion((0, 1), ((1,),)), "phi"),
             (VERDICT, "status"),
             (VERDICT.certificate.analyses[0].index, "value"),
+            *((make(), make()._fields[0]) for make in TUPLE_RECORDS.values()),
         ],
     )
     def test_assignment_raises(self, record, name):
@@ -114,8 +236,9 @@ class TestRecordSemantics:
 
     @pytest.mark.parametrize(
         "record",
-        [ResidueField(7, (3, 1)), ResidueField(3, (1, 0, 1)), VERDICT],
-        ids=["PrimeField", "ExtensionField", "MonogenityVerdict"],
+        [ResidueField(7, (3, 1)), ResidueField(3, (1, 0, 1))]
+        + [make() for make in TUPLE_RECORDS.values()],
+        ids=["PrimeField", "ExtensionField", *TUPLE_RECORDS],
     )
     def test_pickle_round_trip(self, record):
         back = pickle.loads(pickle.dumps(record))
@@ -134,6 +257,8 @@ class TestRecordSemantics:
         assert repr(SplittingShape(((1, 1), (2, 1)))) == "SplittingShape(pairs=((1, 1), (2, 1)))"
         assert str(SplittingShape(((1, 1), (2, 1)))) == "1:1,2:1"
         assert repr(IndexBound(value=3, exact=False)) == "IndexBound(value=3, exact=False)"
+        assert repr(ValuedPoint(4, 0)) == "ValuedPoint(i=4, v=0)"
+        assert str(ValuedPoint(4, 0)) == "ValuedPoint(i=4, v=0)"
         assert repr(PureFieldParams(p=2, r=3, m=17)) == "PureFieldParams(p=2, r=3, m=17)"
         assert repr(ResidueField(3, (1, 0, 1))) == "ExtensionField(p=3, modulus=(1, 0, 1))"
         assert repr(_side((0, 2), (4, 0))) == (
@@ -154,6 +279,53 @@ class TestRecordSemantics:
         for args, named in bad:
             with pytest.raises(TypeError):
                 PhiExpansion(*args, **named)
+
+
+class TestTupleRecords:
+    """Every former typing.NamedTuple is a record.TupleRecord, a tuple whose
+    fields come from its annotations."""
+
+    @pytest.mark.parametrize("name", TUPLE_RECORDS)
+    def test_builds_by_position_and_keyword(self, name):
+        record = TUPLE_RECORDS[name]()
+        cls = type(record)
+        assert cls.__name__ == name
+        assert cls(*record) == record and type(cls(*record)) is cls
+        named = dict(zip(cls._fields, record))
+        assert cls(**named) == record
+        first, *rest = cls._fields
+        assert cls(record[0], **{field: named[field] for field in rest}) == record
+        bad = [
+            (tuple(record)[:-1], {}),
+            (tuple(record) + (0,), {}),
+            ((), {**named, "extra": 0}),
+            (tuple(record), {first: record[0]}),
+        ]
+        for args, kwargs in bad:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    @pytest.mark.parametrize("name", TUPLE_RECORDS)
+    def test_reads_unpacks_and_compares_as_a_tuple(self, name):
+        record = TUPLE_RECORDS[name]()
+        assert isinstance(record, tuple) and not hasattr(record, "__dict__")
+        assert len(record) == len(record._fields) >= 1
+        for index, field in enumerate(record._fields):
+            assert getattr(record, field) is record[index]
+        *values, last = record
+        assert (*values, last) == tuple(record)
+        assert record == tuple(record) and tuple(record) == record
+        assert hash(record) == hash(tuple(record))
+        assert record[-1] is last and record[:1] == (record[0],)
+
+    def test_valued_points_unpack_as_pairs(self):
+        i, v = ValuedPoint(3, 1)
+        assert (i, v) == (3, 1) == ValuedPoint(i=3, v=1)
+        assert sorted([ValuedPoint(2, 0), (1, 5)]) == [(1, 5), (2, 0)]
+        for vertex in REPORT.polygon.vertices:
+            assert type(vertex) is ValuedPoint
+            i, v = vertex
+            assert (i, v) == (vertex.i, vertex.v) == tuple(vertex)
 
 
 class TestIntegerSlopes:

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monogenity.errors import ValidationError
+from monogenity.general import divmod_monic, phi_expansion
 from monogenity.oracle import resultant_discriminant_valuation
 from monogenity.zpoly import (
     PureFieldParams,
     candidate_index_primes,
     discriminant_valuation,
-    divmod_monic,
-    phi_expansion,
     poly,
     pure_polynomial,
     to_string,
@@ -94,7 +93,7 @@ class TestPhiExpansion:
             assert fast == slow
 
     def test_closed_form_matches_division(self):
-        from monogenity.polygon import valued_points
+        from monogenity.general import valued_points
         from monogenity.zpoly import pure_shift_expansion
 
         # 257 and 65537 put v_p(a_0) at 8 and 16, past the first modulus p**4

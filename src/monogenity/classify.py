@@ -81,28 +81,29 @@ class MonogenityVerdict(TupleRecord):
     certificate: Certificate
 
 
-def pure_prime_analysis(params: PureFieldParams, t: int, f=None) -> PrimeAnalysis:
+def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     """Engine analysis of x**(p**r) - m at the prime t.
 
     Expansion bases follow the structure of the family: x when t
     divides m, x - m when t = p, canonical lifts otherwise.  The params
     have already checked p and the primes of m; any other t is checked
     by analyze_prime.  At t | m the polygon is the single side from
-    (0, 1) to (n, 0), since m is squarefree.  A caller that analyzes
-    several primes passes f = pure_polynomial(params), built once.
+    (0, 1) to (n, 0), since m is squarefree; at t = p the report keeps
+    the PureShiftExpansion.  Neither builds anything of size n: the
+    column of n + 1 valuations is built where a report's points or
+    valuations are read (render, --verify, tests), and analyze writes
+    its point text from the expansion.
     """
-    f = pure_polynomial(params) if f is None else f
-    n = params.degree
     if t in params.m_primes:
-        at_x = zpoly.PhiExpansion((0, 1), ((-params.m,),) + ((),) * (n - 1) + ((1,),))
-        reports = (ore.phi_report(f, t, (0, 1), at_x, (0, n), (1, 0)),)
+        at_x = zpoly.PureExpansionAtX(params)
+        reports = (ore._phi_report(t, at_x, ((0, params.degree), (1, 0))),)
     elif t == params.p:
         shift = zpoly.pure_shift_expansion(params)
-        reports = (ore.phi_report(f, t, shift.phi, shift, range(n + 1), shift.valuations()),)
+        reports = (ore._phi_report(t, shift, shift),)
     else:
         from .general import analyze_prime  # no candidate prime of classify gets here
 
-        reports = tuple(analyze_prime(f, t))
+        reports = tuple(analyze_prime(pure_polynomial(params), t))
     index = ore.index_lower_bound(reports)
     shape = ore.splitting_shape(reports)
     pn_table = ()
@@ -114,14 +115,16 @@ def pure_prime_analysis(params: PureFieldParams, t: int, f=None) -> PrimeAnalysi
     return PrimeAnalysis(t, reports, index, shape, pn_table)
 
 
-def _build_certificate(params: PureFieldParams, all_candidates: bool) -> Certificate:
+def _build_certificate(
+    params: PureFieldParams, nu_pivot: int, all_candidates: bool
+) -> Certificate:
+    # nu_pivot = v_p(m**p - m), which classify has already taken
     p, m = params.p, params.m
-    nu_pivot = _valuation(p, m**p - m)
     nu_fermat = _valuation(p, m ** (p - 1) - 1) if m % p else None
-    primes = candidate_index_primes(params) if all_candidates else (p,)
-    f = pure_polynomial(params)
-    analyses = tuple(pure_prime_analysis(params, t, f) for t in primes)
-    disc = tuple((t, zpoly.discriminant_valuation(params, t)) for t in candidate_index_primes(params))
+    candidates = candidate_index_primes(params)
+    primes = candidates if all_candidates else (p,)
+    analyses = tuple(pure_prime_analysis(params, t) for t in primes)
+    disc = tuple((t, zpoly.discriminant_valuation(params, t)) for t in candidates)
     at_p = analyses[0] if not all_candidates else next(a for a in analyses if a.prime == p)
     witness = at_p.comindex_witness() if at_p.regular else None
     comindex_prime = p if witness is not None else None
@@ -142,7 +145,7 @@ def classify(params: PureFieldParams) -> MonogenityVerdict:
     nu_pivot = _valuation(p, m**p - m)
 
     if nu_pivot == 1:
-        certificate = _build_certificate(params, all_candidates=True)
+        certificate = _build_certificate(params, nu_pivot, all_candidates=True)
         for analysis in certificate.analyses:
             if analysis.index.value != 0 or not analysis.index.exact:
                 raise InvariantError(
@@ -151,7 +154,7 @@ def classify(params: PureFieldParams) -> MonogenityVerdict:
                 )
         return MonogenityVerdict(Status.MONOGENIC_ZALPHA, Provenance.THEOREM_PIB, certificate)
 
-    certificate = _build_certificate(params, all_candidates=False)
+    certificate = _build_certificate(params, nu_pivot, all_candidates=False)
     at_p = certificate.analysis_at(p)
 
     def not_monogenic(provenance: Provenance) -> MonogenityVerdict:

@@ -24,7 +24,7 @@ from .errors import InvariantError, OracleDisagreement, ValidationError
 from .intarith import is_prime
 from .ore import NOT_REGULAR, PhiReport
 from .polygon import principal_part
-from .zpoly import PureFieldParams, pure_polynomial, to_string
+from .zpoly import PureFieldParams, PureShiftExpansion, pure_polynomial, to_string
 
 # Analyze output lists all p**r + 1 valued points and render draws every
 # lattice column, so both grow linearly with the degree; the cap keeps one
@@ -85,7 +85,7 @@ def _report_payload(report: PhiReport) -> dict:
     return {
         "phi": to_string(report.phi),
         "multiplicity": report.multiplicity,
-        "points": (report.abscissas, report.valuations),  # columns; written as [i, v] pairs
+        "points": report.valued,  # written as [i, v] pairs by _points_text
         "vertices": [[v.i, v.v] for v in report.polygon.vertices],
         "sides": sides,
         "index": report.index,
@@ -140,23 +140,38 @@ def _analyze_payload(verdict: MonogenityVerdict, oracle_reports) -> dict:
     }
 
 
-def _points_text(columns, piece: str, sep: str) -> str:
-    """Point columns as text: piece, with %d for i and {} for v, is made once per
-    valuation (at most r + 2), joined into one %-template the abscissas fill."""
-    abscissas, valuations = columns
-    pieces = {v: piece.format(v) for v in set(valuations)}
-    return sep.join(map(pieces.__getitem__, valuations)) % tuple(abscissas)
+def _points_text(valued, piece: str, sep: str) -> str:
+    """A report's valued points as text, one piece each: piece has %d for i
+    and {} for v, and the pieces fill one %-template with the abscissas.
+
+    For a PureShiftExpansion no column of valuations is built: the
+    template follows the block structure of valuations(), where the
+    pieces at 0 < j < p**(k + 1) are p copies of those at 0 < j < p**k,
+    joined by the piece for r - k.  Other points come as columns.
+    """
+    if isinstance(valued, PureShiftExpansion):
+        p, r = valued.params.p, valued.params.r
+        block = sep.join([piece.format(r)] * (p - 1))
+        for k in range(1, r):
+            block = (sep + piece.format(r - k) + sep).join([block] * p)
+        template = sep.join((piece.format(valued.nu0), block, piece.format(0)))
+        abscissas = range(p**r + 1)
+    else:
+        abscissas, valuations = valued
+        template = sep.join(map(piece.format, valuations))
+    return template % tuple(abscissas)
 
 
 def _json_text(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True) with each report's point
-    columns as a list of [i, v] pairs, byte for byte, in one walk.
+    """json.dumps(payload, indent=2, sort_keys=True) with each report's
+    valued points as a list of [i, v] pairs, byte for byte, in one walk.
 
     indent makes json.dumps run its pure-Python encoder, a generator per
-    container; _emit appends the same text to one list.  A point list
-    holds p**r + 1 pairs, written by _points_text's template at its own
-    indentation; a report always holds its unit point, so no list is
-    empty (json.dumps would write one as []).
+    container; _emit hands the same text, piece by piece, to a writer:
+    here one list, in analyze standard output.  A point list holds
+    p**r + 1 pairs, written by _points_text at its own indentation; a
+    report always holds its unit point, so no list is empty (json.dumps
+    would write one as []).
     """
     out: list[str] = []
     _emit(payload, "\n", out.append)
@@ -171,7 +186,7 @@ def _emit(value, indent: str, append) -> None:
         append(int.__repr__(value))
     elif isinstance(value, str):
         append(encode_basestring_ascii(value))
-    elif isinstance(value, tuple):  # point columns
+    elif isinstance(value, tuple):  # a report's valued points
         pair = indent + "  "
         append("[")
         append(_points_text(value, f"{pair}[{pair}  %d,{pair}  {{}}{pair}]", ","))
@@ -230,8 +245,9 @@ def _plain(value):
     return value
 
 
-def _human_analyze(payload: dict) -> str:
-    out = io.StringIO()
+def _write_human(payload: dict, out) -> None:
+    """Print the human text of an analyze payload to the stream out, line by
+    line; each report's points line comes from _points_text."""
     cert = payload["certificate"]
     inp = payload["input"]
     print(f"{cert['polynomial']}  (p={inp['p']}, r={inp['r']}, m={inp['m']})", file=out)
@@ -287,7 +303,6 @@ def _human_analyze(payload: dict) -> str:
         for check in payload["oracle"]:
             mark = "ok" if check["agree"] else "DISAGREE"
             print(f"verify: {check['name']}: {mark}", file=out)
-    return out.getvalue()
 
 
 def cmd_analyze(args) -> int:
@@ -301,9 +316,10 @@ def cmd_analyze(args) -> int:
     oracle_reports = _oracle_reports(verdict) if verify else None
     payload = _analyze_payload(verdict, oracle_reports)
     if fmt == "json":
-        print(_json_text(payload))
+        _emit(payload, "\n", sys.stdout.write)
+        sys.stdout.write("\n")
     else:
-        sys.stdout.write(_human_analyze(payload))
+        _write_human(payload, sys.stdout)
     if oracle_reports is not None:
         bad = [c for c in oracle_reports if not c["agree"]]
         if bad:

@@ -47,12 +47,13 @@ class SideAnalysis(TupleRecord):
 
 class PhiReport(TupleRecord):
     """Everything the polygon machinery knows about one factor of the reduction;
-    the valued points (i, v_p(a_i)) come as two columns, which points pairs up."""
+    valued holds the valued points (i, v_p(a_i)) as the columns (abscissas,
+    valuations) or as the PureShiftExpansion whose valuations() gives them
+    when columns, valuations or points is read."""
 
     phi: zpoly.ZPoly
     multiplicity: int
-    abscissas: "tuple[int, ...] | range"
-    valuations: tuple[int, ...]
+    valued: "zpoly.PureShiftExpansion | tuple"
     polygon: polygon.NewtonPolygon
     principal: polygon.NewtonPolygon
     sides: tuple[SideAnalysis, ...]
@@ -60,8 +61,19 @@ class PhiReport(TupleRecord):
     regular: bool
 
     @property
+    def columns(self) -> tuple:
+        valued = self.valued
+        if isinstance(valued, zpoly.PureShiftExpansion):
+            return range(valued.params.degree + 1), valued.valuations()
+        return valued
+
+    @property
+    def valuations(self) -> tuple[int, ...]:
+        return self.columns[1]
+
+    @property
     def points(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.abscissas, self.valuations))
+        return tuple(zip(*self.columns))
 
     @property
     def phi_degree(self) -> int:
@@ -121,15 +133,18 @@ def phi_report(
     """Run the polygon pipeline for one expansion base phi.
 
     The reduction of phi must be irreducible and divide the reduction
-    of f.  The multiplicity of that factor is read off the expansion:
-    it is the first abscissa whose coefficient is a p-adic unit.  A
-    caller that already holds the expansion of f at phi may pass it in,
-    and a caller that knows every valued point (i, v_p(a_i)) in closed
-    form may pass those too, as the columns abscissas and valuations;
-    then only the coefficients on the sides are read from the
-    expansion.  The hull of a PureShiftExpansion is taken over its r + 2
-    support points, which give the same polygon as all n + 1; the report
-    still lists every point, as the columns it was given.
+    of f.  The multiplicity of that factor is read off the valued
+    points: it is the first abscissa whose coefficient is a p-adic unit.
+    A caller that already holds the expansion of f at phi may pass it
+    in, and a caller that knows every valued point (i, v_p(a_i)) in
+    closed form may pass those too, as the columns abscissas and
+    valuations; then only the coefficients on the sides are read from
+    the expansion.  A PureShiftExpansion passed without columns is kept
+    in the report in their place, and the multiplicity is read off its
+    r + 2 support points; PhiReport builds the column only where its
+    points or valuations are read.  The hull of a PureShiftExpansion is
+    always taken over those support points, which give the same polygon
+    as all n + 1.
     """
     f = zpoly.poly(f)
     phi = zpoly.poly(phi)
@@ -146,6 +161,8 @@ def phi_report(
         raise ValidationError("provided expansion was taken at a different base")
 
     if valuations is None:
+        if isinstance(expansion, zpoly.PureShiftExpansion):
+            return _phi_report(p, expansion, expansion)
         from .general import valued_points
 
         abscissas, valuations = zip(*valued_points(expansion, p))
@@ -154,14 +171,22 @@ def phi_report(
         raise ValidationError(
             "expansion base divides f over Z; the analysis needs an irreducible f"
         )
+    return _phi_report(p, expansion, (abscissas, valuations))
+
+
+def _phi_report(p: int, expansion, valued) -> PhiReport:
+    """phi_report() for a base and an expansion already checked, as classify's
+    closed forms are; valued is the columns or the PureShiftExpansion itself."""
+    phi = zpoly.poly(expansion.phi)
+    support = expansion.support() if isinstance(expansion, zpoly.PureShiftExpansion) else None
+    abscissas, valuations = zip(*support) if valued is expansion else valued
     try:
         multiplicity = abscissas[valuations.index(0)]
     except ValueError:
         raise InvariantError("no unit coefficient in the expansion of a monic polynomial") from None
     if multiplicity == 0:
         raise ValidationError("expansion base does not divide the reduction of f")
-    pure = isinstance(expansion, zpoly.PureShiftExpansion)
-    hull = polygon.lower_convex_hull(expansion.support() if pure else zip(abscissas, valuations))
+    hull = polygon.lower_convex_hull(support or zip(abscissas, valuations))
     principal = polygon.principal_part(hull)
 
     if not principal.is_empty:
@@ -184,9 +209,7 @@ def phi_report(
 
     index = polygon.phi_index(principal, zpoly.degree(phi))
     regular = all(s.squarefree for s in sides)
-    return PhiReport(
-        phi, multiplicity, abscissas, valuations, hull, principal, tuple(sides), index, regular
-    )
+    return PhiReport(phi, multiplicity, valued, hull, principal, tuple(sides), index, regular)
 
 
 def index_lower_bound(reports) -> IndexBound:

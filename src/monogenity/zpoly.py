@@ -201,6 +201,17 @@ class PureShiftExpansion(TupleRecord):
         return [(0, self.nu0)] + [(p**k, r - k) for k in range(r + 1)]
 
 
+class PureExpansionAtX(TupleRecord):
+    """x**n - m expanded at phi = x: a_0 = -m, a_n = 1 and no term between,
+    so at a prime dividing the squarefree m the points are (0, 1) and (n, 0)."""
+
+    params: PureFieldParams
+    phi = (0, 1)
+
+    def coefficient(self, i: int) -> ZPoly:
+        return (-self.params.m,) if i == 0 else (1,) if i == self.params.degree else ()
+
+
 def pure_shift_expansion(params: PureFieldParams) -> PureShiftExpansion:
     """Expansion of x**n - m at x - m in closed form, for p not dividing m.
 

@@ -403,6 +403,26 @@ class TestClosedFormAtP:
         assert [q for q, _ in verdict.certificate.discriminant_valuations] == [3, 1009, 1000003]
 
 
+class TestFlatInN:
+    """classify builds nothing of size n = p**r: no valuation column, no
+    x**n - m tuple, no n-entry expansion at t | m."""
+
+    @pytest.mark.parametrize("p, r, m", [(2, 20, 3), (3, 12, 2)])
+    def test_peak_allocation_under_one_mib(self, p, r, m):
+        import tracemalloc
+
+        params = PureFieldParams(p, r, m)
+        tracemalloc.start()
+        try:
+            verdict = classify(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.provenance is Provenance.THEOREM_PIB
+        assert [a.prime for a in verdict.certificate.analyses] == sorted({p, m})
+        assert peak < 2**20, peak
+
+
 class TestPrimeChecks:
     """Primes are checked once at the public boundary, not in inner loops."""
 

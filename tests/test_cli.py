@@ -10,7 +10,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import monogenity
 from monogenity import cli
@@ -557,8 +557,8 @@ def _nested(depth, leaf):
 
 
 class TestJsonEmitter:
-    """cli._json_text against the reference encoder, with the point
-    columns materialized as the [i, v] lists the schema describes."""
+    """cli._json_text against the reference encoder, with each report's
+    points materialized as the [i, v] lists the schema describes."""
 
     # bench/workloads.py ANCHORS: the analyze_ladder rungs
     LADDER = (
@@ -576,13 +576,18 @@ class TestJsonEmitter:
         return cli._analyze_payload(verdict, cli._oracle_reports(verdict) if verify else None)
 
     def check(self, p, r, m, verify):
+        from monogenity.classify import classify
+        from monogenity.zpoly import PureFieldParams
+
         payload = self.payload(p, r, m, verify)
+        analyses = classify(PureFieldParams(p, r, m)).certificate.analyses
+        reports = {str(a.prime): a.reports for a in analyses}
         primes = {
             prime: {
                 **analysis,
                 "factors": [
-                    {**factor, "points": [[i, v] for i, v in zip(*factor["points"])]}
-                    for factor in analysis["factors"]
+                    {**factor, "points": [[i, v] for i, v in report.points]}
+                    for factor, report in zip(analysis["factors"], reports[prime], strict=True)
                 ],
             }
             for prime, analysis in payload["certificate"]["primes"].items()
@@ -623,6 +628,53 @@ class TestJsonEmitter:
             cli._json_text({**payload, "extra": bad})
         with pytest.raises(TypeError):
             cli._json_text({**payload, "oracle": [{"engine": [bad]}]})
+
+
+@st.composite
+def _shifted_fields(draw):
+    """(p, r, m, nu0) with p**r <= 4096, m of either sign, and nu0 = v_p(a_0)
+    = v_p(m**n - m) below, equal to or above r."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 61]))
+    r = draw(st.integers(1, int(math.log(4096, p) + 1e-9)))
+    nu0 = draw(st.sampled_from([k for k in (1, r - 1, r, r + 1, r + 3) if k >= 1]))
+    # m = 1 + p**nu0 * c with p not dividing c; then v_p(m**(n - 1) - 1) is
+    # v_p(m - 1) = nu0 by lifting the exponent, as p does not divide n - 1
+    c = draw(st.integers(-(10**4), 10**4).filter(lambda c: c % p))
+    m = 1 + p**nu0 * c
+    assume(abs(m) >= 2 and is_squarefree(m))
+    return p, r, m, nu0
+
+
+def _valuation(p, n):
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+class TestPointWriters:
+    """The point text of both writers against json.dumps and " ".join of the
+    explicit pairs (0, v_p(m**n - m)), (j, r - v_p(j)) for 0 < j < n, (n, 0)."""
+
+    @given(_shifted_fields())
+    @settings(max_examples=60, deadline=None)
+    @example((2, 12, 17, 4))  # the largest field of the analyze ladder
+    def test_points_match_explicit_pairs(self, field):
+        from monogenity.zpoly import PureFieldParams, pure_shift_expansion
+
+        p, r, m, nu0 = field
+        expansion = pure_shift_expansion(PureFieldParams(p, r, m))
+        n = p**r
+        pairs = [[0, _valuation(p, m**n - m)]]
+        pairs += [[j, r - _valuation(p, j)] for j in range(1, n)] + [[n, 0]]
+        assert pairs[0][1] == nu0 == expansion.nu0
+        assert cli._json_text({"points": expansion}) == json.dumps(
+            {"points": pairs}, indent=2, sort_keys=True
+        )
+        assert cli._points_text(expansion, "(%d,{})", " ") == " ".join(
+            f"({j},{v})" for j, v in pairs
+        )
 
 
 class TestAtomicOutput:

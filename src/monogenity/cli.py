@@ -148,18 +148,28 @@ def _points_text(valued, piece: str, sep: str) -> str:
     template follows the block structure of valuations(), where the
     pieces at 0 < j < p**(k + 1) are p copies of those at 0 < j < p**k,
     joined by the piece for r - k.  Other points come as columns.
+
+    The template is bytes, decoded once: str % reads its template one
+    character at a time to find the next field, where bytes % finds it
+    with memchr and copies the run before it whole, so at n = 4096 the
+    fill takes about half the time.
     """
+    piece, sep = piece.encode("ascii"), sep.encode("ascii")
+
+    def fill(v: int) -> bytes:
+        return piece.replace(b"{}", b"%d" % v)
+
     if isinstance(valued, PureShiftExpansion):
         p, r = valued.params.p, valued.params.r
-        block = sep.join([piece.format(r)] * (p - 1))
+        block = sep.join([fill(r)] * (p - 1))
         for k in range(1, r):
-            block = (sep + piece.format(r - k) + sep).join([block] * p)
-        template = sep.join((piece.format(valued.nu0), block, piece.format(0)))
+            block = (sep + fill(r - k) + sep).join([block] * p)
+        template = sep.join((fill(valued.nu0), block, fill(0)))
         abscissas = range(p**r + 1)
     else:
         abscissas, valuations = valued
-        template = sep.join(map(piece.format, valuations))
-    return template % tuple(abscissas)
+        template = sep.join(map(fill, valuations))
+    return (template % tuple(abscissas)).decode("ascii")
 
 
 def _json_text(payload: dict) -> str:
@@ -224,7 +234,8 @@ def _oracle_reports(verdict: MonogenityVerdict) -> list[dict]:
     for analysis in cert.analyses:
         for rep in analysis.reports:
             tag = f"prime {analysis.prime}, base {to_string(rep.phi)}"
-            hull = oracle.brute_hull(rep.points)
+            points = oracle.pure_valued_points(params.degree, params.m, analysis.prime, rep.phi)
+            hull = oracle.brute_hull(points)
             check(f"hull vertices ({tag})", rep.polygon.vertices, hull.vertices)
             index = oracle.brute_phi_index(principal_part(rep.polygon))
             check(f"lattice index ({tag})", rep.index, zpoly.degree(rep.phi) * index)

@@ -62,12 +62,7 @@ def brute_phi_index(polygon: NewtonPolygon) -> int:
 
 def brute_binomial_valuation(p: int, n: int, k: int) -> int:
     """Compute C(n, k) exactly, then strip factors of p by repeated division."""
-    value = math.comb(n, k)
-    count = 0
-    while value % p == 0:
-        value //= p
-        count += 1
-    return count
+    return _valuation(p, math.comb(n, k))
 
 
 def factorial_valuation_table(p: int, n: int) -> list[int]:
@@ -81,6 +76,36 @@ def factorial_valuation_table(p: int, n: int) -> list[int]:
             v += 1
         table[t] = table[t - 1] + v
     return table
+
+
+def pure_valued_points(n: int, m: int, t: int, phi) -> list[tuple[int, int]]:
+    """The valued points (i, v_t(a_i)) of x**n - m expanded at phi = x - c,
+    from its exact coefficients: a_0 = c**n - m, and for 0 < i <= n
+    a_i = binomial(n, i) * c**(n - i), whose valuation is
+    T[n] - T[i] - T[n - i] + (n - i) * v_t(c) with T from
+    factorial_valuation_table.  At c = 0 (phi = x) only a_0 = -m and
+    a_n = 1 are nonzero."""
+    if len(phi) != 2 or phi[1] != 1:
+        raise ValidationError(f"the point oracle takes a base x - c, got {phi}")
+    c = -phi[0]
+    points = [(0, _valuation(t, c**n - m))]
+    if c:
+        table = factorial_valuation_table(t, n)
+        vc = _valuation(t, c)
+        points += [(i, table[n] - table[i] - table[n - i] + (n - i) * vc) for i in range(1, n)]
+    points.append((n, 0))
+    return points
+
+
+def _valuation(q: int, value: int) -> int:
+    """v_q(value) for a nonzero value, by repeated division."""
+    if value == 0:
+        raise ValidationError("the valuation of 0 is infinite")
+    count = 0
+    while value % q == 0:
+        value //= q
+        count += 1
+    return count
 
 
 def _content(f) -> int:
@@ -151,12 +176,7 @@ def resultant_discriminant_valuation(f, q: int) -> int:
     value = resultant(f, zpoly.derivative(f))
     if value == 0:
         raise ValidationError("polynomial is not squarefree; discriminant is 0")
-    value = abs(value)
-    count = 0
-    while value % q == 0:
-        value //= q
-        count += 1
-    return count
+    return _valuation(q, value)
 
 
 def _poly_mod_small(a, b, p):

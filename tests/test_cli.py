@@ -88,6 +88,23 @@ class TestAnalyze:
         assert payload["oracle"]
         assert all(check["agree"] for check in payload["oracle"])
 
+    def test_verify_catches_a_wrong_point(self, capsys, monkeypatch):
+        # nu0 + 1 moves the point (0, nu0) the polygon rests on; the hull
+        # oracle, on points it builds itself, must see it
+        from monogenity import zpoly
+
+        exact = zpoly.pure_shift_expansion
+
+        def shifted(params):
+            expansion = exact(params)
+            return zpoly.PureShiftExpansion(expansion.params, expansion.nu0 + 1)
+
+        monkeypatch.setattr(zpoly, "pure_shift_expansion", shifted)
+        code, out, err = run(capsys, "analyze", "--p", "3", "--r", "2", "--m", "10", "--verify")
+        assert code == 5
+        assert "verify: hull vertices (prime 3, base x - 10): DISAGREE" in out
+        assert "oracle [[0, 2], [3, 1], [9, 0]]" in err
+
     def test_degree_cap(self, capsys):
         code, _, err = run(capsys, "analyze", "--p", "2", "--r", "13", "--m", "3")
         assert code == 2
@@ -394,7 +411,9 @@ class TestByteIdentity:
     and the point lists were spliced into the JSON, (analyze JSON at
     (3, 4, -10), (2, 12, -3), (5, 2, 10), human text at (2, 12, 17),
     (61, 2, 3)) from before the points were carried as columns and the
-    certificate polynomial was written in closed form.
+    certificate polynomial was written in closed form, and (analyze JSON
+    at (3, 7, 10), (7, 4, 2), human text at (3, 7, 10), (5, 5, 7)) from
+    before the point text was formatted on bytes.
 
     Performance work must leave analyze JSON, human text and scan CSV
     byte for byte the same; a digest changes only with a deliberate
@@ -414,6 +433,9 @@ class TestByteIdentity:
             (3, 4, -10, "58b397a26fc87a3a6115e458b93deb74994134ddc26cb33d694178c619a06af6"),
             (2, 12, -3, "50268d9f96eb6d299f0bf85e4d7bf683c3336c2f10837fb08ba7224232fd061d"),
             (5, 2, 10, "29d15f1352b2cb01106aea3c7b9670a446b2ea24ec489d2cee08098fc517f269"),
+            # odd p: blocks of p - 1 pieces joined level by level
+            (3, 7, 10, "04ef699ad8ffa01943d4dde301580a3a4bd9a30baefa591cb2a352f40dc8352a"),
+            (7, 4, 2, "587dcda8c5e928721d076a851f76e0fc1cdaf7beeb6c9bfff3d89196fbf65fe3"),
         ],
     )
     def test_analyze_json(self, capsys, p, r, m, digest):
@@ -455,6 +477,8 @@ class TestByteIdentity:
             (2, 10, 33, "d7fee696db5d1cd4cb4ca17c2b5a39fe77a5e554175b3c1286cf746b4a0e5281"),
             (2, 12, 17, "c62c4b54b7b01ccab60b41cd474adb16ad3cb214eaab8fbe98e23d01c2db04e5"),
             (61, 2, 3, "5e89718c2c4b4b68caba482dce95625e681a1d2b99586d9c1605a84c3b4f961f"),
+            (3, 7, 10, "5343294124c1d4ba62f3f9c548d3eff227e60ce1938a0e925dbfb64b82d97f48"),
+            (5, 5, 7, "24569863a5954ca5178d41ae797282bebb13a46fb6708f3d740ab94b31122c47"),
         ],
     )
     def test_analyze_human(self, capsys, p, r, m, digest):
@@ -660,6 +684,7 @@ class TestPointWriters:
     @given(_shifted_fields())
     @settings(max_examples=60, deadline=None)
     @example((2, 12, 17, 4))  # the largest field of the analyze ladder
+    @example((2, 12, 2049, 11))  # a two-digit nu0
     def test_points_match_explicit_pairs(self, field):
         from monogenity.zpoly import PureFieldParams, pure_shift_expansion
 

@@ -11,6 +11,7 @@ from monogenity.oracle import (
     brute_phi_index,
     enumerate_monic_irreducibles,
     factorial_valuation_table,
+    pure_valued_points,
     resultant,
     resultant_discriminant_valuation,
 )
@@ -65,6 +66,36 @@ class TestBinomialOracles:
                 value //= 3
                 direct += 1
             assert table[j] == direct
+
+
+class TestPureValuedPoints:
+    """Points of x**n - m at a base x - c against v_t of the exact
+    coefficients of (x + c)**n - m."""
+
+    @pytest.mark.parametrize(
+        "n, m, t, c",
+        [(9, 10, 3, 10), (8, 17, 2, 17), (25, 7, 5, 7), (16, -3, 2, -3), (27, 6, 3, 6),
+         (9, 10, 2, 0), (9, 10, 5, 0), (8, 6, 2, 0)],
+    )
+    def test_against_exact_coefficients(self, n, m, t, c):
+        expected = []
+        for i in range(n + 1):
+            coefficient = math.comb(n, i) * c ** (n - i) - (m if i == 0 else 0)
+            if coefficient:
+                expected.append((i, _strip(t, coefficient)))
+        assert pure_valued_points(n, m, t, (-c, 1)) == expected
+
+    def test_nonlinear_base_rejected(self):
+        with pytest.raises(ValidationError):
+            pure_valued_points(4, 3, 2, (1, 1, 1))
+
+
+def _strip(t, value):
+    count = 0
+    while value % t == 0:
+        value //= t
+        count += 1
+    return count
 
 
 def _sylvester_resultant(f, g):

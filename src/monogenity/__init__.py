@@ -13,21 +13,21 @@ __version__ = "0.1.0"
 
 import sys
 
-# each public name by the module that defines it; a module loads when
-# one of its names is first read (PEP 562), so importing the package
-# alone loads none of them
+# each public name by the module that defines it, the one list that
+# __all__, __getattr__ and __dir__ read; a module loads when one of its
+# names is first read (PEP 562), so importing the package alone loads none
 _HOMES = {
     name: module
     for module, names in (
         ("classify", "Certificate MonogenityVerdict PrimeAnalysis Provenance Status "
                      "classify pure_prime_analysis"),
         ("errors", "InvariantError MonogenityError OracleDisagreement ValidationError"),
-        ("general", "ComIndexEvidence analyze_prime count_primes_with_residue_degree "
-                    "dedekind_divides_index is_common_index_divisor phi_expansion valued_points"),
+        ("general", "ComIndexEvidence count_primes_with_residue_degree dedekind_divides_index "
+                    "is_common_index_divisor phi_expansion valued_points"),
         ("intarith", "INFINITY binomial_valuation count_monic_irreducibles is_prime "
                      "is_squarefree valuation"),
-        ("ore", "NOT_REGULAR IndexBound PhiReport SplittingShape index_lower_bound "
-                "phi_report splitting_shape"),
+        ("ore", "NOT_REGULAR IndexBound PhiReport SplittingShape analyze_prime "
+                "index_lower_bound phi_report splitting_shape"),
         ("polygon", "NewtonPolygon ResidualPolynomial Side ValuedPoint lower_convex_hull "
                     "phi_index principal_part residual_polynomial"),
         ("zpoly", "PhiExpansion PureFieldParams candidate_index_primes "
@@ -36,53 +36,7 @@ _HOMES = {
     for name in names.split()
 }
 
-__all__ = [
-    "__version__",
-    "INFINITY",
-    "NOT_REGULAR",
-    "Certificate",
-    "ComIndexEvidence",
-    "IndexBound",
-    "InvariantError",
-    "MonogenityError",
-    "MonogenityVerdict",
-    "NewtonPolygon",
-    "OracleDisagreement",
-    "PhiExpansion",
-    "PhiReport",
-    "PrimeAnalysis",
-    "Provenance",
-    "PureFieldParams",
-    "ResidualPolynomial",
-    "Side",
-    "SplittingShape",
-    "Status",
-    "ValidationError",
-    "ValuedPoint",
-    "analyze_prime",
-    "binomial_valuation",
-    "candidate_index_primes",
-    "classify",
-    "count_monic_irreducibles",
-    "count_primes_with_residue_degree",
-    "dedekind_divides_index",
-    "discriminant_valuation",
-    "index_lower_bound",
-    "is_common_index_divisor",
-    "is_prime",
-    "is_squarefree",
-    "lower_convex_hull",
-    "phi_expansion",
-    "phi_index",
-    "phi_report",
-    "principal_part",
-    "pure_polynomial",
-    "pure_prime_analysis",
-    "residual_polynomial",
-    "splitting_shape",
-    "valuation",
-    "valued_points",
-]
+__all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name):

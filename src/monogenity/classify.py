@@ -6,7 +6,7 @@ splitting exhibits more degree-f primes than there are monic
 irreducibles of degree f over F_p, and otherwise reports UNDETERMINED
 with full diagnostics.  The Dedekind criterion, an independent check
 that a prime divides the index of Z[alpha], and the common-index test
-at one prime live in monogenity.general; their names still resolve here.
+at one prime live in monogenity.general.
 """
 
 from __future__ import annotations
@@ -100,10 +100,8 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     elif t == params.p:
         shift = zpoly.pure_shift_expansion(params)
         reports = (ore._phi_report(t, shift, shift),)
-    else:
-        from .general import analyze_prime  # no candidate prime of classify gets here
-
-        reports = tuple(analyze_prime(pure_polynomial(params), t))
+    else:  # no candidate prime of classify gets here
+        reports = tuple(ore.analyze_prime(pure_polynomial(params), t))
     index = ore.index_lower_bound(reports)
     shape = ore.splitting_shape(reports)
     pn_table = ()
@@ -177,9 +175,9 @@ def classify(params: PureFieldParams) -> MonogenityVerdict:
     return MonogenityVerdict(Status.UNDETERMINED, Provenance.NONE, certificate)
 
 
-def __getattr__(name):  # PEP 562: the names that moved to the general engine
-    if name in ("ComIndexEvidence", "is_common_index_divisor", "dedekind_divides_index"):
-        from . import general
+def __getattr__(name):  # PEP 562: bench/checks.py reads dedekind_divides_index here
+    if name == "dedekind_divides_index":
+        from .general import dedekind_divides_index
 
-        return getattr(general, name)
+        return dedekind_divides_index
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -172,24 +172,13 @@ def _points_text(valued, piece: str, sep: str) -> str:
     return (template % tuple(abscissas)).decode("ascii")
 
 
-def _json_text(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True) with each report's
-    valued points as a list of [i, v] pairs, byte for byte, in one walk.
-
-    indent makes json.dumps run its pure-Python encoder, a generator per
-    container; _emit hands the same text, piece by piece, to a writer:
-    here one list, in analyze standard output.  A point list holds
-    p**r + 1 pairs, written by _points_text at its own indentation; a
-    report always holds its unit point, so no list is empty (json.dumps
-    would write one as []).
-    """
-    out: list[str] = []
-    _emit(payload, "\n", out.append)
-    return "".join(out)
-
-
 def _emit(value, indent: str, append) -> None:
-    # indent is the newline and spaces that start a line at value's depth
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, handed to
+    append piece by piece in one walk (with indent, json.dumps runs its
+    pure-Python encoder, a generator per container).  A report's valued
+    points, a tuple, are a list of [i, v] pairs that _points_text writes; a
+    report always holds its unit point, so no such list is empty.  indent
+    is the newline and spaces that start a line at value's depth."""
     if value is None or value is True or value is False:
         append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -351,8 +340,10 @@ def _scan_row(task) -> dict:
         return {**base, "skipped_reason": "excluded_m"}
     try:
         params = PureFieldParams(p=p, r=r, m=m)
-    except ValidationError:
-        # cmd_scan has checked p and r, so what is left to fail is that m is squarefree
+    except ValidationError as exc:
+        # cmd_scan has checked p and r; an m it cannot factor fails the scan
+        if not str(exc).startswith("m must be squarefree"):
+            raise
         return {**base, "skipped_reason": "not_squarefree"}
     verdict = classify(params)
     cert = verdict.certificate

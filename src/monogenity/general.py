@@ -4,10 +4,11 @@ first use.
 classify meets only the bases x and x - m, at p and the primes of m, and
 reads their expansions and valued points off closed forms.  Any other
 monic f needs what is here: dense Z[x] arithmetic, the phi-adic expansion
-at any monic base, valued points, analysis at any prime, the common-index
-test, Dedekind's criterion, the lattice points that render draws, and the
-residue fields F_(p^k) with k >= 2, for which ResidueField imports this
-module.  The modules these names lived in resolve them here (PEP 562).
+at any monic base, valued points, the common-index test, Dedekind's
+criterion, the lattice points that render draws, and the residue fields
+F_(p^k) with k >= 2, for which ResidueField imports this module.
+ore.analyze_prime and ore.phi_report, the analysis at any prime, call
+the expansion and the valued points here.
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ def _expand_linear(f: ZPoly, c: int) -> list[ZPoly]:
     return out
 
 
-def phi_expansion(f: ZPoly, phi: ZPoly, force_general: bool = False) -> PhiExpansion:
+def phi_expansion(f: ZPoly, phi: ZPoly) -> PhiExpansion:
     """Expansion of f by euclidean division against successive powers of phi.
 
     Implemented as a remainder tower (repeated division by phi).  For
-    linear phi = x - c the synthetic-division fast path produces
-    identical output; force_general bypasses it for testing.
+    phi = x the coefficients are f's own, and for phi = x - c synthetic
+    division gives the same output as the tower.
     """
     f = poly(f)
     phi = poly(phi)
@@ -99,9 +100,9 @@ def phi_expansion(f: ZPoly, phi: ZPoly, force_general: bool = False) -> PhiExpan
         raise ValidationError("expansion base must be monic of degree >= 1")
     if not f:
         return PhiExpansion(phi, ((),))
-    if phi == (0, 1) and not force_general:
+    if phi == (0, 1):
         coeffs = [(c,) if c else () for c in f]
-    elif degree(phi) == 1 and not force_general:
+    elif degree(phi) == 1:
         coeffs = _expand_linear(f, -phi[0])
     else:
         coeffs = []
@@ -266,22 +267,7 @@ def index_lattice_points(principal: NewtonPolygon) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# analysis at any prime
-
-
-def analyze_prime(f: ZPoly, p: int) -> list[ore.PhiReport]:
-    """One PhiReport per irreducible factor of the reduction of f mod p.
-
-    Expansion bases are the canonical monic lifts with coefficients in
-    0..p-1, in the canonical factor order.  Building F_p checks p.
-    """
-    prime_field = residue_field(p, X)
-    f = poly(f)
-    if not is_monic(f):
-        raise ValidationError("analysis requires a monic polynomial")
-    return [
-        ore.phi_report(f, p, phibar) for phibar, _ in ff_factor(prime_field, reduce_mod_p(f, p))
-    ]
+# the common-index test and Dedekind's criterion
 
 
 def count_primes_with_residue_degree(shape: ore.SplittingShape, f: int) -> int:

@@ -3,12 +3,12 @@
 For a monic irreducible f, a prime p and a base phi whose reduction
 is an irreducible factor of the reduction of f, phi_report runs the
 first-order pipeline: expand f at phi, build the principal polygon,
-attach and factor the residual polynomials.  The index bound and (in
-the regular case) the shape of the factorization of p in the ring of
-integers are read off the reports.  analyze_prime, which factors the
-reduction of f and reports at a lift of each factor, lives in
-monogenity.general with the rest of the dense path; its name still
-resolves here.
+attach and factor the residual polynomials.  analyze_prime factors the
+reduction of f and reports at a lift of each factor; both take the
+expansion and its valued points from monogenity.general, loaded on
+their first call.  The index bound and (in the regular case) the shape
+of the factorization of p in the ring of integers are read off the
+reports.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from . import polygon, zpoly
 from .errors import InvariantError, ValidationError
 from .record import TupleRecord
 from .residue import (
+    X,
     ff_degree,
     ff_factor,
     ff_make_monic,
@@ -123,29 +124,17 @@ class SplittingShape(TupleRecord):
 
 
 def phi_report(
-    f: zpoly.ZPoly,
-    p: int,
-    phi: zpoly.ZPoly,
-    expansion: "zpoly.PhiExpansion | zpoly.PureShiftExpansion | None" = None,
-    abscissas: "tuple[int, ...] | range | None" = None,
-    valuations: "tuple[int, ...] | None" = None,
+    f: zpoly.ZPoly, p: int, phi: zpoly.ZPoly, expansion: "zpoly.PhiExpansion | None" = None
 ) -> PhiReport:
     """Run the polygon pipeline for one expansion base phi.
 
     The reduction of phi must be irreducible and divide the reduction
     of f.  The multiplicity of that factor is read off the valued
     points: it is the first abscissa whose coefficient is a p-adic unit.
-    A caller that already holds the expansion of f at phi may pass it
-    in, and a caller that knows every valued point (i, v_p(a_i)) in
-    closed form may pass those too, as the columns abscissas and
-    valuations; then only the coefficients on the sides are read from
-    the expansion.  A PureShiftExpansion passed without columns is kept
-    in the report in their place, and the multiplicity is read off its
-    r + 2 support points; PhiReport builds the column only where its
-    points or valuations are read.  The hull of a PureShiftExpansion is
-    always taken over those support points, which give the same polygon
-    as all n + 1.
+    A caller that already holds the expansion of f at phi may pass it in.
     """
+    from .general import phi_expansion, valued_points  # the dense path: never reached from classify
+
     f = zpoly.poly(f)
     phi = zpoly.poly(phi)
     if not zpoly.is_monic(f):
@@ -154,24 +143,29 @@ def phi_report(
     # residual_polynomial then finds the field built
     residue_field(p, reduce_mod_p(phi, p))
     if expansion is None:
-        from .general import phi_expansion  # the dense path: never reached from classify
-
         expansion = phi_expansion(f, phi)
     elif zpoly.poly(expansion.phi) != phi:
         raise ValidationError("provided expansion was taken at a different base")
-
-    if valuations is None:
-        if isinstance(expansion, zpoly.PureShiftExpansion):
-            return _phi_report(p, expansion, expansion)
-        from .general import valued_points
-
-        abscissas, valuations = zip(*valued_points(expansion, p))
+    abscissas, valuations = zip(*valued_points(expansion, p))
     # valued points skip zero coefficients, so a_0 = 0 leaves abscissa 0 out
     if abscissas[0] and zpoly.degree(f) != zpoly.degree(phi):
         raise ValidationError(
             "expansion base divides f over Z; the analysis needs an irreducible f"
         )
     return _phi_report(p, expansion, (abscissas, valuations))
+
+
+def analyze_prime(f: zpoly.ZPoly, p: int) -> list[PhiReport]:
+    """One PhiReport per irreducible factor of the reduction of f mod p.
+
+    Expansion bases are the canonical monic lifts with coefficients in
+    0..p-1, in the canonical factor order.  Building F_p checks p.
+    """
+    prime_field = residue_field(p, X)
+    f = zpoly.poly(f)
+    if not zpoly.is_monic(f):
+        raise ValidationError("analysis requires a monic polynomial")
+    return [phi_report(f, p, phibar) for phibar, _ in ff_factor(prime_field, reduce_mod_p(f, p))]
 
 
 def _phi_report(p: int, expansion, valued) -> PhiReport:
@@ -245,11 +239,3 @@ def splitting_shape(reports):
             f"splitting shape covers degree {shape.total_degree()}, expected {total_degree}"
         )
     return shape
-
-
-def __getattr__(name):  # PEP 562: the names that moved to the general engine
-    if name in ("analyze_prime", "count_primes_with_residue_degree"):
-        from . import general
-
-        return getattr(general, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,7 @@
 """Valued points, lower convex envelopes with exact rational slopes,
 the principal part, lattice-point index counts, and residual polynomials.
 The valued points of a dense expansion and the lattice points that
-render draws live in monogenity.general; their names still resolve here.
+render draws live in monogenity.general.
 
 A side's slope is -h/e in lowest terms, kept as the integers h and e:
 hull construction, the chain check, the principal part and the index
@@ -224,11 +224,3 @@ def residual_polynomial(
     if not coeffs[0] or not coeffs[-1]:
         raise ValidationError("side endpoints must lie on the polygon")
     return ResidualPolynomial(side, field, tuple(coeffs))
-
-
-def __getattr__(name):  # PEP 562: the names that moved to the general engine
-    if name in ("valued_points", "lattice_points", "index_lattice_points"):
-        from . import general
-
-        return getattr(general, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

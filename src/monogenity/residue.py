@@ -462,11 +462,3 @@ def ff_factor(field: ResidueField, g) -> list[tuple[tuple, int]]:
             for irr in irreducibles:
                 found[irr] = found.get(irr, 0) + mult
     return sorted(found.items(), key=lambda item: (ff_degree(item[0]), item[0]))
-
-
-def __getattr__(name):  # PEP 562: the names that moved to the general engine
-    if name == "ExtensionField":
-        from . import general
-
-        return general.ExtensionField
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,8 +4,7 @@ its expansion at x - m in closed form.
 Integer polynomials are tuples of Python ints in ascending degree
 order with no trailing zeros; () is the zero polynomial.  The dense
 Z[x] arithmetic and the phi-adic expansion at any base live in
-monogenity.general, which classify never needs; their names still
-resolve here.
+monogenity.general, which classify never needs.
 """
 
 from __future__ import annotations
@@ -249,9 +248,9 @@ def candidate_index_primes(params: PureFieldParams) -> tuple[int, ...]:
     return tuple(sorted({params.p, *params.m_primes}))
 
 
-def __getattr__(name):  # PEP 562: the names that moved to the general engine
-    if name in ("add", "sub", "mul", "divmod_monic", "phi_expansion"):
-        from . import general
+def __getattr__(name):  # PEP 562: bench/checks.py reads phi_expansion here
+    if name == "phi_expansion":
+        from .general import phi_expansion
 
-        return getattr(general, name)
+        return phi_expansion
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -166,6 +166,24 @@ class TestBoundedTime:
             q for q in range(2, 74) if is_prime(q)
         ]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scan_rejects_m_beyond_primality_limit(self, capsys, monkeypatch, tmp_path, jobs):
+        # these m have a cofactor past intarith._MR_LIMIT; the scan used to
+        # write them as not_squarefree and exit 0
+        monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)  # 3 rows start 2 workers at --jobs 2
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "rows.csv"
+        m = 10**30 + 57
+        with time_limit(20):
+            code, _, err = run(
+                capsys, "scan", "--p", "3", "--r", "1", "--m-from", str(m), "--m-to",
+                str(m + 2), "--jobs", str(jobs), "--out", str(out),
+            )
+            _, _, analyze_err = run(capsys, "analyze", "--p", "3", "--r", "1", "--m", str(m))
+        assert code == 2
+        assert "only decided deterministically" in err and err == analyze_err
+        assert not out.exists() and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("r", [10**4, 10**8])
     @pytest.mark.parametrize("command", ["analyze", "scan", "render"])
     def test_huge_degree_rejected(self, capsys, tmp_path, command, r):
@@ -524,7 +542,7 @@ class TestByteIdentity:
     def test_residuals_over_extension_fields(self):
         # the pure family only meets F_phi = F_p, so no other digest covers
         # residuals and factors over F_{p^k} with k >= 2
-        from monogenity import general
+        from monogenity import general, ore
 
         def power(phi, k):
             out = (1,)
@@ -537,7 +555,7 @@ class TestByteIdentity:
             f = power(phi, k)
             for j, a, c in terms:
                 f = general.add(f, general.mul((p**a,), general.mul(c, power(phi, j))))
-            for report in general.analyze_prime(f, p):
+            for report in ore.analyze_prime(f, p):
                 for side in report.sides:
                     lines.append(f"{side.residual}|{';'.join(side.factor_strings())}")
         text = "\n".join(lines)
@@ -580,8 +598,14 @@ def _nested(depth, leaf):
     return tree
 
 
+def json_text(value):  # what analyze --format json writes for value, less its last newline
+    out = []
+    cli._emit(value, "\n", out.append)
+    return "".join(out)
+
+
 class TestJsonEmitter:
-    """cli._json_text against the reference encoder, with each report's
+    """cli._emit against the reference encoder, with each report's
     points materialized as the [i, v] lists the schema describes."""
 
     # bench/workloads.py ANCHORS: the analyze_ladder rungs
@@ -617,7 +641,7 @@ class TestJsonEmitter:
             for prime, analysis in payload["certificate"]["primes"].items()
         }
         reference = {**payload, "certificate": {**payload["certificate"], "primes": primes}}
-        assert cli._json_text(payload) == json.dumps(reference, indent=2, sort_keys=True)
+        assert json_text(payload) == json.dumps(reference, indent=2, sort_keys=True)
 
     @given(_json_fields())
     @settings(max_examples=40, deadline=None)
@@ -643,15 +667,15 @@ class TestJsonEmitter:
     @example(_nested(120, "leaf"))
     @example(_nested(121, {}))
     def test_trees_match_json_dumps(self, tree):
-        assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+        assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("bad", [2.5, float("nan"), {1, 2}, frozenset(), b"x"])
     def test_other_types_raise(self, bad):
         payload = self.payload(2, 2, 17, False)
         with pytest.raises(TypeError):
-            cli._json_text({**payload, "extra": bad})
+            json_text({**payload, "extra": bad})
         with pytest.raises(TypeError):
-            cli._json_text({**payload, "oracle": [{"engine": [bad]}]})
+            json_text({**payload, "oracle": [{"engine": [bad]}]})
 
 
 @st.composite
@@ -694,7 +718,7 @@ class TestPointWriters:
         pairs = [[0, _valuation(p, m**n - m)]]
         pairs += [[j, r - _valuation(p, j)] for j in range(1, n)] + [[n, 0]]
         assert pairs[0][1] == nu0 == expansion.nu0
-        assert cli._json_text({"points": expansion}) == json.dumps(
+        assert json_text({"points": expansion}) == json.dumps(
             {"points": pairs}, indent=2, sort_keys=True
         )
         assert cli._points_text(expansion, "(%d,{})", " ") == " ".join(

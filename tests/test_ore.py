@@ -1,10 +1,12 @@
 import pytest
 
 from monogenity.errors import ValidationError
-from monogenity.general import analyze_prime, count_primes_with_residue_degree
+from monogenity.general import count_primes_with_residue_degree
 from monogenity.ore import (
     NOT_REGULAR,
     SplittingShape,
+    _phi_report,
+    analyze_prime,
     index_lower_bound,
     phi_report,
     splitting_shape,
@@ -198,7 +200,7 @@ class TestPhiReportValidation:
         closed = pure_shift_expansion(params)
         valuations = closed.valuations()[:-1] + (1,)  # a_n = 1 made a non-unit
         with pytest.raises(InvariantError, match="no unit coefficient"):
-            phi_report(pure_polynomial(params), 3, closed.phi, closed, range(10), valuations)
+            _phi_report(3, closed, (range(10), valuations))
 
     def test_a0_zero_rejected(self):
         # x**2 - x = x * (x - 1): no valued point at abscissa 0

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import enum
 
-from . import ore, zpoly
+from . import ore, polygon, zpoly
 from .errors import InvariantError, ValidationError
 from .intarith import _count_monic_irreducibles, _valuation
+from .polygon import ValuedPoint
 from .record import TupleRecord
+from .residue import ff_make_monic
 from .zpoly import PureFieldParams, candidate_index_primes, pure_polynomial
 
 
@@ -88,18 +90,31 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     divides m, x - m when t = p, canonical lifts otherwise.  The params
     have already checked p and the primes of m; any other t is checked
     by analyze_prime.  At t | m the polygon is the single side from
-    (0, 1) to (n, 0), since m is squarefree; at t = p the report keeps
-    the PureShiftExpansion.  Neither builds anything of size n: the
-    column of n + 1 valuations is built where a report's points or
-    valuations are read (render, --verify, tests), and analyze writes
-    its point text from the expansion.
+    (0, 1) to (n, 0), since m is squarefree.  Neither builds anything of
+    size n: the column of n + 1 valuations is built where a report's
+    points or valuations are read (render, --verify, tests), and analyze
+    writes its point text from the expansion.
+
+    At t = p the report is closed form in (p, r, nu0), nu0 = v_p(a_0).
+    The binomial lemma puts (j, r - v_p(j)) at 0 < j < n: each such point
+    lies level with or right of (p**v_p(j), r - v_p(j)), and the hull
+    never rises, so its vertices are (0, nu0) and (p**j, r - j) for
+    j = k..r.  Each later side has height 1, so degree 1.  The first
+    side has height a = nu0 - r + k over length p**k; the hull takes
+    p**k over p**(k - 1) iff a/p**k >= (a - 1)/p**(k - 1), i.e.
+    a(p - 1) <= p.  So a = 1 for odd p and a in {1, 2} for p = 2: k = 0
+    if nu0 > r + [p = 2], k = r if nu0 = 1, else k = r + 1 + [p = 2] -
+    nu0.  Only a p = 2 side with a = 2 has degree 2, through its midpoint
+    (2**(k - 1), r - k + 1); its three digits are units of F_2, so its
+    residual is y**2 + y + 1, irreducible.  Each side's one factor is
+    its monic residual.  ore._phi_report, the hull over all n + 1
+    points, is the reference the tests hold this to.
     """
     if t in params.m_primes:
         at_x = zpoly.PureExpansionAtX(params)
         reports = (ore._phi_report(t, at_x, ((0, params.degree), (1, 0))),)
     elif t == params.p:
-        shift = zpoly.pure_shift_expansion(params)
-        reports = (ore._phi_report(t, shift, shift),)
+        reports = (_report_at_p(params),)
     else:  # no candidate prime of classify gets here
         reports = tuple(ore.analyze_prime(pure_polynomial(params), t))
     index = ore.index_lower_bound(reports)
@@ -111,6 +126,26 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
             for f in shape.residue_degrees()
         )
     return PrimeAnalysis(t, reports, index, shape, pn_table)
+
+
+def _report_at_p(params: PureFieldParams) -> ore.PhiReport:
+    # the closed form of pure_prime_analysis's docstring
+    shift = zpoly.pure_shift_expansion(params)
+    p, r, nu0, n = params.p, params.r, shift.nu0, params.degree
+    k = 0 if nu0 > r + (p == 2) else r + 1 + (p == 2 and nu0 > 1) - nu0
+    vertices = [ValuedPoint(0, nu0)] + [ValuedPoint(p**j, r - j) for j in range(k, r + 1)]
+    hull = polygon.NewtonPolygon(tuple(map(polygon.Side, vertices, vertices[1:])))
+    sides = []
+    for side in hull.sides:
+        residual = polygon.residual_polynomial(shift, p, shift.phi, side)
+        monic = ff_make_monic(residual.field, residual.as_poly())
+        if len(monic) != side.degree + 1 or side.degree > 1 and monic != (1, 1, 1):
+            raise InvariantError(f"residual {monic} on a side of degree {side.degree}")
+        sides.append(ore.SideAnalysis(side, residual, ((monic, 1),)))
+    if sum(side.length for side in hull.sides) != n:
+        raise InvariantError(f"polygon at {p} spans {hull.span}, expected (0, {n})")
+    index = polygon.phi_index(hull, 1)
+    return ore.PhiReport(shift.phi, n, shift, hull, hull, tuple(sides), index, True)
 
 
 def _build_certificate(

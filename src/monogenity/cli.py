@@ -377,13 +377,15 @@ def cmd_scan(args) -> int:
     runs in process when that allows fewer than two; the same bytes come
     out either way.  The pool forks all its workers at its first task, so
     without the CPU cap --jobs 5000 would fork 5000 processes.  Starting
-    and tearing down a pool costs as much as 100-200 rows.  On 2 CPUs,
-    where a row at p=7 r=1 or p=2 r=8 takes about 0.2 ms, two workers ran
-    at x0.35-1.06 the speed of one process on 50-200 rows, x0.82-1.31 on
-    256 rows and x1.07-1.71 from 512 rows on (medians over 7-15 runs per
-    size); 256 is the smallest power of two K at which 2K rows never ran
-    slower in the pool.  K scales with the cost of a row, so a change that makes rows
-    much cheaper (a per-class memo) must measure it again.
+    and tearing down a pool costs as much as 100-300 rows.  On 2 CPUs,
+    where a row takes about 0.08 ms at p=2 r=8 and 0.1 ms at p=7 r=1, two
+    workers at p=2 r=8 ran at x0.55 the speed of one process on 128 rows,
+    x0.92-0.94 on 256-384 rows, x0.99 and x1.11 on 512 rows (two sets of
+    11 and 21 pairs) and x1.19-1.47 on 768-2048 rows; at p=7 r=1, x1.09
+    on 256 rows and x1.11-1.16 on 512 (medians over 7-21 pairs per size).
+    So K = 256 stays: 2K rows did not run slower in the pool.  K scales
+    with the cost of a row, so a change that makes rows much cheaper (a
+    per-class memo) must measure it again.
     """
     config = _load_config(args.config)
     fmt = _resolve("format", args.format, config, "csv")

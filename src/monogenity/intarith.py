@@ -139,17 +139,23 @@ def factorize(n: int) -> list[tuple[int, int]]:
     can decide.  A composite cofactor at or above _MR_LIMIT makes
     is_prime raise ValidationError.
     """
+    return list(_prime_powers(n))
+
+
+def _prime_powers(n: int):
+    """factorize(n) as an iterator: the pairs found by trial division come
+    before the cofactor is split, so a caller that stops at the first
+    exponent above 1 never splits it."""
     if n == 0:
         raise ValidationError("cannot factor 0")
     n = abs(n)
-    out: list[tuple[int, int]] = []
     for p in (2, 3):
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
-            out.append((p, e))
+            yield p, e
     # 6k+-1 wheel
     d = 5
     step = 2
@@ -159,17 +165,16 @@ def factorize(n: int) -> list[tuple[int, int]]:
             while n % d == 0:
                 n //= d
                 e += 1
-            out.append((d, e))
+            yield d, e
         d += step
         step = 6 - step
     if n > 1 and d * d > n:
         # no prime below d divides n, so n is prime
-        out.append((n, 1))
+        yield n, 1
     elif n > 1:
         large: list[int] = []
         _split(n, large)
-        out.extend((q, large.count(q)) for q in sorted(set(large)))
-    return out
+        yield from ((q, large.count(q)) for q in sorted(set(large)))
 
 
 def _split(n: int, out: list[int]) -> None:
@@ -217,10 +222,11 @@ def _brent_rho(n: int) -> int:
 
 
 def is_squarefree(m: int) -> bool:
-    """True iff no prime square divides |m| (read off factorize)."""
+    """True iff no prime square divides |m|; False at the first square
+    trial division finds, before the cofactor is split."""
     if m == 0:
         raise ValidationError("squarefreeness is undefined for 0")
-    return all(e == 1 for _, e in factorize(m))
+    return all(e == 1 for _, e in _prime_powers(m))
 
 
 def moebius(n: int) -> int:

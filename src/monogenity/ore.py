@@ -170,17 +170,16 @@ def analyze_prime(f: zpoly.ZPoly, p: int) -> list[PhiReport]:
 
 def _phi_report(p: int, expansion, valued) -> PhiReport:
     """phi_report() for a base and an expansion already checked, as classify's
-    closed forms are; valued is the columns or the PureShiftExpansion itself."""
+    closed form at t | m is; valued is the columns (abscissas, valuations)."""
     phi = zpoly.poly(expansion.phi)
-    support = expansion.support() if isinstance(expansion, zpoly.PureShiftExpansion) else None
-    abscissas, valuations = zip(*support) if valued is expansion else valued
+    abscissas, valuations = valued
     try:
         multiplicity = abscissas[valuations.index(0)]
     except ValueError:
         raise InvariantError("no unit coefficient in the expansion of a monic polynomial") from None
     if multiplicity == 0:
         raise ValidationError("expansion base does not divide the reduction of f")
-    hull = polygon.lower_convex_hull(support or zip(abscissas, valuations))
+    hull = polygon.lower_convex_hull(zip(abscissas, valuations))
     principal = polygon.principal_part(hull)
 
     if not principal.is_empty:

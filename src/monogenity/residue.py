@@ -30,7 +30,6 @@ distinct-degree, then Cantor-Zassenhaus equal-degree factorization
 from __future__ import annotations
 
 import functools
-import random
 
 from .errors import InvariantError, ValidationError
 from .intarith import require_prime
@@ -457,6 +456,8 @@ def ff_factor(field: ResidueField, g) -> list[tuple[tuple, int]]:
                 irreducibles = [block]
             else:
                 if rng is None:
+                    import random  # only Cantor-Zassenhaus draws: analyze and scan never load it
+
                     rng = random.Random(_SPLIT_SEED)
                 irreducibles = _equal_degree(field, block, d, rng)
             for irr in irreducibles:

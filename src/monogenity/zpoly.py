@@ -78,8 +78,10 @@ class PureFieldParams(Record):
     conditions the polynomial is irreducible over Q (a squarefree m of
     absolute value >= 2 is not a perfect q-th power for any prime q and
     never of the form -4k**4), so no runtime irreducibility test is run.
-    The squarefree check factors m; its primes are kept in m_primes so
-    that nothing else has to factor m again.
+    The squarefree check factors m, and stops at the first square, so a
+    square that trial division finds rejects m before the cofactor is
+    split; the primes are kept in m_primes so that nothing else has to
+    factor m again.
     """
 
     __slots__ = ("p", "r", "m", "m_primes")
@@ -92,11 +94,12 @@ class PureFieldParams(Record):
             raise ValidationError(f"r must be a positive integer, got {r}")
         if m in (-1, 0, 1):
             raise ValidationError(f"m must satisfy |m| >= 2, got {m}")
-        # looked up on the module, where a tracer can wrap it
-        factors = intarith.factorize(m)
-        if any(e > 1 for _, e in factors):
-            raise ValidationError(f"m must be squarefree, got {m}")
-        for name, value in zip(self.__slots__, (p, r, m, tuple(q for q, _ in factors))):
+        primes = []
+        for q, e in intarith._prime_powers(m):  # on the module, where a tracer can wrap it
+            if e > 1:
+                raise ValidationError(f"m must be squarefree, got {m}")
+            primes.append(q)
+        for name, value in zip(self.__slots__, (p, r, m, tuple(primes))):
             object.__setattr__(self, name, value)
 
     @property
@@ -139,10 +142,10 @@ class PureShiftExpansion(TupleRecord):
 
     The binomial theorem gives a_0 = m**n - m and
     a_j = binomial(n, j) * m**(n - j).  No a_j is built for a verdict:
-    valuations() gives every v_p(a_j) from the binomial lemma, support()
-    the r + 2 that decide the polygon, and unit() the first p-adic digit
-    of one a_j, all that residual polynomials read.  coefficient() makes
-    one exact a_j, for tests and the dense reference.
+    valuations() gives every v_p(a_j) from the binomial lemma, and unit()
+    the first p-adic digit of one a_j, all that residual polynomials
+    read.  coefficient() makes one exact a_j, for tests and the dense
+    reference.
     """
 
     params: PureFieldParams
@@ -188,16 +191,6 @@ class PureShiftExpansion(TupleRecord):
         w = _valuation(p, j)
         sign = 1 if j % 2 else -1
         return r - w, sign * pow(j // p**w, -1, p) * pow(m, n - j, p) % p
-
-    def support(self) -> list[tuple[int, int]]:
-        """(0, nu0) and (p**k, r - k) for k = 0..r, the points the polygon rests on.
-
-        Every other point (j, r - v_p(j)) has j >= p**v_p(j): it lies at
-        the height of a support point, level with it or to its right.
-        The lower hull never rises, so it passes on or under that point.
-        """
-        p, r = self.params.p, self.params.r
-        return [(0, self.nu0)] + [(p**k, r - k) for k in range(r + 1)]
 
 
 class PureExpansionAtX(TupleRecord):

@@ -13,8 +13,8 @@ from monogenity.general import (
 )
 from monogenity.intarith import is_squarefree, valuation
 from monogenity.oracle import brute_hull
-from monogenity.ore import NOT_REGULAR, phi_report
-from monogenity.polygon import lower_convex_hull
+from monogenity import ore, polygon
+from monogenity.ore import NOT_REGULAR, PhiReport, phi_report
 from monogenity.zpoly import (
     PhiExpansion,
     PureFieldParams,
@@ -340,20 +340,77 @@ def _support_cases():
     return cases
 
 
+def _differential_grids():
+    """Every (p, r) with p <= 13 and p**r <= 1024 whose two periods mod
+    p**(r + 3) hold at most 5000 integers: p**r <= 256 at p = 2, 81 at
+    p = 3, and (5, 1), (7, 1).  TestClosedFormAtP's dense cases reach
+    p = 61 and p**r = 4096."""
+    return [
+        (p, r)
+        for p in (2, 3, 5, 7, 11, 13)
+        for r in range(1, 11)
+        if p**r <= 1024 and 2 * p ** (r + 3) <= 5000
+    ]
+
+
 class TestClosedFormAtP:
     """The binomial-lemma report at t = p against the dense expansion path."""
 
+    @pytest.mark.parametrize("p, r", _differential_grids())
+    def test_closed_form_matches_the_hull_pipeline(self, p, r):
+        # two periods mod p**(r + 3) reach every nu0 <= r + 2, each digit of
+        # a_0 and of m mod p, and nu0 >= r + 3; m < 0 included
+        period = p ** (r + 3)
+        ms = [
+            m
+            for m in range(-2 * period + 1, 2 * period)
+            if abs(m) >= 2 and m % p and is_squarefree(m)
+        ]
+        nus = set()
+        for m in ms:
+            params = PureFieldParams(p, r, m)
+            shift = pure_shift_expansion(params)
+            n = params.degree
+            closed = pure_prime_analysis(params, p).reports[0]
+            hull = ore._phi_report(p, shift, (range(n + 1), shift.valuations()))
+            assert closed.valued == shift and hull.valued == (range(n + 1), shift.valuations())
+            for name in PhiReport._fields:
+                if name != "valued":
+                    assert getattr(closed, name) == getattr(hull, name), (m, name)
+            nus.add(min(shift.nu0, r + 3))
+        assert nus == set(range(1, r + 4))
+
+    def test_no_hull_or_factorization_at_p(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the hull pipeline ran at t = p")
+
+        monkeypatch.setattr(polygon, "lower_convex_hull", refuse)
+        monkeypatch.setattr(ore, "ff_factor", refuse)
+        # (2, 3, 17) has the degree-2 side from (0, 4) to (2, 2)
+        for p, r, m in ((2, 3, 17), (2, 12, 3), (3, 7, 10), (7, 2, 2), (61, 2, 3)):
+            analysis = pure_prime_analysis(PureFieldParams(p, r, m), p)
+            assert analysis.shape.total_degree() == p**r
+        sides = pure_prime_analysis(PureFieldParams(2, 3, 17), 2).reports[0].sides
+        assert [(a.side.degree, a.factor_strings()) for a in sides] == [
+            (2, ("y^2 + y + 1",)), (1, ("y + 1",)), (1, ("y + 1",))
+        ]
+        with pytest.raises(AssertionError, match="hull pipeline"):
+            pure_prime_analysis(PureFieldParams(2, 3, 15), 5)
+
     @pytest.mark.parametrize("p, r, m, sign", _support_cases())
     def test_support_hull_matches_brute_hull(self, p, r, m, sign):
-        expansion = pure_shift_expansion(PureFieldParams(p, r, m))
+        # the closed-form vertices, the points the polygon rests on, against
+        # the oracle's hull over all n + 1 points
+        params = PureFieldParams(p, r, m)
+        expansion = pure_shift_expansion(params)
         assert (expansion.nu0 > r) - (expansion.nu0 < r) == sign
-        support, points = expansion.support(), list(enumerate(expansion.valuations()))
-        assert len(support) == r + 2
+        report = pure_prime_analysis(params, p).reports[0]
+        support, points = report.polygon.vertices, list(enumerate(expansion.valuations()))
+        assert support[0] == (0, expansion.nu0) and support[-1] == (p**r, 0)
         assert set(support) <= set(points)
-        hull = lower_convex_hull(support)
         brute = brute_hull(points)
-        assert hull.vertices == brute.vertices
-        assert hull.sides == brute.sides
+        assert report.polygon.vertices == brute.vertices
+        assert report.polygon.sides == brute.sides
 
     @pytest.mark.parametrize("p, r, m", _closed_form_cases())
     def test_matches_dense_phi_report(self, p, r, m):
@@ -399,11 +456,12 @@ class TestClosedFormAtP:
         m = 1000003 * 1009
         calls = []
 
-        def counting(n, _factorize=intarith.factorize):
+        def counting(n, _prime_powers=intarith._prime_powers):
             calls.append(n)
-            return _factorize(n)
+            return _prime_powers(n)
 
-        monkeypatch.setattr(intarith, "factorize", counting)
+        # factorize and the squarefree check both read m's primes off _prime_powers
+        monkeypatch.setattr(intarith, "_prime_powers", counting)
         verdict = classify(PureFieldParams(3, 2, m))
         assert [n for n in calls if abs(n) == m] == [m]
         assert [q for q, _ in verdict.certificate.discriminant_valuations] == [3, 1009, 1000003]

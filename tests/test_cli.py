@@ -184,6 +184,27 @@ class TestBoundedTime:
         assert "only decided deterministically" in err and err == analyze_err
         assert not out.exists() and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_square_found_before_the_cofactor(self, capsys, monkeypatch, tmp_path, jobs):
+        # 4 times a prime past intarith._MR_LIMIT: trial division finds 2**2,
+        # so m is not squarefree and the cofactor is never tested
+        monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)  # 2 rows start 2 workers at --jobs 2
+        usable_cpus(monkeypatch, 2)
+        m = 4 * 3317044064679887385962123
+        out = tmp_path / "rows.csv"
+        with time_limit(20):
+            code, _, err = run(capsys, "analyze", "--p", "3", "--r", "1", "--m", str(m))
+            assert code == 2 and f"m must be squarefree, got {m}" in err
+            code, _, _ = run(
+                capsys, "scan", "--p", "3", "--r", "1", "--m-from", str(m), "--m-to",
+                str(m + 4), "--residue", "0", "--modulus", "4", "--jobs", str(jobs),
+                "--out", str(out),
+            )
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == [
+            f"{m},3,1,,,,,,,,,not_squarefree", f"{m + 4},3,1,,,,,,,,,not_squarefree"
+        ]
+
     @pytest.mark.parametrize("r", [10**4, 10**8])
     @pytest.mark.parametrize("command", ["analyze", "scan", "render"])
     def test_huge_degree_rejected(self, capsys, tmp_path, command, r):
@@ -431,7 +452,9 @@ class TestByteIdentity:
     (61, 2, 3)) from before the points were carried as columns and the
     certificate polynomial was written in closed form, and (analyze JSON
     at (3, 7, 10), (7, 4, 2), human text at (3, 7, 10), (5, 5, 7)) from
-    before the point text was formatted on bytes.
+    before the point text was formatted on bytes, and (analyze JSON at
+    (2, 3, 3), (2, 3, 17), (2, 3, 33)) from before the report at t = p
+    was built in closed form.
 
     Performance work must leave analyze JSON, human text and scan CSV
     byte for byte the same; a digest changes only with a deliberate
@@ -454,6 +477,11 @@ class TestByteIdentity:
             # odd p: blocks of p - 1 pieces joined level by level
             (3, 7, 10, "04ef699ad8ffa01943d4dde301580a3a4bd9a30baefa591cb2a352f40dc8352a"),
             (7, 4, 2, "587dcda8c5e928721d076a851f76e0fc1cdaf7beeb6c9bfff3d89196fbf65fe3"),
+            # p = 2 at t = p: nu0 = 1 (one side), nu0 = r + 1 (a degree-2 side
+            # from (0, 4) to (2, 2)) and nu0 >= r + 2 (first vertex at abscissa 1)
+            (2, 3, 3, "5afa01ea782a9412c8f82384e59fd7d49860a6a97a618e85044fa874123893d7"),
+            (2, 3, 17, "4fbb5a89332ffb30a18bc2143a9c95b31368ff6fcdc5e27697f5d45d566255e1"),
+            (2, 3, 33, "e49e6e109a37e531040f965f6c148c26f4b4ae71155f0ef90ce3462a79e50d25"),
         ],
     )
     def test_analyze_json(self, capsys, p, r, m, digest):

@@ -163,6 +163,15 @@ class TestFactorize:
         assert primorial > _MR_LIMIT
         assert factorize(primorial) == [(q, 1) for q in range(2, 72) if is_prime(q)]
 
+    def test_square_rejected_before_the_cofactor(self):
+        # trial division finds 2**2; the cofactor past the limit is never tested
+        m = 4 * LARGE_PRIME
+        assert not is_squarefree(m)
+        with pytest.raises(ValidationError, match="must be squarefree"):
+            PureFieldParams(3, 1, m)
+        with pytest.raises(ValidationError, match="only decided deterministically"):
+            factorize(m)
+
     def test_large_cofactor_rejected(self):
         # a prime just above the deterministic Miller-Rabin limit
         with pytest.raises(ValidationError, match="only decided deterministically"):

@@ -26,9 +26,9 @@ from monogenity.zpoly import PhiExpansion, pure_shift_expansion
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Loaded by --verify, render, scan, Side.slope or a polynomial outside the
-# pure family only, never by a load of the CLI: each would be built or
-# compiled on every command.
+# Loaded by --verify, render, scan, Side.slope, a Cantor-Zassenhaus split or
+# a polynomial outside the pure family only, never by a load of the CLI: each
+# would be built or compiled on every command.
 NOT_LOADED = (
     "monogenity.oracle",
     "monogenity.render",
@@ -37,6 +37,7 @@ NOT_LOADED = (
     "fractions",
     "csv",
     "typing",
+    "random",
 )
 
 # (module, name) for every public name that moved into monogenity.general
@@ -87,14 +88,15 @@ class TestImportGraph:
             "        for p, r in ((7, 1), (2, 8), (3, 2), (5, 1)):\n"
             "            main(['scan', '--p', str(p), '--r', str(r), '--m-from', '-60',\n"
             f"                  '--m-to', '60', '--format', fmt, '--out', {str(out)!r}])\n"
-            "print('monogenity.general' in sys.modules, 'typing' in sys.modules)\n"
+            "print('monogenity.general' in sys.modules, 'typing' in sys.modules,\n"
+            "      'random' in sys.modules)\n"
             "from monogenity.residue import residue_field\n"
             "residue_field(7, (3, 1))\n"
             "print('monogenity.general' in sys.modules)\n"
             "residue_field(3, (1, 0, 1))\n"
             "print('monogenity.general' in sys.modules)\n"
         )
-        assert _run_bare(code).split() == ["False", "False", "False", "True"]
+        assert _run_bare(code).split() == ["False", "False", "False", "False", "True"]
 
     def test_package_import_loads_no_submodule(self):
         code = (

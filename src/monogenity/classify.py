@@ -1,12 +1,11 @@
 """Monogenity classification of the pure fields x**(p**r) - m.
 
-The decision tree certifies Z[alpha] = Z_K when v_p(m**p - m) = 1,
-proves non-monogenity through a common index divisor when the engine
-splitting exhibits more degree-f primes than there are monic
-irreducibles of degree f over F_p, and otherwise reports UNDETERMINED
-with full diagnostics.  The Dedekind criterion, an independent check
-that a prime divides the index of Z[alpha], and the common-index test
-at one prime live in monogenity.general.
+The verdict is read off nu = v_p(m**p - m), p and r, as in the paper's
+theorems; the engine's P_f/N_f table and common-index witness at p are
+evidence in the certificate, checked against them.  The Dedekind
+criterion, an independent check that a prime divides the index of
+Z[alpha], and the common-index test at one prime live in
+monogenity.general.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class Provenance(str, enum.Enum):
     THEOREM_NPIBODD = "THEOREM_NPIBODD"
     THEOREM_MONO2 = "THEOREM_MONO2"
     COROLLARY_MONO3 = "COROLLARY_MONO3"
-    ENGINE_COMINDEX = "ENGINE_COMINDEX"
     NONE = "NONE"
 
 
@@ -63,7 +61,7 @@ class Certificate(TupleRecord):
 
     params: PureFieldParams
     nu_pivot: int  # v_p(m**p - m)
-    nu_fermat: "int | None"  # v_p(m**(p-1) - 1) when p does not divide m
+    nu_fermat: "int | None"  # v_p(m**(p-1) - 1) = nu_pivot when p does not divide m
     negative_m: bool
     analyses: tuple[PrimeAnalysis, ...]
     discriminant_valuations: tuple[tuple[int, int], ...]
@@ -148,66 +146,63 @@ def _report_at_p(params: PureFieldParams) -> ore.PhiReport:
     return ore.PhiReport(shift.phi, n, shift, hull, hull, tuple(sides), index, True)
 
 
-def _build_certificate(
-    params: PureFieldParams, nu_pivot: int, all_candidates: bool
-) -> Certificate:
-    # nu_pivot = v_p(m**p - m), which classify has already taken
-    p, m = params.p, params.m
-    nu_fermat = _valuation(p, m ** (p - 1) - 1) if m % p else None
-    candidates = candidate_index_primes(params)
-    primes = candidates if all_candidates else (p,)
-    analyses = tuple(pure_prime_analysis(params, t) for t in primes)
-    disc = tuple((t, zpoly.discriminant_valuation(params, t)) for t in candidates)
-    at_p = analyses[0] if not all_candidates else next(a for a in analyses if a.prime == p)
-    witness = at_p.comindex_witness() if at_p.regular else None
-    comindex_prime = p if witness is not None else None
-    return Certificate(params, nu_pivot, nu_fermat, m < 0, analyses, disc, comindex_prime, witness)
-
-
 def classify(params: PureFieldParams) -> MonogenityVerdict:
-    """Decide monogenity of Q(m**(1/p**r)) as far as the machinery reaches.
+    """Decide monogenity of Q(m**(1/p**r)) from nu = v_p(m**p - m), p and r.
 
-    Branches, in order: v_p(m**p - m) = 1 certifies Z[alpha] = Z_K; for
-    odd p not dividing m with v_p(m**(p-1) - 1) > p and r >= p the field
-    is not monogenic; for p = 2 the congruences m = 1 mod 16 (r = 2) and
-    m = 1 mod 32 (r >= 3) rule monogenity out; otherwise the engine
-    looks for a common index divisor at p, and failing that the verdict
-    is UNDETERMINED.
+    Branches: nu = 1 certifies Z[alpha] = Z_K (THEOREM_PIB); odd p with
+    nu > p and r >= p is not monogenic (THEOREM_NPIBODD, COROLLARY_MONO3
+    at p = 3); p = 2 with nu >= 4 at r = 2 or nu >= 5 at r >= 3 is not
+    monogenic (THEOREM_MONO2); anything else is UNDETERMINED.
+
+    The engine's witness at p, a residue degree f with more primes P_f
+    than monic irreducibles N_f of degree f over F_p, exists exactly
+    when a non-monogenity branch fires; any other outcome raises
+    InvariantError.  Proof: if p divides the squarefree m, nu = v_p(m)
+    = 1 and the report at p is one Eisenstein side.  Otherwise
+    nu = v_p(m**(p-1) - 1) = nu0 = v_p(m**(n-1) - 1) by lifting the
+    exponent, as (n - 1)/(p - 1) = (p**r - 1)/(p - 1) is 1 mod p, and
+    pure_prime_analysis's closed form has r - k + 1 sides.  For odd p
+    each has degree 1, so P_1 = min(nu, r + 1) > N_1 = p exactly when
+    nu > p and r >= p.  For p = 2 at most one side has degree 2, with
+    residual y**2 + y + 1, so P_2 <= 1 = N_2, and P_1 is r + 1, nu - 2
+    or 1 as nu > r + 1, 1 < nu <= r + 1 or nu = 1; so P_1 > 2 = N_1
+    exactly when r = 2 and nu >= 4, or r >= 3 and nu >= 5.
     """
     p, r, m = params.p, params.r, params.m
     nu_pivot = _valuation(p, m**p - m)
-
+    status = Status.NOT_MONOGENIC
     if nu_pivot == 1:
-        certificate = _build_certificate(params, nu_pivot, all_candidates=True)
-        for analysis in certificate.analyses:
+        status, provenance = Status.MONOGENIC_ZALPHA, Provenance.THEOREM_PIB
+    elif p % 2 and nu_pivot > p and r >= p:
+        provenance = Provenance.COROLLARY_MONO3 if p == 3 else Provenance.THEOREM_NPIBODD
+    elif p == 2 and (r == 2 and nu_pivot >= 4 or r >= 3 and nu_pivot >= 5):
+        provenance = Provenance.THEOREM_MONO2
+    else:
+        status, provenance = Status.UNDETERMINED, Provenance.NONE
+
+    candidates = candidate_index_primes(params)
+    if nu_pivot == 1:
+        analyses = tuple(pure_prime_analysis(params, t) for t in candidates)
+        for analysis in analyses:
             if analysis.index.value != 0 or not analysis.index.exact:
                 raise InvariantError(
                     f"pivot valuation 1 but index bound at {analysis.prime} is "
                     f"{analysis.index.value} (exact={analysis.index.exact})"
                 )
-        return MonogenityVerdict(Status.MONOGENIC_ZALPHA, Provenance.THEOREM_PIB, certificate)
-
-    certificate = _build_certificate(params, nu_pivot, all_candidates=False)
-    at_p = certificate.analysis_at(p)
-
-    def not_monogenic(provenance: Provenance) -> MonogenityVerdict:
-        if certificate.comindex_degree is None:
-            raise InvariantError(
-                "non-monogenity branch fired but the engine exhibits no "
-                f"common index divisor at {p}"
-            )
-        return MonogenityVerdict(Status.NOT_MONOGENIC, provenance, certificate)
-
-    if p % 2 and m % p and certificate.nu_fermat > p and r >= p:
-        provenance = Provenance.COROLLARY_MONO3 if p == 3 else Provenance.THEOREM_NPIBODD
-        return not_monogenic(provenance)
-    if p == 2 and r == 2 and _valuation(2, 1 - m) >= 4:
-        return not_monogenic(Provenance.THEOREM_MONO2)
-    if p == 2 and r >= 3 and _valuation(2, 1 - m) >= 5:
-        return not_monogenic(Provenance.THEOREM_MONO2)
-    if at_p.regular and at_p.comindex_witness() is not None:
-        return not_monogenic(Provenance.ENGINE_COMINDEX)
-    return MonogenityVerdict(Status.UNDETERMINED, Provenance.NONE, certificate)
+    else:
+        analyses = (pure_prime_analysis(params, p),)
+    witness = next(a for a in analyses if a.prime == p).comindex_witness()
+    if (witness is None) == (status is Status.NOT_MONOGENIC):
+        found = "no" if witness is None else "a"
+        raise InvariantError(
+            f"{provenance.value} verdict but the engine exhibits {found} "
+            f"common index divisor at {p}"
+        )
+    disc = tuple((t, zpoly.discriminant_valuation(params, t)) for t in candidates)
+    nu_fermat = nu_pivot if m % p else None  # m**p - m = m * (m**(p-1) - 1)
+    comindex_prime = None if witness is None else p
+    cert = Certificate(params, nu_pivot, nu_fermat, m < 0, analyses, disc, comindex_prime, witness)
+    return MonogenityVerdict(status, provenance, cert)
 
 
 def __getattr__(name):  # PEP 562: bench/checks.py reads dedekind_divides_index here

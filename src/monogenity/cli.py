@@ -224,6 +224,8 @@ def _oracle_reports(verdict: MonogenityVerdict) -> list[dict]:
         for rep in analysis.reports:
             tag = f"prime {analysis.prime}, base {to_string(rep.phi)}"
             points = oracle.pure_valued_points(params.degree, params.m, analysis.prime, rep.phi)
+            wrong = {i for i, _ in set(rep.points).symmetric_difference(points)}
+            check(f"abscissas of wrong valued points ({tag})", sorted(wrong), [])
             hull = oracle.brute_hull(points)
             check(f"hull vertices ({tag})", rep.polygon.vertices, hull.vertices)
             index = oracle.brute_phi_index(principal_part(rep.polygon))

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -11,7 +12,7 @@ from monogenity.general import (
     is_common_index_divisor,
     phi_expansion,
 )
-from monogenity.intarith import is_squarefree, valuation
+from monogenity.intarith import count_monic_irreducibles, is_squarefree, valuation
 from monogenity.oracle import brute_hull
 from monogenity import ore, polygon
 from monogenity.ore import NOT_REGULAR, PhiReport, phi_report
@@ -113,6 +114,22 @@ class TestClassifyEngineBranch:
         # -15 = 1 mod 16, so the quartic congruence fires sign-blind
         assert verdict.status is Status.NOT_MONOGENIC
         assert verdict.provenance is Provenance.THEOREM_MONO2
+
+    @pytest.mark.parametrize(
+        "fake_count, p, r, m, found",
+        [
+            # N_f = 0 makes every P_f a witness, on a field no theorem decides
+            (0, 2, 4, 17, "NONE verdict but the engine exhibits a common"),
+            # N_f = P_f + 1 takes the witness from a field the theorem decides
+            (10**6, 2, 2, 17, "THEOREM_MONO2 verdict but the engine exhibits no common"),
+        ],
+    )
+    def test_witness_checked_against_the_theorems(self, monkeypatch, fake_count, p, r, m, found):
+        # the package name classify is the function; its module is in sys.modules
+        module = importlib.import_module("monogenity.classify")
+        monkeypatch.setattr(module, "_count_monic_irreducibles", lambda q, f: fake_count)
+        with pytest.raises(InvariantError, match=found):
+            classify(PureFieldParams(p, r, m))
 
 
 class TestDedekind:
@@ -353,8 +370,81 @@ def _differential_grids():
     ]
 
 
+def _provenance_by_the_theorems(p, r, m):
+    """The paper's statements, each on its own big-integer valuation."""
+    if valuation(p, m**p - m) == 1:
+        return Provenance.THEOREM_PIB
+    if p % 2 and m % p and valuation(p, m ** (p - 1) - 1) > p and r >= p:
+        return Provenance.COROLLARY_MONO3 if p == 3 else Provenance.THEOREM_NPIBODD
+    if p == 2 and (r == 2 and valuation(2, 1 - m) >= 4 or r >= 3 and valuation(2, 1 - m) >= 5):
+        return Provenance.THEOREM_MONO2
+    return Provenance.NONE
+
+
+def _witnesses_at_p(certificate, p):
+    """Every residue degree f with P_f > N_f in the splitting at p."""
+    shape = certificate.analysis_at(p).shape
+    assert shape is not NOT_REGULAR
+    return [
+        f for f in shape.residue_degrees()
+        if shape.count_residue_degree(f) > count_monic_irreducibles(p, f)
+    ]
+
+
 class TestClosedFormAtP:
     """The binomial-lemma report at t = p against the dense expansion path."""
+
+    @pytest.mark.parametrize("p, r", _differential_grids())
+    def test_class_walk_verdict_reads_nu_alone(self, p, r):
+        # classify's proof, walked over two periods mod p**(r + 3), p | m and
+        # m < 0 included: each verdict is the paper's, and the engine's witness
+        # at p exists exactly on the NOT_MONOGENIC ones
+        period = p ** (r + 3)
+        statuses = {
+            Provenance.THEOREM_PIB: Status.MONOGENIC_ZALPHA,
+            Provenance.NONE: Status.UNDETERMINED,
+        }
+        seen = set()
+        for m in range(-2 * period + 1, 2 * period):
+            if abs(m) < 2 or not is_squarefree(m):
+                continue
+            verdict = classify(PureFieldParams(p, r, m))
+            cert = verdict.certificate
+            assert cert.nu_pivot == valuation(p, m**p - m), m
+            assert cert.nu_fermat == (valuation(p, m ** (p - 1) - 1) if m % p else None), m
+            assert verdict.provenance is _provenance_by_the_theorems(p, r, m), m
+            assert verdict.status is statuses.get(verdict.provenance, Status.NOT_MONOGENIC), m
+            witnesses = _witnesses_at_p(cert, p)
+            assert bool(witnesses) == (verdict.status is Status.NOT_MONOGENIC), m
+            assert cert.comindex_degree == (witnesses[0] if witnesses else None), m
+            seen.add(verdict.provenance.value)
+        assert {"THEOREM_PIB", "NONE"} <= seen <= {
+            "THEOREM_PIB", "THEOREM_NPIBODD", "THEOREM_MONO2", "COROLLARY_MONO3", "NONE"
+        }
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("nu_above_p", [0, 1])
+    @pytest.mark.parametrize("r_below_p", [1, 0])
+    def test_npibodd_boundary(self, p, nu_above_p, r_below_p):
+        # nu in {p, p + 1}, r in {p - 1, p}: P_1 = min(nu, r + 1) passes N_1 = p
+        # only at nu = p + 1, r = p.  m = 1 + p**nu * y has nu = v_p(m - 1).
+        nu, r = p + nu_above_p, p - r_below_p
+        y = 1
+        while y % p == 0 or not is_squarefree(1 + p**nu * y):
+            y += 1
+        verdict = classify(PureFieldParams(p, r, 1 + p**nu * y))
+        cert = verdict.certificate
+        assert cert.nu_pivot == cert.nu_fermat == nu
+        assert cert.analysis_at(p).pn_table == ((1, min(nu, r + 1), p),)
+        if nu > p and r >= p:
+            assert verdict.status is Status.NOT_MONOGENIC
+            assert verdict.provenance is (
+                Provenance.COROLLARY_MONO3 if p == 3 else Provenance.THEOREM_NPIBODD
+            )
+            assert (cert.comindex_prime, cert.comindex_degree) == (p, 1)
+        else:
+            assert verdict.status is Status.UNDETERMINED
+            assert (cert.comindex_prime, cert.comindex_degree) == (None, None)
 
     @pytest.mark.parametrize("p, r", _differential_grids())
     def test_closed_form_matches_the_hull_pipeline(self, p, r):

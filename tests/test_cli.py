@@ -53,12 +53,19 @@ class TestAnalyze:
         assert "squarefree" in err
 
     def test_json_schema(self, capsys):
+        from monogenity.classify import Provenance
+
         schema = load_schema()
+        provenances = set()
         for argv in (
             ["analyze", "--p", "2", "--r", "2", "--m", "17", "--format", "json"],
             ["analyze", "--p", "2", "--r", "2", "--m", "3", "--format", "json"],
             ["analyze", "--p", "5", "--r", "1", "--m", "7", "--format", "json", "--verify"],
             ["analyze", "--p", "3", "--r", "3", "--m", "161", "--format", "json"],
+            # one field per provenance; 15626 = 1 + 5**6 = 2 * 13 * 601 has nu = 6
+            ["analyze", "--p", "7", "--r", "1", "--m", "2", "--format", "json"],
+            ["analyze", "--p", "5", "--r", "5", "--m", "15626", "--format", "json"],
+            ["analyze", "--p", "2", "--r", "4", "--m", "17", "--format", "json"],
         ):
             code, out, _ = run(capsys, *argv)
             assert code == 0
@@ -66,6 +73,15 @@ class TestAnalyze:
             jsonschema.validate(payload, schema)
             # documented serialization round-trips losslessly
             assert json.loads(json.dumps(payload)) == payload
+            provenances.add(payload["verdict"]["provenance"])
+        assert provenances == {p.value for p in Provenance}
+
+    def test_schema_enums_match_the_verdict_enums(self):
+        from monogenity.classify import Provenance, Status
+
+        verdict = load_schema()["properties"]["verdict"]["properties"]
+        assert verdict["status"]["enum"] == [s.value for s in Status]
+        assert verdict["provenance"]["enum"] == [p.value for p in Provenance]
 
     def test_verify_all_agree(self, capsys):
         code, out, _ = run(
@@ -104,6 +120,25 @@ class TestAnalyze:
         assert code == 5
         assert "verify: hull vertices (prime 3, base x - 10): DISAGREE" in out
         assert "oracle [[0, 2], [3, 1], [9, 0]]" in err
+
+    def test_verify_catches_a_wrong_interior_point(self, capsys, monkeypatch):
+        # v_3(a_5) = 2 raised to 3 moves no vertex, so the hull and index
+        # checks pass it; the column check against the oracle's points must not
+        from monogenity import zpoly
+
+        exact = zpoly.PureShiftExpansion.valuations
+
+        def raised(self):
+            column = list(exact(self))
+            column[len(column) // 2] += 1
+            return tuple(column)
+
+        monkeypatch.setattr(zpoly.PureShiftExpansion, "valuations", raised)
+        code, out, err = run(capsys, "analyze", "--p", "3", "--r", "2", "--m", "10", "--verify")
+        assert code == 5
+        assert "verify: abscissas of wrong valued points (prime 3, base x - 10): DISAGREE" in out
+        assert "verify: hull vertices (prime 3, base x - 10): ok" in out
+        assert "engine [5] vs oracle []" in err
 
     def test_degree_cap(self, capsys):
         code, _, err = run(capsys, "analyze", "--p", "2", "--r", "13", "--m", "3")
@@ -454,7 +489,8 @@ class TestByteIdentity:
     at (3, 7, 10), (7, 4, 2), human text at (3, 7, 10), (5, 5, 7)) from
     before the point text was formatted on bytes, and (analyze JSON at
     (2, 3, 3), (2, 3, 17), (2, 3, 33)) from before the report at t = p
-    was built in closed form.
+    was built in closed form.  The --verify digest was taken again when
+    --verify began to check each report's whole column of valued points.
 
     Performance work must leave analyze JSON, human text and scan CSV
     byte for byte the same; a digest changes only with a deliberate
@@ -498,7 +534,7 @@ class TestByteIdentity:
         assert code == 0
         assert (
             hashlib.sha256(out.encode("utf-8")).hexdigest()
-            == "2b015df892c934e7a602b20e47b5a988f848e096cd70cbfbd6a9d878a1d5cca4"
+            == "880e169a2667e6566a1860aac8919cd011a60d481bfc9eb33c021135cbf7ba6f"
         )
 
     def test_scan_csv(self, tmp_path, capsys):

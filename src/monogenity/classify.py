@@ -41,12 +41,8 @@ class PrimeAnalysis(TupleRecord):
     prime: int
     reports: tuple[ore.PhiReport, ...]
     index: ore.IndexBound
-    shape: "ore.SplittingShape | ore._NotRegular"
+    shape: ore.SplittingShape
     pn_table: tuple[tuple[int, int, int], ...]  # (f, P_f, N_f)
-
-    @property
-    def regular(self) -> bool:
-        return self.shape is not ore.NOT_REGULAR
 
     def comindex_witness(self):
         """Smallest residue degree f with P_f > N_f, or None."""
@@ -107,6 +103,17 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     residual is y**2 + y + 1, irreducible.  Each side's one factor is
     its monic residual.  ore._phi_report, the hull over all n + 1
     points, is the reference the tests hold this to.
+
+    Every analysis here is regular, each residual squarefree, so its
+    index bound is exact and its shape is the splitting of t (Ore; an
+    irregular one would need the higher-order polygons of Guardia,
+    Montes and Nart).  A side of degree 1 has a linear residual.  At
+    t | m the one side has height 1, so degree 1.  At t = p every side
+    has degree 1 but a p = 2 side of degree 2, whose residual
+    y**2 + y + 1 is irreducible.  Any other t divides neither n nor m,
+    so x**n - m is separable mod t: each irreducible factor has
+    multiplicity 1, and its report one side of length 1.  An irregular
+    shape therefore raises InvariantError.
     """
     if t in params.m_primes:
         at_x = zpoly.PureExpansionAtX(params)
@@ -117,12 +124,12 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
         reports = tuple(ore.analyze_prime(pure_polynomial(params), t))
     index = ore.index_lower_bound(reports)
     shape = ore.splitting_shape(reports)
-    pn_table = ()
-    if shape is not ore.NOT_REGULAR:
-        pn_table = tuple(
-            (f, shape.count_residue_degree(f), _count_monic_irreducibles(t, f))
-            for f in shape.residue_degrees()
-        )
+    if shape is ore.NOT_REGULAR:
+        raise InvariantError(f"the pure analysis at {t} is not regular")
+    pn_table = tuple(
+        (f, shape.count_residue_degree(f), _count_monic_irreducibles(t, f))
+        for f in shape.residue_degrees()
+    )
     return PrimeAnalysis(t, reports, index, shape, pn_table)
 
 
@@ -184,10 +191,10 @@ def classify(params: PureFieldParams) -> MonogenityVerdict:
     if nu_pivot == 1:
         analyses = tuple(pure_prime_analysis(params, t) for t in candidates)
         for analysis in analyses:
-            if analysis.index.value != 0 or not analysis.index.exact:
+            if analysis.index.value != 0:
                 raise InvariantError(
                     f"pivot valuation 1 but index bound at {analysis.prime} is "
-                    f"{analysis.index.value} (exact={analysis.index.exact})"
+                    f"{analysis.index.value}"
                 )
     else:
         analyses = (pure_prime_analysis(params, p),)

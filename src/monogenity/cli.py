@@ -22,7 +22,7 @@ from . import __version__, zpoly
 from .classify import MonogenityVerdict, PrimeAnalysis, classify
 from .errors import InvariantError, OracleDisagreement, ValidationError
 from .intarith import is_prime
-from .ore import NOT_REGULAR, PhiReport
+from .ore import PhiReport
 from .polygon import principal_part
 from .zpoly import PureFieldParams, PureShiftExpansion, pure_polynomial, to_string
 
@@ -65,16 +65,12 @@ def _params(p: int, r: int, m: int) -> PureFieldParams:
     return PureFieldParams(p=p, r=r, m=m)
 
 
-def _slope_string(side) -> str:
-    return f"-{side.h}/{side.e}" if side.h >= 0 else f"{-side.h}/{side.e}"
-
-
 def _report_payload(report: PhiReport) -> dict:
     sides = []
     for analysis in report.sides:
         sides.append(
             {
-                "slope": _slope_string(analysis.side),
+                "slope": analysis.side.slope_text(),
                 "length": analysis.side.length,
                 "height": analysis.side.height,
                 "degree": analysis.side.degree,
@@ -94,15 +90,10 @@ def _report_payload(report: PhiReport) -> dict:
 
 
 def _analysis_payload(analysis: PrimeAnalysis) -> dict:
-    shape = (
-        "NOT_REGULAR"
-        if analysis.shape is NOT_REGULAR
-        else [[e, f] for e, f in analysis.shape.pairs]
-    )
     return {
         "factors": [_report_payload(rep) for rep in analysis.reports],
         "index_bound": {"value": analysis.index.value, "exact": analysis.index.exact},
-        "shape": shape,
+        "shape": [[e, f] for e, f in analysis.shape.pairs],
         "pn_table": [
             {"f": f, "P": p_count, "N": n_count}
             for f, p_count, n_count in analysis.pn_table
@@ -288,14 +279,9 @@ def _write_human(payload: dict, out) -> None:
                     f"degree {side['degree']}, residual {side['residual']} = [{factors}]",
                     file=out,
                 )
-        bound = analysis["index_bound"]
-        exact = "exact" if bound["exact"] else "lower bound"
-        print(f"  index bound: {bound['value']} ({exact})", file=out)
-        if analysis["shape"] == "NOT_REGULAR":
-            print("  splitting shape: NOT_REGULAR", file=out)
-        else:
-            shape = ",".join(f"{e}:{f}" for e, f in analysis["shape"])
-            print(f"  splitting shape: {shape}", file=out)
+        print(f"  index bound: {analysis['index_bound']['value']} (exact)", file=out)
+        shape = ",".join(f"{e}:{f}" for e, f in analysis["shape"])
+        print(f"  splitting shape: {shape}", file=out)
         for entry in analysis["pn_table"]:
             print(
                 f"  residue degree {entry['f']}: P = {entry['P']}, N = {entry['N']}",
@@ -350,12 +336,6 @@ def _scan_row(task) -> dict:
     verdict = classify(params)
     cert = verdict.certificate
     analysis = cert.analysis_at(p)
-    if analysis.shape is NOT_REGULAR:
-        shape = "NOT_REGULAR"
-        p1 = None
-    else:
-        shape = str(analysis.shape)
-        p1 = analysis.shape.count_residue_degree(1)
     return {
         **base,
         "status": verdict.status.value,
@@ -363,9 +343,9 @@ def _scan_row(task) -> dict:
         "nu": cert.nu_pivot,
         "index_bound": analysis.index.value,
         "index_exact": analysis.index.exact,
-        "P1": p1,
+        "P1": analysis.shape.count_residue_degree(1),
         "N1": p,
-        "shape": shape,
+        "shape": str(analysis.shape),
         "skipped_reason": None,
     }
 

@@ -280,19 +280,20 @@ def count_primes_with_residue_degree(shape: ore.SplittingShape, f: int) -> int:
 class ComIndexEvidence(str, enum.Enum):
     YES = "YES"
     NO_EVIDENCE = "NO_EVIDENCE"
-    UNKNOWN_IRREGULAR = "UNKNOWN_IRREGULAR"
 
 
 def is_common_index_divisor(params: PureFieldParams, p: int) -> ComIndexEvidence:
     """One-directional test: YES proves p divides the index of every generator.
 
-    NO_EVIDENCE does not certify monogenity, and an irregular analysis
-    gives no splitting to count.
+    NO_EVIDENCE does not certify monogenity.  A prime dividing neither
+    params.p nor m does not divide the discriminant, so x**n - m is
+    squarefree mod p, its degree-f factors are distinct monic
+    irreducibles and P_f <= N_f: NO_EVIDENCE, with no polygon built.
     """
-    analysis = pure_prime_analysis(params, p)
-    if not analysis.regular:
-        return ComIndexEvidence.UNKNOWN_IRREGULAR
-    if analysis.comindex_witness() is not None:
+    require_prime(p)
+    if p != params.p and p not in params.m_primes:
+        return ComIndexEvidence.NO_EVIDENCE
+    if pure_prime_analysis(params, p).comindex_witness() is not None:
         return ComIndexEvidence.YES
     return ComIndexEvidence.NO_EVIDENCE
 

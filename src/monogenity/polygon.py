@@ -61,6 +61,10 @@ class Side(Record):
 
         return Fraction(-self.h, self.e)
 
+    def slope_text(self) -> str:
+        """The slope as text: "-h/e", or "|h|/e" on a rising side (h < 0)."""
+        return f"-{self.h}/{self.e}" if self.h >= 0 else f"{-self.h}/{self.e}"
+
     def ordinate_at(self, x: int):
         """The exact ordinate at abscissa x, a fractions.Fraction."""
         from fractions import Fraction

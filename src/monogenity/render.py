@@ -28,7 +28,7 @@ class PolygonFigure(TupleRecord):
 def figure_from_polygon(title: str, points, polygon: NewtonPolygon) -> PolygonFigure:
     principal = principal_part(polygon)
     labels = tuple(
-        f"S{k + 1}: slope -{s.h}/{s.e}, length {s.length}, degree {s.degree}"
+        f"S{k + 1}: slope {s.slope_text()}, length {s.length}, degree {s.degree}"
         for k, s in enumerate(polygon.sides)
     )
     return PolygonFigure(
@@ -190,10 +190,9 @@ def render_svg(fig: PolygonFigure, linear_x: bool = False) -> str:
     for k, side in enumerate(fig.polygon.sides):
         mid_x = (px(side.start.i) + px(side.end.i)) / 2
         mid_y = (py(side.start.v) + py(side.end.v)) / 2
-        slope = f"-{side.h}/{side.e}" if side.h >= 0 else f"{-side.h}/{side.e}"
         parts.append(
             f'<text x="{fmt(mid_x + 4)}" y="{fmt(mid_y - 4)}" font-size="10" '
-            f'font-family="monospace" fill="#1f4e9c">S{k + 1}: {slope}</text>'
+            f'font-family="monospace" fill="#1f4e9c">S{k + 1}: {side.slope_text()}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

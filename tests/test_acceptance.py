@@ -25,7 +25,6 @@ from monogenity.oracle import (
     enumerate_monic_irreducibles,
     factorial_valuation_table,
 )
-from monogenity.ore import NOT_REGULAR
 from monogenity.polygon import (
     NewtonPolygon,
     Side,
@@ -91,7 +90,7 @@ def test_criterion_3_figure_2_pipeline():
     vertices_ok = [tuple(v) for v in report.polygon.vertices] == [
         (0, 4), (1, 3), (3, 2), (9, 1), (27, 0),
     ]
-    shape_ok = analysis.shape is not NOT_REGULAR and analysis.shape.pairs == (
+    shape_ok = analysis.shape.pairs == (
         (1, 1), (2, 1), (6, 1), (18, 1),
     )
     degree_ok = analysis.shape.total_degree() == 27
@@ -211,8 +210,6 @@ def test_criterion_8_property_suites():
                 continue
             verdict = classify(params)
             for analysis in verdict.certificate.analyses:
-                if analysis.shape is NOT_REGULAR:
-                    continue
                 if analysis.shape.total_degree() != params.degree:
                     sum_ef_failures.append((p, r, m, analysis.prime))
     sum_ef_ok = not sum_ef_failures

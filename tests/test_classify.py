@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import signal
 
 import pytest
 
@@ -195,6 +196,37 @@ class TestCommonIndexDivisor:
             is_common_index_divisor(PureFieldParams(2, 2, 17), 5)
             is ComIndexEvidence.NO_EVIDENCE
         )
+
+    def test_nonprime_rejected(self):
+        with pytest.raises(ValidationError, match="15 is not prime"):
+            is_common_index_divisor(PureFieldParams(2, 2, 17), 15)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_prime_outside_candidates_in_bounded_time(self):
+        # the dense O(n**2) pipeline takes seconds on x**1024 - 17 at 5; the
+        # discriminant answers at once
+        def expire(signum, frame):
+            raise TimeoutError("no answer within 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(2)
+        try:
+            evidence = is_common_index_divisor(PureFieldParams(2, 12, 17), 5)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert evidence is ComIndexEvidence.NO_EVIDENCE
+
+    @pytest.mark.parametrize("p, r, m", [(2, 3, 3), (2, 4, -15), (3, 2, 10), (5, 1, 7), (7, 1, 2)])
+    def test_dense_analysis_off_p_m_is_regular_without_witness(self, p, r, m):
+        # the theorem behind the shortcut, on the dense pipeline it skips
+        params = PureFieldParams(p, r, m)
+        for t in (2, 3, 5, 7, 11, 13):
+            if t != p and m % t:
+                analysis = pure_prime_analysis(params, t)
+                assert analysis.index.value == 0 and analysis.index.exact, t
+                assert all(e == 1 for e, f in analysis.shape.pairs), t
+                assert analysis.comindex_witness() is None, t
 
 
 class TestInternalConsistency:
@@ -414,6 +446,10 @@ class TestClosedFormAtP:
             assert cert.nu_fermat == (valuation(p, m ** (p - 1) - 1) if m % p else None), m
             assert verdict.provenance is _provenance_by_the_theorems(p, r, m), m
             assert verdict.status is statuses.get(verdict.provenance, Status.NOT_MONOGENIC), m
+            for analysis in cert.analyses:
+                # pure_prime_analysis's regularity proof: a shape, an exact bound
+                assert isinstance(analysis.shape, ore.SplittingShape), (m, analysis.prime)
+                assert analysis.index.exact, (m, analysis.prime)
             witnesses = _witnesses_at_p(cert, p)
             assert bool(witnesses) == (verdict.status is Status.NOT_MONOGENIC), m
             assert cert.comindex_degree == (witnesses[0] if witnesses else None), m

@@ -76,6 +76,17 @@ class TestAnalyze:
             provenances.add(payload["verdict"]["provenance"])
         assert provenances == {p.value for p in Provenance}
 
+    def test_schema_rejects_an_irregular_shape(self, capsys):
+        # every pure analysis is regular, so the schema has no NOT_REGULAR shape
+        schema = load_schema()
+        code, out, _ = run(capsys, "analyze", "--p", "2", "--r", "2", "--m", "17", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        payload["certificate"]["primes"]["2"]["shape"] = "NOT_REGULAR"
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema)
+
     def test_schema_enums_match_the_verdict_enums(self):
         from monogenity.classify import Provenance, Status
 
@@ -570,6 +581,28 @@ class TestByteIdentity:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "p, r, m, at, fmt, digest",
+        [
+            (3, 3, 161, 3, "ascii", "79704aea0cb015937fb4b7a68ebdf17da6d9ef188d8a98de265d31e8674cc4ae"),
+            (3, 3, 161, 3, "svg", "e2ad9554ce6ddd34f7ce2f72e8910bd534c53e1aed52dbf9e0638cdb7ea87a94"),
+            (2, 12, 17, 2, "ascii", "37fab3d160c2619fb8a9eb72241a62e1dc41809b03d33c99f9726255ded39904"),
+            (2, 12, 17, 2, "svg", "de25453815080624031fd1de1aed4bcb9eee1bf0ff5d2f099eaa388d5018c7e7"),
+            # 3 | 6: the one Eisenstein side at a prime of m
+            (2, 2, 6, 3, "ascii", "861f8d1a3ecb5add1378d9182977ea94ca239d4c70d19955275bc944af3dce10"),
+            (2, 2, 6, 3, "svg", "019dafc4adc5a513027f697ad794f9a1ce050e9577b2f2d47deb31f0c8eb79a6"),
+        ],
+    )
+    def test_render(self, tmp_path, capsys, p, r, m, at, fmt, digest):
+        # taken before the side labels were written by Side.slope_text
+        out_path = tmp_path / f"fig.{fmt}"
+        code, _, _ = run(
+            capsys, "render", "--p", str(p), "--r", str(r), "--m", str(m),
+            "--at", str(at), "--format", fmt, "--out", str(out_path),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_scan_csv_prime_field(self, tmp_path, capsys, monkeypatch, jobs):
         monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)  # 200 rows still start a pool at --jobs 2
@@ -788,6 +821,41 @@ class TestPointWriters:
         assert cli._points_text(expansion, "(%d,{})", " ") == " ".join(
             f"({j},{v})" for j, v in pairs
         )
+
+
+class TestIrregularMutant:
+    """A NOT_REGULAR splitting, which no pure field has, is an internal
+    error: classify raises and the CLI exits 4, with no row or report."""
+
+    @pytest.fixture(autouse=True)
+    def irregular(self, monkeypatch):
+        from monogenity import ore
+
+        monkeypatch.setattr(ore, "splitting_shape", lambda reports: ore.NOT_REGULAR)
+
+    def test_classify_raises(self):
+        from monogenity.classify import classify
+        from monogenity.errors import InvariantError
+        from monogenity.zpoly import PureFieldParams
+
+        with pytest.raises(InvariantError, match="not regular"):
+            classify(PureFieldParams(2, 2, 17))
+
+    def test_analyze_exits_4(self, capsys):
+        code, out, err = run(capsys, "analyze", "--p", "3", "--r", "3", "--m", "161")
+        assert code == 4
+        assert out == ""
+        assert "not regular" in err
+
+    def test_scan_exits_4(self, tmp_path, capsys):
+        out_path = tmp_path / "rows.csv"
+        code, _, err = run(
+            capsys, "scan", "--p", "7", "--r", "1",
+            "--m-from", "2", "--m-to", "20", "--jobs", "1", "--out", str(out_path),
+        )
+        assert code == 4
+        assert "not regular" in err
+        assert not out_path.exists()
 
 
 class TestAtomicOutput:

@@ -103,3 +103,33 @@ class TestSvgRender:
     def test_slope_labels(self):
         text = render_svg(figure_for(PureFieldParams(3, 3, 161), 3))
         assert "-1/18" in text
+
+
+class TestRisingSides:
+    """Sides of positive slope, which no pure-field polygon has: ASCII
+    and SVG label them alike, as analyze's side payload would."""
+
+    def rising_figure(self):
+        polygon = polygon_from_vertices([(0, 0), (2, 1), (4, 3)])
+        points = tuple(ValuedPoint(i, v) for i, v in [(0, 0), (2, 1), (4, 3)])
+        return figure_from_polygon("rising chain", points, polygon)
+
+    def test_slope_text(self):
+        sides = polygon_from_vertices([(0, 0), (2, 1), (4, 3)]).sides
+        assert [s.slope_text() for s in sides] == ["1/2", "1/1"]
+        falling = polygon_from_vertices([(0, 5), (1, 3), (5, 1)]).sides
+        assert [s.slope_text() for s in falling] == ["-2/1", "-1/2"]
+
+    def test_ascii_labels(self):
+        fig = self.rising_figure()
+        assert fig.side_labels == (
+            "S1: slope 1/2, length 2, degree 1",
+            "S2: slope 1/1, length 2, degree 2",
+        )
+        text = render_ascii(fig)
+        assert "S1: slope 1/2," in text and "slope --" not in text
+        assert fig.index_points == ()  # no side of negative slope
+
+    def test_svg_labels(self):
+        text = render_svg(self.rising_figure())
+        assert "S1: 1/2</text>" in text and "S2: 1/1</text>" in text

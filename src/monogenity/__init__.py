@@ -22,8 +22,8 @@ _HOMES = {
         ("classify", "Certificate MonogenityVerdict PrimeAnalysis Provenance Status "
                      "classify pure_prime_analysis"),
         ("errors", "InvariantError MonogenityError OracleDisagreement ValidationError"),
-        ("general", "ComIndexEvidence count_primes_with_residue_degree dedekind_divides_index "
-                    "is_common_index_divisor phi_expansion valued_points"),
+        ("general", "ComIndexEvidence dedekind_divides_index is_common_index_divisor "
+                    "phi_expansion valued_points"),
         ("intarith", "INFINITY binomial_valuation count_monic_irreducibles is_prime "
                      "is_squarefree valuation"),
         ("ore", "NOT_REGULAR IndexBound PhiReport SplittingShape analyze_prime "

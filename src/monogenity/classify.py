@@ -14,11 +14,11 @@ import enum
 
 from . import ore, polygon, zpoly
 from .errors import InvariantError, ValidationError
-from .intarith import _count_monic_irreducibles, _valuation
+from .intarith import _count_monic_irreducibles, _valuation, require_prime
 from .polygon import ValuedPoint
 from .record import TupleRecord
 from .residue import ff_make_monic
-from .zpoly import PureFieldParams, candidate_index_primes, pure_polynomial
+from .zpoly import PureFieldParams, candidate_index_primes
 
 
 class Status(str, enum.Enum):
@@ -81,13 +81,14 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     """Engine analysis of x**(p**r) - m at the prime t.
 
     Expansion bases follow the structure of the family: x when t
-    divides m, x - m when t = p, canonical lifts otherwise.  The params
-    have already checked p and the primes of m; any other t is checked
-    by analyze_prime.  At t | m the polygon is the single side from
-    (0, 1) to (n, 0), since m is squarefree.  Neither builds anything of
-    size n: the column of n + 1 valuations is built where a report's
-    points or valuations are read (render, --verify, tests), and analyze
-    writes its point text from the expansion.
+    divides m, x - m when t = p.  The params have already checked p and
+    the primes of m, the only primes that can divide the index; any
+    other t raises ValidationError, a composite one as "not prime".  At
+    t | m the polygon is the single side from (0, 1) to (n, 0), since m
+    is squarefree.  Neither builds anything of size n: the column of
+    n + 1 valuations is built where a report's points or valuations are
+    read (render, --verify, tests), and analyze writes its point text
+    from the expansion.
 
     At t = p the report is closed form in (p, r, nu0), nu0 = v_p(a_0).
     The binomial lemma puts (j, r - v_p(j)) at 0 < j < n: each such point
@@ -110,18 +111,17 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     Montes and Nart).  A side of degree 1 has a linear residual.  At
     t | m the one side has height 1, so degree 1.  At t = p every side
     has degree 1 but a p = 2 side of degree 2, whose residual
-    y**2 + y + 1 is irreducible.  Any other t divides neither n nor m,
-    so x**n - m is separable mod t: each irreducible factor has
-    multiplicity 1, and its report one side of length 1.  An irregular
-    shape therefore raises InvariantError.
+    y**2 + y + 1 is irreducible.  An irregular shape therefore raises
+    InvariantError.
     """
     if t in params.m_primes:
         at_x = zpoly.PureExpansionAtX(params)
         reports = (ore._phi_report(t, at_x, ((0, params.degree), (1, 0))),)
     elif t == params.p:
         reports = (_report_at_p(params),)
-    else:  # no candidate prime of classify gets here
-        reports = tuple(ore.analyze_prime(pure_polynomial(params), t))
+    else:
+        require_prime(t)
+        raise ValidationError(f"{t} divides neither p nor m, so it cannot divide the index")
     index = ore.index_lower_bound(reports)
     shape = ore.splitting_shape(reports)
     if shape is ore.NOT_REGULAR:

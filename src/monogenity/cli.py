@@ -308,16 +308,11 @@ def cmd_analyze(args) -> int:
         sys.stdout.write("\n")
     else:
         _write_human(payload, sys.stdout)
-    if oracle_reports is not None:
-        bad = [c for c in oracle_reports if not c["agree"]]
-        if bad:
-            for check in bad:
-                print(
-                    f"oracle disagreement: {check['name']}: engine {check['engine']} "
-                    f"vs oracle {check['oracle']}",
-                    file=sys.stderr,
-                )
-            return 5
+    bad = [c for c in oracle_reports or () if not c["agree"]]
+    if bad:
+        raise OracleDisagreement(
+            *(f"{c['name']}: engine {c['engine']} vs oracle {c['oracle']}" for c in bad)
+        )
     return 0
 
 
@@ -624,7 +619,8 @@ def main(argv=None) -> int:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
     except OracleDisagreement as exc:
-        print(f"oracle disagreement: {exc}", file=sys.stderr)
+        for disagreement in exc.args:  # one line per check that failed
+            print(f"oracle disagreement: {disagreement}", file=sys.stderr)
         return 5
 
 

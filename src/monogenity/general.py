@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import enum
 
-from . import ore
 from .classify import pure_prime_analysis
 from .errors import InvariantError, ValidationError
 from .intarith import INFINITY, require_prime
-from .polygon import NewtonPolygon, Side, ValuedPoint
+from .polygon import NewtonPolygon, ValuedPoint
 from .residue import (
     X, ResidueField, ff_add, ff_divmod, ff_factor, ff_gcd, ff_mod, ff_mul, ff_sub, reduce_mod_p,
     residue_field,
@@ -243,14 +242,6 @@ def valued_points(expansion: PhiExpansion, p: int) -> list[ValuedPoint]:
     return points
 
 
-def lattice_points(side: Side) -> list[ValuedPoint]:
-    """The integral points on the side: start, start + (e, -h), ..."""
-    return [
-        ValuedPoint(side.start.i + k * side.e, side.start.v - k * side.h)
-        for k in range(side.degree + 1)
-    ]
-
-
 def index_lattice_points(principal: NewtonPolygon) -> list[tuple[int, int]]:
     """The lattice points counted by phi_index (with deg_phi = 1), column by column."""
     out = []
@@ -268,13 +259,6 @@ def index_lattice_points(principal: NewtonPolygon) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # the common-index test and Dedekind's criterion
-
-
-def count_primes_with_residue_degree(shape: ore.SplittingShape, f: int) -> int:
-    """Number of primes in the shape with residue degree f."""
-    if f < 1:
-        raise ValidationError("residue degree must be positive")
-    return shape.count_residue_degree(f)
 
 
 class ComIndexEvidence(str, enum.Enum):

@@ -123,15 +123,12 @@ class SplittingShape(TupleRecord):
         return ",".join(f"{e}:{f}" for e, f in self.pairs)
 
 
-def phi_report(
-    f: zpoly.ZPoly, p: int, phi: zpoly.ZPoly, expansion: "zpoly.PhiExpansion | None" = None
-) -> PhiReport:
+def phi_report(f: zpoly.ZPoly, p: int, phi: zpoly.ZPoly) -> PhiReport:
     """Run the polygon pipeline for one expansion base phi.
 
     The reduction of phi must be irreducible and divide the reduction
     of f.  The multiplicity of that factor is read off the valued
     points: it is the first abscissa whose coefficient is a p-adic unit.
-    A caller that already holds the expansion of f at phi may pass it in.
     """
     from .general import phi_expansion, valued_points  # the dense path: never reached from classify
 
@@ -142,10 +139,7 @@ def phi_report(
     # F_phi exists only for a prime p and an irreducible reduction of phi;
     # residual_polynomial then finds the field built
     residue_field(p, reduce_mod_p(phi, p))
-    if expansion is None:
-        expansion = phi_expansion(f, phi)
-    elif zpoly.poly(expansion.phi) != phi:
-        raise ValidationError("provided expansion was taken at a different base")
+    expansion = phi_expansion(f, phi)
     abscissas, valuations = zip(*valued_points(expansion, p))
     # valued points skip zero coefficients, so a_0 = 0 leaves abscissa 0 out
     if abscissas[0] and zpoly.degree(f) != zpoly.degree(phi):

@@ -65,12 +65,6 @@ class Side(Record):
         """The slope as text: "-h/e", or "|h|/e" on a rising side (h < 0)."""
         return f"-{self.h}/{self.e}" if self.h >= 0 else f"{-self.h}/{self.e}"
 
-    def ordinate_at(self, x: int):
-        """The exact ordinate at abscissa x, a fractions.Fraction."""
-        from fractions import Fraction
-
-        return Fraction(self.start.v * self.e - (x - self.start.i) * self.h, self.e)
-
 
 class NewtonPolygon(Record):
     """A chain of sides with strictly increasing slopes."""
@@ -100,12 +94,6 @@ class NewtonPolygon(Record):
         if not self.sides:
             raise ValidationError("empty polygon has no abscissa span")
         return self.sides[0].start.i, self.sides[-1].end.i
-
-    def side_at(self, x: int) -> Side:
-        for side in self.sides:
-            if side.start.i <= x <= side.end.i:
-                return side
-        raise ValidationError(f"abscissa {x} outside polygon span")
 
 
 def _dedupe(points) -> list[ValuedPoint]:

@@ -91,8 +91,8 @@ def render_ascii(fig: PolygonFigure) -> str:
 
     for side in fig.polygon.sides:
         for x in range(side.start.i, side.end.i + 1):
-            y = side.ordinate_at(x)
-            put(x, max(0, math.floor(y)), ".")
+            y = (side.start.v * side.e - (x - side.start.i) * side.h) // side.e
+            put(x, max(0, y), ".")
     for x, y in fig.index_points:
         put(x, y, "x")
     for i, v in fig.points:

@@ -40,14 +40,9 @@ def derivative(f: ZPoly) -> ZPoly:
     return poly([i * c for i, c in enumerate(f)][1:])
 
 
-def poly_valuation(p: int, f: ZPoly):
-    """Gauss valuation: minimum of the coefficient valuations (INFINITY for 0)."""
-    require_prime(p)
-    return _poly_valuation(p, f)
-
-
 def _poly_valuation(p: int, f: ZPoly):
-    # poly_valuation() for a p already checked to be prime
+    """Gauss valuation: minimum of the coefficient valuations (INFINITY for 0),
+    for a p the caller has already checked to be prime."""
     return min(_valuation(p, c) for c in f) if f else INFINITY
 
 

@@ -12,11 +12,12 @@ from monogenity.general import (
     dedekind_divides_index,
     is_common_index_divisor,
     phi_expansion,
+    valued_points,
 )
 from monogenity.intarith import count_monic_irreducibles, is_squarefree, valuation
 from monogenity.oracle import brute_hull
 from monogenity import ore, polygon
-from monogenity.ore import NOT_REGULAR, PhiReport, phi_report
+from monogenity.ore import NOT_REGULAR, PhiReport
 from monogenity.zpoly import (
     PhiExpansion,
     PureFieldParams,
@@ -223,10 +224,11 @@ class TestCommonIndexDivisor:
         params = PureFieldParams(p, r, m)
         for t in (2, 3, 5, 7, 11, 13):
             if t != p and m % t:
-                analysis = pure_prime_analysis(params, t)
-                assert analysis.index.value == 0 and analysis.index.exact, t
-                assert all(e == 1 for e, f in analysis.shape.pairs), t
-                assert analysis.comindex_witness() is None, t
+                reports = ore.analyze_prime(pure_polynomial(params), t)
+                index, shape = ore.index_lower_bound(reports), ore.splitting_shape(reports)
+                assert index.value == 0 and index.exact, t
+                assert all(e == 1 for e, f in shape.pairs), t
+                assert _witnesses(shape, t) == [], t
 
 
 class TestInternalConsistency:
@@ -317,9 +319,10 @@ class TestPurePrimeAnalysis:
         assert analysis.reports[0].phi == (-17, 1)
 
     def test_generic_prime(self):
-        analysis = pure_prime_analysis(PureFieldParams(2, 2, 17), 5)
-        assert analysis.shape is not NOT_REGULAR
-        assert analysis.shape.total_degree() == 4
+        # 5 divides neither p nor m, so it cannot divide the index; a composite
+        # t is "not prime" first (test_composite_rejected_at_every_entry)
+        with pytest.raises(ValidationError, match="5 divides neither p nor m"):
+            pure_prime_analysis(PureFieldParams(2, 2, 17), 5)
 
 
 def _squarefree_from(start, step, p):
@@ -413,9 +416,8 @@ def _provenance_by_the_theorems(p, r, m):
     return Provenance.NONE
 
 
-def _witnesses_at_p(certificate, p):
-    """Every residue degree f with P_f > N_f in the splitting at p."""
-    shape = certificate.analysis_at(p).shape
+def _witnesses(shape, p):
+    """Every residue degree f with P_f > N_f in the splitting shape at p."""
     assert shape is not NOT_REGULAR
     return [
         f for f in shape.residue_degrees()
@@ -450,7 +452,7 @@ class TestClosedFormAtP:
                 # pure_prime_analysis's regularity proof: a shape, an exact bound
                 assert isinstance(analysis.shape, ore.SplittingShape), (m, analysis.prime)
                 assert analysis.index.exact, (m, analysis.prime)
-            witnesses = _witnesses_at_p(cert, p)
+            witnesses = _witnesses(cert.analysis_at(p).shape, p)
             assert bool(witnesses) == (verdict.status is Status.NOT_MONOGENIC), m
             assert cert.comindex_degree == (witnesses[0] if witnesses else None), m
             seen.add(verdict.provenance.value)
@@ -542,7 +544,8 @@ class TestClosedFormAtP:
     def test_matches_dense_phi_report(self, p, r, m):
         params = PureFieldParams(p, r, m)
         closed = pure_prime_analysis(params, p).reports[0]
-        dense = phi_report(pure_polynomial(params), p, (-m, 1), expansion=_dense_expansion(params))
+        expansion = _dense_expansion(params)
+        dense = ore._phi_report(p, expansion, tuple(zip(*valued_points(expansion, p))))
         for name in ("phi", "multiplicity", "points", "polygon", "principal", "index", "regular"):
             assert getattr(closed, name) == getattr(dense, name), name
         assert len(closed.sides) == len(dense.sides)
@@ -555,7 +558,7 @@ class TestClosedFormAtP:
         "p, r", [(p, r) for p in (2, 3, 5, 7) for r in range(1, 9) if p**r <= 343]
     )
     def test_points_match_dense_valued_points(self, p, r):
-        from monogenity.general import divmod_monic, valued_points
+        from monogenity.general import divmod_monic
 
         def division_tower(f, phi):  # not phi_expansion's fast paths at x and x - m
             coeffs = []
@@ -648,7 +651,6 @@ class TestPrimeChecks:
             lambda: intarith.valuation(q, 12),
             lambda: intarith.binomial_valuation(q, 1, 1),
             lambda: intarith.count_monic_irreducibles(q, 2),
-            lambda: zpoly.poly_valuation(q, f),
             lambda: zpoly.discriminant_valuation(params, q),
             lambda: residue.residue_field(q, (0, 1)),
             lambda: residue.residue_class((12,), q, (0, 1), 0),

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import monogenity
 from monogenity import cli
 from monogenity.cli import main
+from monogenity.errors import OracleDisagreement
 from monogenity.intarith import is_squarefree
 
 
@@ -130,7 +131,13 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--p", "3", "--r", "2", "--m", "10", "--verify")
         assert code == 5
         assert "verify: hull vertices (prime 3, base x - 10): DISAGREE" in out
-        assert "oracle [[0, 2], [3, 1], [9, 0]]" in err
+        # one stderr line per failed check, in check order
+        assert err == (
+            "oracle disagreement: abscissas of wrong valued points (prime 3, base x - 10): "
+            "engine [0] vs oracle []\n"
+            "oracle disagreement: hull vertices (prime 3, base x - 10): "
+            "engine [[0, 3], [1, 2], [3, 1], [9, 0]] vs oracle [[0, 2], [3, 1], [9, 0]]\n"
+        )
 
     def test_verify_catches_a_wrong_interior_point(self, capsys, monkeypatch):
         # v_3(a_5) = 2 raised to 3 moves no vertex, so the hull and index
@@ -145,11 +152,19 @@ class TestAnalyze:
             return tuple(column)
 
         monkeypatch.setattr(zpoly.PureShiftExpansion, "valuations", raised)
-        code, out, err = run(capsys, "analyze", "--p", "3", "--r", "2", "--m", "10", "--verify")
+        argv = ["analyze", "--p", "3", "--r", "2", "--m", "10", "--verify"]
+        code, out, err = run(capsys, *argv)
         assert code == 5
         assert "verify: abscissas of wrong valued points (prime 3, base x - 10): DISAGREE" in out
         assert "verify: hull vertices (prime 3, base x - 10): ok" in out
-        assert "engine [5] vs oracle []" in err
+        disagreement = (
+            "abscissas of wrong valued points (prime 3, base x - 10): engine [5] vs oracle []"
+        )
+        assert err == f"oracle disagreement: {disagreement}\n"
+        # analyze raises the error after its output; main alone maps it to exit 5
+        with pytest.raises(OracleDisagreement) as caught:
+            cli.cmd_analyze(cli.build_parser().parse_args(argv))
+        assert caught.value.args == (disagreement,)
 
     def test_degree_cap(self, capsys):
         code, _, err = run(capsys, "analyze", "--p", "2", "--r", "13", "--m", "3")
@@ -981,6 +996,21 @@ class TestRender:
             "--out", "/nonexistent-dir/fig.svg",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("at", ["7", "4"])
+    def test_prime_off_p_and_m_rejected(self, tmp_path, capsys, at):
+        # 7 divides neither 3 nor 10; 4 is composite and gets the same answer
+        out_path = tmp_path / "fig.txt"
+        code, out, err = run(
+            capsys, "render", "--p", "3", "--r", "1", "--m", "10", "--at", at,
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {at} divides neither p nor m; there is no interesting polygon to draw\n"
+        )
+        assert not out_path.exists()
 
 
 class TestConfigPrecedence:

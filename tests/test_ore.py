@@ -1,7 +1,6 @@
 import pytest
 
 from monogenity.errors import ValidationError
-from monogenity.general import count_primes_with_residue_degree
 from monogenity.ore import (
     NOT_REGULAR,
     SplittingShape,
@@ -147,13 +146,13 @@ class TestCountPrimes:
     def test_examples(self):
         f161 = pure_polynomial(PureFieldParams(3, 3, 161))
         shape = splitting_shape([phi_report(f161, 3, (-161, 1))])
-        assert count_primes_with_residue_degree(shape, 1) == 4
+        assert shape.count_residue_degree(1) == 4
 
         shape17 = splitting_shape(analyze_prime((-17, 0, 0, 0, 1), 2))
-        assert count_primes_with_residue_degree(shape17, 1) == 3
+        assert shape17.count_residue_degree(1) == 3
 
         ramified = SplittingShape.from_pairs([(8, 1)])
-        assert count_primes_with_residue_degree(ramified, 2) == 0
+        assert ramified.count_residue_degree(2) == 0
 
     def test_string_form(self):
         shape = SplittingShape.from_pairs([(18, 1), (1, 1), (6, 1), (2, 1)])

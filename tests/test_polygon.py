@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monogenity.errors import ValidationError
-from monogenity.general import index_lattice_points, lattice_points, phi_expansion, valued_points
+from monogenity.general import index_lattice_points, phi_expansion, valued_points
 from monogenity.oracle import brute_hull, brute_phi_index
 from monogenity.polygon import (
     NewtonPolygon,
@@ -20,6 +20,20 @@ from monogenity.zpoly import PureFieldParams, pure_polynomial
 
 FIG1_VERTICES = [(0, 5), (1, 3), (5, 1), (9, 0)]
 FIG2_POINTS_V4 = [(0, 4), (1, 3), (3, 2), (9, 1), (27, 0)]
+
+
+def _ordinate_times_e(side, x):
+    """e times the side's ordinate at abscissa x, an integer."""
+    return side.start.v * side.e - (x - side.start.i) * side.h
+
+
+def _lattice_points(side):
+    """The integral points on the side, found by integer cross-multiplication."""
+    return [
+        ValuedPoint(x, _ordinate_times_e(side, x) // side.e)
+        for x in range(side.start.i, side.end.i + 1)
+        if _ordinate_times_e(side, x) % side.e == 0
+    ]
 
 
 def polygon_from_vertices(vertices):
@@ -109,8 +123,8 @@ class TestLowerConvexHull:
             lo, hi = hull.span
             for pt in pts:
                 if lo <= pt.i <= hi:
-                    side = hull.side_at(pt.i)
-                    assert Fraction(pt.v) >= side.ordinate_at(pt.i)
+                    side = next(s for s in hull.sides if s.start.i <= pt.i <= s.end.i)
+                    assert pt.v * side.e >= _ordinate_times_e(side, pt.i)
 
     def test_matches_brute_hull(self):
         rng = random.Random(4242)
@@ -133,9 +147,9 @@ class TestSide:
 
     def test_lattice_points(self):
         side = Side(ValuedPoint(3, 2), ValuedPoint(9, 1))
-        assert lattice_points(side) == [ValuedPoint(3, 2), ValuedPoint(9, 1)]
+        assert _lattice_points(side) == [ValuedPoint(3, 2), ValuedPoint(9, 1)]
         side = Side(ValuedPoint(0, 2), ValuedPoint(4, 0))
-        assert lattice_points(side) == [
+        assert _lattice_points(side) == [
             ValuedPoint(0, 2),
             ValuedPoint(2, 1),
             ValuedPoint(4, 0),
@@ -333,5 +347,8 @@ class TestPolygonInvariants:
             drop = principal.sides[0].start.v - principal.sides[-1].end.v
             assert sum(s.height for s in principal.sides) == drop
             for side in principal.sides:
-                for pt in lattice_points(side):
-                    assert side.ordinate_at(pt.i) == pt.v
+                # start, start + (e, -h), ..., end: degree + 1 points, no others
+                assert _lattice_points(side) == [
+                    ValuedPoint(side.start.i + k * side.e, side.start.v - k * side.h)
+                    for k in range(side.degree + 1)
+                ]

@@ -44,9 +44,8 @@ NOT_LOADED = (
 MOVED = [
     ("zpoly", name) for name in ("add", "sub", "mul", "divmod_monic", "phi_expansion")
 ] + [
-    ("polygon", name) for name in ("valued_points", "lattice_points", "index_lattice_points")
+    ("polygon", name) for name in ("valued_points", "index_lattice_points")
 ] + [
-    ("ore", "count_primes_with_residue_degree"),
     ("classify", "ComIndexEvidence"),
     ("classify", "is_common_index_divisor"),
     ("classify", "dedekind_divides_index"),

@@ -17,7 +17,7 @@ from .errors import InvariantError, ValidationError
 from .intarith import _count_monic_irreducibles, _valuation, require_prime
 from .polygon import ValuedPoint
 from .record import TupleRecord
-from .residue import ff_make_monic
+from .residue import X, ff_make_monic, residue_field
 from .zpoly import PureFieldParams, candidate_index_primes
 
 
@@ -78,17 +78,26 @@ class MonogenityVerdict(TupleRecord):
 
 
 def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
-    """Engine analysis of x**(p**r) - m at the prime t.
+    """Engine analysis of x**(p**r) - m at the prime t, in closed form.
 
     Expansion bases follow the structure of the family: x when t
     divides m, x - m when t = p.  The params have already checked p and
     the primes of m, the only primes that can divide the index; any
-    other t raises ValidationError, a composite one as "not prime".  At
-    t | m the polygon is the single side from (0, 1) to (n, 0), since m
-    is squarefree.  Neither builds anything of size n: the column of
-    n + 1 valuations is built where a report's points or valuations are
-    read (render, --verify, tests), and analyze writes its point text
-    from the expansion.
+    other t raises ValidationError, a composite one as "not prime".
+    Neither report builds anything of size n: the column of n + 1
+    valuations is built where a report's points or valuations are read
+    (render, --verify, tests), and analyze writes its point text from
+    the expansion.
+
+    At t | m the report is Eisenstein's.  At phi = x the expansion is
+    a_0 = -m, a_n = 1 and nothing between, and v_t(m) = 1 as m is
+    squarefree, so the points are (0, 1) and (n, 0) and the polygon is
+    the one side between them, all principal: height 1, length n, so
+    e = n and degree 1.  Its residual reads the digit of a_0 at height 1
+    and that of a_n at height 0: y + c with c = (-m/t) mod t, a unit, so
+    linear, monic and its own factor.  No lattice point with x >= 1 and
+    y >= 1 lies on or below the side, so the index is 0, and t is
+    totally ramified: shape n:1.
 
     At t = p the report is closed form in (p, r, nu0), nu0 = v_p(a_0).
     The binomial lemma puts (j, r - v_p(j)) at 0 < j < n: each such point
@@ -103,20 +112,18 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     (2**(k - 1), r - k + 1); its three digits are units of F_2, so its
     residual is y**2 + y + 1, irreducible.  Each side's one factor is
     its monic residual.  ore._phi_report, the hull over all n + 1
-    points, is the reference the tests hold this to.
+    points, is the reference the tests hold both closed forms to.
 
     Every analysis here is regular, each residual squarefree, so its
     index bound is exact and its shape is the splitting of t (Ore; an
     irregular one would need the higher-order polygons of Guardia,
     Montes and Nart).  A side of degree 1 has a linear residual.  At
-    t | m the one side has height 1, so degree 1.  At t = p every side
-    has degree 1 but a p = 2 side of degree 2, whose residual
-    y**2 + y + 1 is irreducible.  An irregular shape therefore raises
-    InvariantError.
+    t | m the one side has degree 1.  At t = p every side has degree 1
+    but a p = 2 side of degree 2, whose residual y**2 + y + 1 is
+    irreducible.  An irregular shape therefore raises InvariantError.
     """
     if t in params.m_primes:
-        at_x = zpoly.PureExpansionAtX(params)
-        reports = (ore._phi_report(t, at_x, ((0, params.degree), (1, 0))),)
+        reports = (_report_at_m(params, t),)
     elif t == params.p:
         reports = (_report_at_p(params),)
     else:
@@ -131,6 +138,16 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
         for f in shape.residue_degrees()
     )
     return PrimeAnalysis(t, reports, index, shape, pn_table)
+
+
+def _report_at_m(params: PureFieldParams, t: int) -> ore.PhiReport:
+    # the Eisenstein side of pure_prime_analysis's docstring
+    n = params.degree
+    side = polygon.Side(ValuedPoint(0, 1), ValuedPoint(n, 0))
+    hull = polygon.NewtonPolygon((side,))
+    residual = polygon.ResidualPolynomial(side, residue_field(t, X), (-params.m // t % t, 1))
+    sides = (ore.SideAnalysis(side, residual, ((residual.coefficients, 1),)),)
+    return ore.PhiReport(X, n, ((0, n), (1, 0)), hull, hull, sides, 0, True)
 
 
 def _report_at_p(params: PureFieldParams) -> ore.PhiReport:

@@ -47,7 +47,7 @@ _SCAN_FIELDS = (
 )
 
 # Rows a scan needs per pool worker; see cmd_scan.
-_ROWS_PER_WORKER = 256
+_ROWS_PER_WORKER = 1024
 
 
 def _check_degree(p: int, r: int) -> None:
@@ -354,15 +354,16 @@ def cmd_scan(args) -> int:
     runs in process when that allows fewer than two; the same bytes come
     out either way.  The pool forks all its workers at its first task, so
     without the CPU cap --jobs 5000 would fork 5000 processes.  Starting
-    and tearing down a pool costs as much as 100-300 rows.  On 2 CPUs,
-    where a row takes about 0.08 ms at p=2 r=8 and 0.1 ms at p=7 r=1, two
-    workers at p=2 r=8 ran at x0.55 the speed of one process on 128 rows,
-    x0.92-0.94 on 256-384 rows, x0.99 and x1.11 on 512 rows (two sets of
-    11 and 21 pairs) and x1.19-1.47 on 768-2048 rows; at p=7 r=1, x1.09
-    on 256 rows and x1.11-1.16 on 512 (medians over 7-21 pairs per size).
-    So K = 256 stays: 2K rows did not run slower in the pool.  K scales
-    with the cost of a row, so a change that makes rows much cheaper (a
-    per-class memo) must measure it again.
+    and tearing down a pool costs as much as several hundred rows.  On 2
+    CPUs, where a row takes about 0.1 ms at p=2 r=8 (m from 50000) and at
+    p=7 r=1 (m from 10500), two workers ran at x0.47-0.62 the speed of
+    one process on 512 rows, x0.71-0.94 on 1024, x0.85-1.14 on 2048,
+    x1.11-1.22 on 3072 and x1.15-1.28 on 4096 (medians over 7-11 pairs
+    per size and run, both (p, r), each scan timed in a fresh process
+    after a warm-up scan).  So K = 1024: from 2K rows on, the pool ran
+    about as fast as one process or faster.  K scales with the cost of a
+    row, so a change that makes rows much cheaper (a per-class memo) must
+    measure it again.
     """
     config = _load_config(args.config)
     fmt = _resolve("format", args.format, config, "csv")

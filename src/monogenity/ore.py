@@ -163,8 +163,8 @@ def analyze_prime(f: zpoly.ZPoly, p: int) -> list[PhiReport]:
 
 
 def _phi_report(p: int, expansion, valued) -> PhiReport:
-    """phi_report() for a base and an expansion already checked, as classify's
-    closed form at t | m is; valued is the columns (abscissas, valuations)."""
+    """phi_report() for a base and an expansion already checked; valued is
+    the columns (abscissas, valuations)."""
     phi = zpoly.poly(expansion.phi)
     abscissas, valuations = valued
     try:

@@ -186,9 +186,10 @@ def residual_polynomial(
 ) -> ResidualPolynomial:
     """Residue classes of the on-side expansion coefficients.
 
-    A PureShiftExpansion gives each class in F_phi = F_p by its closed
-    form.  Raises if the side does not match the expansion (endpoint
-    valuations off, or endpoints on zero coefficients).  Building F_phi checks p.
+    A PhiExpansion gives each class by its exact coefficient, a
+    PureShiftExpansion by the closed form of its unit().  Raises if the
+    side does not match the expansion (endpoint valuations off, or
+    endpoints on zero coefficients).  Building F_phi checks p.
     """
     if tuple(phi) != tuple(expansion.phi):
         raise ValidationError("expansion was taken with a different base")

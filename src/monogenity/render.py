@@ -12,6 +12,7 @@ from . import __version__
 from .classify import pure_prime_analysis
 from .errors import ValidationError
 from .general import index_lattice_points
+from .intarith import require_prime
 from .polygon import NewtonPolygon, principal_part
 from .record import TupleRecord
 from .zpoly import PureFieldParams, candidate_index_primes, to_string
@@ -42,6 +43,7 @@ def figure_from_polygon(title: str, points, polygon: NewtonPolygon) -> PolygonFi
 
 def figure_for(params: PureFieldParams, q: int) -> PolygonFigure:
     """Figure for the polygon of x**(p**r) - m at the prime q."""
+    require_prime(q)
     if q not in candidate_index_primes(params):
         raise ValidationError(
             f"{q} divides neither p nor m; there is no interesting polygon to draw"

@@ -9,8 +9,6 @@ monogenity.general, which classify never needs.
 
 from __future__ import annotations
 
-import math
-
 from . import intarith
 from .errors import ValidationError
 from .intarith import INFINITY, _valuation, is_prime, require_prime
@@ -136,11 +134,10 @@ class PureShiftExpansion(TupleRecord):
     """x**n - m expanded at phi = x - m, for a prime p that does not divide m.
 
     The binomial theorem gives a_0 = m**n - m and
-    a_j = binomial(n, j) * m**(n - j).  No a_j is built for a verdict:
+    a_j = binomial(n, j) * m**(n - j).  No a_j is ever built:
     valuations() gives every v_p(a_j) from the binomial lemma, and unit()
     the first p-adic digit of one a_j, all that residual polynomials
-    read.  coefficient() makes one exact a_j, for tests and the dense
-    reference.
+    read.
     """
 
     params: PureFieldParams
@@ -149,14 +146,6 @@ class PureShiftExpansion(TupleRecord):
     @property
     def phi(self) -> ZPoly:
         return (-self.params.m, 1)
-
-    def coefficient(self, i: int) -> ZPoly:
-        n, m = self.params.degree, self.params.m
-        if i == 0:
-            return (m**n - m,)
-        if i > n:
-            return ()
-        return (math.comb(n, i) * m ** (n - i),)
 
     def valuations(self) -> tuple[int, ...]:
         """v_p(a_j) for j = 0..n: v_p(a_j) = r - v_p(j) for 0 < j < n.
@@ -186,17 +175,6 @@ class PureShiftExpansion(TupleRecord):
         w = _valuation(p, j)
         sign = 1 if j % 2 else -1
         return r - w, sign * pow(j // p**w, -1, p) * pow(m, n - j, p) % p
-
-
-class PureExpansionAtX(TupleRecord):
-    """x**n - m expanded at phi = x: a_0 = -m, a_n = 1 and no term between,
-    so at a prime dividing the squarefree m the points are (0, 1) and (n, 0)."""
-
-    params: PureFieldParams
-    phi = (0, 1)
-
-    def coefficient(self, i: int) -> ZPoly:
-        return (-self.params.m,) if i == 0 else (1,) if i == self.params.degree else ()
 
 
 def pure_shift_expansion(params: PureFieldParams) -> PureShiftExpansion:

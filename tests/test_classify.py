@@ -510,20 +510,59 @@ class TestClosedFormAtP:
 
     def test_no_hull_or_factorization_at_p(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the hull pipeline ran at t = p")
+            raise AssertionError("the hull pipeline ran on the pure path")
 
         monkeypatch.setattr(polygon, "lower_convex_hull", refuse)
         monkeypatch.setattr(ore, "ff_factor", refuse)
-        # (2, 3, 17) has the degree-2 side from (0, 4) to (2, 2)
-        for p, r, m in ((2, 3, 17), (2, 12, 3), (3, 7, 10), (7, 2, 2), (61, 2, 3)):
-            analysis = pure_prime_analysis(PureFieldParams(p, r, m), p)
-            assert analysis.shape.total_degree() == p**r
+        monkeypatch.setattr(ore, "_phi_report", refuse)
+        # (2, 3, 17) has the degree-2 side from (0, 4) to (2, 2); (3, 2, -30)
+        # puts p among the primes of m
+        for p, r, m in (
+            (2, 3, 17), (2, 12, 3), (3, 7, 10), (7, 2, 2), (61, 2, 3), (2, 3, 15), (3, 2, -30)
+        ):
+            params = PureFieldParams(p, r, m)
+            for t in candidate_index_primes(params):
+                analysis = pure_prime_analysis(params, t)
+                assert analysis.shape.total_degree() == p**r, (p, r, m, t)
         sides = pure_prime_analysis(PureFieldParams(2, 3, 17), 2).reports[0].sides
         assert [(a.side.degree, a.factor_strings()) for a in sides] == [
             (2, ("y^2 + y + 1",)), (1, ("y + 1",)), (1, ("y + 1",))
         ]
-        with pytest.raises(AssertionError, match="hull pipeline"):
-            pure_prime_analysis(PureFieldParams(2, 3, 15), 5)
+        (analysis,) = pure_prime_analysis(PureFieldParams(2, 3, 15), 5).reports[0].sides
+        assert (analysis.side.e, analysis.factor_strings()) == (8, ("y + 2",))
+
+    @pytest.mark.parametrize("p, r", _differential_grids())
+    def test_closed_form_at_m_matches_the_hull_pipeline(self, p, r):
+        # the Eisenstein report at every prime t of m against the hull pipeline
+        # on the dense expansion at x, with its index, shape and pn_table, over
+        # two periods mod p**(r + 3): m < 0, p | m and three primes of m included
+        period = p ** (r + 3)
+        negative = p_divides = three_primes = False
+        for m in range(-2 * period + 1, 2 * period):
+            if abs(m) < 2 or not is_squarefree(m):
+                continue
+            params = PureFieldParams(p, r, m)
+            expansion = phi_expansion(pure_polynomial(params), (0, 1))
+            for t in params.m_primes:
+                closed = pure_prime_analysis(params, t)
+                dense = ore._phi_report(t, expansion, tuple(zip(*valued_points(expansion, t))))
+                (report,) = closed.reports
+                for name in PhiReport._fields:
+                    assert getattr(report, name) == getattr(dense, name), (m, t, name)
+                for a, b in zip(report.sides, dense.sides):
+                    assert a.residual.coefficients == b.residual.coefficients, (m, t)
+                    assert a.factors == b.factors, (m, t)
+                shape = ore.splitting_shape((dense,))
+                pn_table = tuple(
+                    (f, shape.count_residue_degree(f), count_monic_irreducibles(t, f))
+                    for f in shape.residue_degrees()
+                )
+                assert closed.index == ore.index_lower_bound((dense,)), (m, t)
+                assert (closed.shape, closed.pn_table) == (shape, pn_table), (m, t)
+            negative |= m < 0
+            p_divides |= m % p == 0
+            three_primes |= len(params.m_primes) > 2
+        assert negative and p_divides and three_primes
 
     @pytest.mark.parametrize("p, r, m, sign", _support_cases())
     def test_support_hull_matches_brute_hull(self, p, r, m, sign):

@@ -997,9 +997,10 @@ class TestRender:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("at", ["7", "4"])
+    @pytest.mark.parametrize("at", ["7", "4", "0", "1", "-3"])
     def test_prime_off_p_and_m_rejected(self, tmp_path, capsys, at):
-        # 7 divides neither 3 nor 10; 4 is composite and gets the same answer
+        # 7 divides neither 3 nor 10; 4, 0, 1 and -3 are not prime, and say so
+        # first, as analyze and pure_prime_analysis do
         out_path = tmp_path / "fig.txt"
         code, out, err = run(
             capsys, "render", "--p", "3", "--r", "1", "--m", "10", "--at", at,
@@ -1007,9 +1008,12 @@ class TestRender:
         )
         assert code == 2
         assert out == ""
-        assert err == (
-            f"error: {at} divides neither p nor m; there is no interesting polygon to draw\n"
-        )
+        if at == "7":
+            assert err == (
+                "error: 7 divides neither p nor m; there is no interesting polygon to draw\n"
+            )
+        else:
+            assert err == f"error: {at} is not prime\n"
         assert not out_path.exists()
 
 

@@ -26,10 +26,10 @@ _HOMES = {
                     "phi_expansion valued_points"),
         ("intarith", "INFINITY binomial_valuation count_monic_irreducibles is_prime "
                      "is_squarefree valuation"),
-        ("ore", "NOT_REGULAR IndexBound PhiReport SplittingShape analyze_prime "
-                "index_lower_bound phi_report splitting_shape"),
-        ("polygon", "NewtonPolygon ResidualPolynomial Side ValuedPoint lower_convex_hull "
-                    "phi_index principal_part residual_polynomial"),
+        ("ore", "analyze_prime phi_report"),
+        ("polygon", "NOT_REGULAR IndexBound NewtonPolygon PhiReport ResidualPolynomial Side "
+                    "SplittingShape ValuedPoint index_lower_bound lower_convex_hull phi_index "
+                    "principal_part residual_polynomial splitting_shape"),
         ("zpoly", "PhiExpansion PureFieldParams candidate_index_primes "
                   "discriminant_valuation pure_polynomial"),
     )

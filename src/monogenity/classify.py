@@ -2,17 +2,18 @@
 
 The verdict is read off nu = v_p(m**p - m), p and r, as in the paper's
 theorems; the engine's P_f/N_f table and common-index witness at p are
-evidence in the certificate, checked against them.  The Dedekind
-criterion, an independent check that a prime divides the index of
-Z[alpha], and the common-index test at one prime live in
-monogenity.general.
+evidence in the certificate, checked against them.  The reports are
+closed forms built from monogenity.polygon's records; this module loads
+neither ore, the reference pipeline, nor general, the engine that holds
+the Dedekind criterion (an independent check that a prime divides the
+index of Z[alpha]) and the common-index test at one prime.
 """
 
 from __future__ import annotations
 
 import enum
 
-from . import ore, polygon, zpoly
+from . import polygon, zpoly
 from .errors import InvariantError, ValidationError
 from .intarith import _count_monic_irreducibles, _valuation, require_prime
 from .polygon import ValuedPoint
@@ -39,9 +40,9 @@ class PrimeAnalysis(TupleRecord):
     """Engine results for the pure polynomial at one prime."""
 
     prime: int
-    reports: tuple[ore.PhiReport, ...]
-    index: ore.IndexBound
-    shape: ore.SplittingShape
+    reports: tuple[polygon.PhiReport, ...]
+    index: polygon.IndexBound
+    shape: polygon.SplittingShape
     pn_table: tuple[tuple[int, int, int], ...]  # (f, P_f, N_f)
 
     def comindex_witness(self):
@@ -129,9 +130,9 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     else:
         require_prime(t)
         raise ValidationError(f"{t} divides neither p nor m, so it cannot divide the index")
-    index = ore.index_lower_bound(reports)
-    shape = ore.splitting_shape(reports)
-    if shape is ore.NOT_REGULAR:
+    index = polygon.index_lower_bound(reports)
+    shape = polygon.splitting_shape(reports)
+    if shape is polygon.NOT_REGULAR:
         raise InvariantError(f"the pure analysis at {t} is not regular")
     pn_table = tuple(
         (f, shape.count_residue_degree(f), _count_monic_irreducibles(t, f))
@@ -140,17 +141,17 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     return PrimeAnalysis(t, reports, index, shape, pn_table)
 
 
-def _report_at_m(params: PureFieldParams, t: int) -> ore.PhiReport:
+def _report_at_m(params: PureFieldParams, t: int) -> polygon.PhiReport:
     # the Eisenstein side of pure_prime_analysis's docstring
     n = params.degree
     side = polygon.Side(ValuedPoint(0, 1), ValuedPoint(n, 0))
     hull = polygon.NewtonPolygon((side,))
     residual = polygon.ResidualPolynomial(side, residue_field(t, X), (-params.m // t % t, 1))
-    sides = (ore.SideAnalysis(side, residual, ((residual.coefficients, 1),)),)
-    return ore.PhiReport(X, n, ((0, n), (1, 0)), hull, hull, sides, 0, True)
+    sides = (polygon.SideAnalysis(side, residual, ((residual.coefficients, 1),)),)
+    return polygon.PhiReport(X, n, ((0, n), (1, 0)), hull, hull, sides, 0, True)
 
 
-def _report_at_p(params: PureFieldParams) -> ore.PhiReport:
+def _report_at_p(params: PureFieldParams) -> polygon.PhiReport:
     # the closed form of pure_prime_analysis's docstring
     shift = zpoly.pure_shift_expansion(params)
     p, r, nu0, n = params.p, params.r, shift.nu0, params.degree
@@ -163,11 +164,11 @@ def _report_at_p(params: PureFieldParams) -> ore.PhiReport:
         monic = ff_make_monic(residual.field, residual.as_poly())
         if len(monic) != side.degree + 1 or side.degree > 1 and monic != (1, 1, 1):
             raise InvariantError(f"residual {monic} on a side of degree {side.degree}")
-        sides.append(ore.SideAnalysis(side, residual, ((monic, 1),)))
+        sides.append(polygon.SideAnalysis(side, residual, ((monic, 1),)))
     if sum(side.length for side in hull.sides) != n:
         raise InvariantError(f"polygon at {p} spans {hull.span}, expected (0, {n})")
     index = polygon.phi_index(hull, 1)
-    return ore.PhiReport(shift.phi, n, shift, hull, hull, tuple(sides), index, True)
+    return polygon.PhiReport(shift.phi, n, shift, hull, hull, tuple(sides), index, True)
 
 
 def classify(params: PureFieldParams) -> MonogenityVerdict:

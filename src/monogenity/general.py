@@ -2,13 +2,31 @@
 first use.
 
 classify meets only the bases x and x - m, at p and the primes of m, and
-reads their expansions and valued points off closed forms.  Any other
-monic f needs what is here: dense Z[x] arithmetic, the phi-adic expansion
-at any monic base, valued points, the common-index test, Dedekind's
-criterion, the lattice points that render draws, and the residue fields
-F_(p^k) with k >= 2, for which ResidueField imports this module.
-ore.analyze_prime and ore.phi_report, the analysis at any prime, call
-the expansion and the valued points here.
+reads their expansions, valued points and reports off closed forms.  Any
+other monic f needs what is here: dense Z[x] arithmetic, the phi-adic
+expansion at any monic base, polynomials over any residue field with
+their factorization, the residue fields F_(p^k) with k >= 2, valued
+points, the common-index test, Dedekind's criterion and the lattice
+points that render draws.  ore, the reference pipeline, imports this
+module at its top; ResidueField (for a modulus of degree >= 2), render
+and --verify load it when they need it.  It imports classify, which
+imports neither it nor ore.
+
+Arithmetic over F_q reduces once per output coefficient.  ff_mul and
+ff_divmod sum the products that make one polynomial coefficient in an
+unreduced accumulator of the field (an int over F_p) and reduce it
+once; the division reduces its top remainder coefficient when it reads
+it.  An ExtensionField precomputes the fold rows x^j mod phibar,
+j = k..2k-2: a product of two elements is a schoolbook product with
+plain int coefficients, then one fold and one % p per coefficient.
+Inverses come from the extended Euclidean algorithm in F_p[x]
+(pow(a, -1, p) over F_p).  A modulus of degree >= 2 is irreducible when
+ff_factor over F_p returns it whole.
+
+ff_factor is the one factorization for every q, F_p included: the
+power of y dividing the polynomial split off, then squarefree, then
+distinct-degree, then Cantor-Zassenhaus equal-degree factorization
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
 """
 
 from __future__ import annotations
@@ -20,10 +38,17 @@ from .errors import InvariantError, ValidationError
 from .intarith import INFINITY, require_prime
 from .polygon import NewtonPolygon, ValuedPoint
 from .residue import (
-    X, ResidueField, ff_add, ff_divmod, ff_factor, ff_gcd, ff_mod, ff_mul, ff_sub, reduce_mod_p,
-    residue_field,
+    X, FpPoly, ResidueField, ff_degree, ff_make_monic, ff_normalize, reduce_mod_p, residue_field,
 )
 from .zpoly import PhiExpansion, PureFieldParams, ZPoly, _poly_valuation, degree, is_monic, poly
+
+# Cantor-Zassenhaus draws from random.Random(_SPLIT_SEED).  Factors are
+# returned sorted, so no result depends on this value.
+_SPLIT_SEED = 0
+# A draw fails to split with probability at most 5/9 (q**d = 3), about
+# 1/2 otherwise, so a split that needs more draws than this is a fault
+# in the field arithmetic, not bad luck.
+_SPLIT_DRAWS = 64
 
 # ---------------------------------------------------------------------------
 # Z[x] and the phi-adic expansion
@@ -112,6 +137,228 @@ def phi_expansion(f: ZPoly, phi: ZPoly) -> PhiExpansion:
     while len(coeffs) > 1 and coeffs[-1] == ():
         coeffs.pop()
     return PhiExpansion(phi, tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# polynomials over a residue field and their factorization
+
+
+def ff_add(field: ResidueField, a, b) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    add = field.add
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = add(out[i], c)
+    return ff_normalize(out)
+
+
+def ff_sub(field: ResidueField, a, b) -> tuple:
+    sub = field.sub
+    out = list(a) + [field.zero] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = sub(out[i], c)
+    return ff_normalize(out)
+
+
+def _product(field: ResidueField, a, b) -> list:
+    """The coefficients of a*b as unreduced accumulators."""
+    fma = field.fma
+    out = [field.lift(field.zero) for _ in range(len(a) + len(b) - 1)]
+    for i, c in enumerate(a):
+        if c:
+            fma(out, i, c, b)
+    return out
+
+
+def _divide(field: ResidueField, rem: list, b) -> tuple[tuple, tuple]:
+    """Long division of the polynomial with accumulators rem by b.
+
+    Each remainder coefficient is reduced once, the top one when the
+    division reads it; a monic b needs no multiply by its inverse lead.
+    Subtracting q*b leaves the top accumulator at 0 mod p, unread.
+    """
+    lb = len(b)
+    reduce, fms, mul = field.reduce, field.fms, field.mul
+    inv_lead = None if b[-1] == field.one else field.inv(b[-1])
+    quo = [field.zero] * (len(rem) - lb + 1)
+    for shift in range(len(rem) - lb, -1, -1):
+        c = reduce(rem[shift + lb - 1])
+        if c:
+            q = c if inv_lead is None else mul(c, inv_lead)
+            quo[shift] = q
+            fms(rem, shift, q, b)
+    return ff_normalize(quo), ff_normalize(list(map(reduce, rem[: lb - 1])))
+
+
+def ff_mul(field: ResidueField, a, b) -> tuple:
+    if not a or not b:
+        return ()
+    return ff_normalize(list(map(field.reduce, _product(field, a, b))))
+
+
+def ff_divmod(field: ResidueField, a, b) -> tuple[tuple, tuple]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(a) < len(b):
+        return (), a
+    return _divide(field, list(map(field.lift, a)), b)
+
+
+def ff_mod(field: ResidueField, a, b) -> tuple:
+    return ff_divmod(field, a, b)[1]
+
+
+def ff_quo(field: ResidueField, a, b) -> tuple:
+    return ff_divmod(field, a, b)[0]
+
+
+def ff_mulmod(field: ResidueField, a, b, g) -> tuple:
+    """a*b mod g, the product's coefficients reduced only by the division."""
+    if not a or not b:
+        return ()
+    return _divide(field, _product(field, a, b), g)[1]
+
+
+def ff_gcd(field: ResidueField, a, b) -> tuple:
+    """Monic greatest common divisor."""
+    while b:
+        a, b = b, ff_mod(field, a, b)
+    return ff_make_monic(field, a)
+
+
+def ff_pow_mod(field: ResidueField, base, e: int, modulus) -> tuple:
+    result = ff_mod(field, (field.one,), modulus)
+    base = ff_mod(field, base, modulus)
+    while e:
+        if e & 1:
+            result = ff_mulmod(field, result, base, modulus)
+        base = ff_mulmod(field, base, base, modulus)
+        e >>= 1
+    return result
+
+
+def ff_derivative(field: ResidueField, g) -> tuple:
+    scale, p = field.scale, field.p
+    return ff_normalize([scale(c, i % p) for i, c in enumerate(g)][1:])
+
+
+def ff_pth_root(field: ResidueField, g) -> tuple:
+    """The p-th root of a polynomial whose derivative is 0: only exponents
+    divisible by p occur, and c -> c**(q/p) inverts Frobenius on F_q."""
+    e = field.order // field.p
+    return ff_normalize([field.pow(c, e) for c in g[:: field.p]])
+
+
+def _squarefree_into(field: ResidueField, f, scale: int, out: dict) -> None:
+    """Squarefree factorization of a monic f: out[i * scale] becomes the
+    product of the irreducible factors that divide f exactly i times."""
+    if ff_degree(f) < 1:
+        return
+    d = ff_derivative(field, f)
+    if not d:
+        _squarefree_into(field, ff_pth_root(field, f), scale * field.p, out)
+        return
+    c = ff_gcd(field, f, d)
+    w = ff_quo(field, f, c)
+    i = 1
+    while ff_degree(w) > 0:
+        y = ff_gcd(field, w, c)
+        z = ff_quo(field, w, y)
+        if ff_degree(z) > 0:
+            key = i * scale
+            out[key] = ff_mul(field, out[key], z) if key in out else z
+        w = y
+        c = ff_quo(field, c, y)
+        i += 1
+    if ff_degree(c) > 0:
+        _squarefree_into(field, ff_pth_root(field, c), scale * field.p, out)
+
+
+def _distinct_degree(field: ResidueField, g) -> list[tuple[tuple, int]]:
+    """Split a squarefree monic g into (product of its degree-d factors, d) parts."""
+    out = []
+    y = (field.zero, field.one)
+    h = ff_mod(field, y, g)
+    d = 0
+    while ff_degree(g) >= 2 * (d + 1):
+        d += 1
+        h = ff_pow_mod(field, h, field.order, g)
+        part = ff_gcd(field, ff_sub(field, h, y), g)
+        if ff_degree(part) > 0:
+            out.append((part, d))
+            g = ff_quo(field, g, part)
+            h = ff_mod(field, h, g)
+    if ff_degree(g) > 0:
+        out.append((g, ff_degree(g)))
+    return out
+
+
+def _equal_degree(field: ResidueField, g, d: int, rng: random.Random) -> list[tuple]:
+    """Split g, a product of distinct monic irreducibles of degree d, into them."""
+    if ff_degree(g) == d:
+        return [g]
+    for _ in range(_SPLIT_DRAWS):
+        a = ff_normalize(
+            [field.element([rng.randrange(field.p) for _ in range(field.degree)])
+             for _ in range(ff_degree(g))]
+        )
+        if ff_degree(a) < 1:
+            continue
+        if field.p == 2:
+            # the trace of a from F_(2^(kd)) down to F_2
+            t = acc = a
+            for _ in range(field.degree * d - 1):
+                acc = ff_mulmod(field, acc, acc, g)
+                t = ff_add(field, t, acc)
+            h = ff_gcd(field, t, g)
+        else:
+            b = ff_pow_mod(field, a, (field.order**d - 1) // 2, g)
+            h = ff_gcd(field, ff_sub(field, b, (field.one,)), g)
+        if 0 < ff_degree(h) < ff_degree(g):
+            return _equal_degree(field, h, d, rng) + _equal_degree(
+                field, ff_quo(field, g, h), d, rng
+            )
+    raise InvariantError(
+        f"no equal-degree split of a degree-{ff_degree(g)} product of degree-{d} "
+        f"factors over {field!r} in {_SPLIT_DRAWS} draws"
+    )
+
+
+def ff_factor(field: ResidueField, g) -> list[tuple[tuple, int]]:
+    """Factor a monic polynomial over the field into irreducibles.
+
+    Returns (irreducible monic factor, multiplicity) pairs sorted by
+    degree, then by coefficients, so the result does not depend on the
+    random choices of the equal-degree split.
+    """
+    g = ff_normalize(g)
+    if not g:
+        raise ValidationError("cannot factor the zero polynomial")
+    if g[-1] != field.one:
+        raise ValidationError("factorization requires a monic polynomial")
+    if ff_degree(g) == 1:
+        return [(g, 1)]
+    # y^e, e the run of zero low coefficients, is split off first: Yun's
+    # loop would walk its e multiplicities one gcd at a time
+    e = next(i for i, c in enumerate(g) if c)
+    found: dict[tuple, int] = {(field.zero, field.one): e} if e else {}
+    parts: dict[int, tuple] = {}
+    _squarefree_into(field, g[e:], 1, parts)
+    rng = None
+    for mult, part in parts.items():
+        for block, d in _distinct_degree(field, part):
+            if ff_degree(block) == d:
+                irreducibles = [block]
+            else:
+                if rng is None:
+                    import random  # only Cantor-Zassenhaus draws: analyze and scan never load it
+
+                    rng = random.Random(_SPLIT_SEED)
+                irreducibles = _equal_degree(field, block, d, rng)
+            for irr in irreducibles:
+                found[irr] = found.get(irr, 0) + mult
+    return sorted(found.items(), key=lambda item: (ff_degree(item[0]), item[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,18 @@ import math
 
 from .errors import InvariantError, ValidationError
 
-# Deterministic Miller-Rabin with these witnesses is correct below this
-# bound (Sorenson-Webster); larger inputs are rejected rather than
-# answered probabilistically.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k (OEIS A014233): the least odd composite that passes Miller-Rabin to
+# each of the first k prime bases, so below psi_k those k bases decide
+# primality (psi_12 and psi_13: Sorenson and Webster, Math. Comp. 86, 2017).
+# Inputs from psi_13 on are rejected rather than answered probabilistically.
+_MR_PSI = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
+)
+_MR_LIMIT = _MR_PSI[-1]
 
 # factorize divides out the primes below _TRIAL_BOUND and leaves the
 # cofactor to Pollard-Brent rho, which takes one gcd per _RHO_BATCH steps
@@ -59,7 +64,9 @@ INFINITY = _Infinity()
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n below 3.317e24."""
+    """Deterministic primality test for n below psi_13 = 3.317e24: trial
+    division by the primes up to 41, then Miller-Rabin to the first k prime
+    bases, k the least with n < psi_k."""
     if n >= _MR_LIMIT:
         raise ValidationError(
             f"primality is only decided deterministically below {_MR_LIMIT}; got {n}"
@@ -76,16 +83,18 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    # n has no prime factor up to 41, so every base is below n
+    for a, psi in zip(_SMALL_PRIMES, _MR_PSI):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x not in (1, n - 1):
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
     return True
 
 

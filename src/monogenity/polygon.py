@@ -1,7 +1,11 @@
 """Valued points, lower convex envelopes with exact rational slopes,
-the principal part, lattice-point index counts, and residual polynomials.
-The valued points of a dense expansion and the lattice points that
-render draws live in monogenity.general.
+the principal part, lattice-point index counts, residual polynomials,
+and the report records built from them: SideAnalysis and PhiReport at
+one base, and the IndexBound and SplittingShape (or NOT_REGULAR) read
+off the reports at one prime.  classify builds its closed-form reports
+from these records, and ore's reference pipeline builds the same
+records from a hull.  The valued points of a dense expansion and the
+lattice points that render draws live in monogenity.general.
 
 A side's slope is -h/e in lowest terms, kept as the integers h and e:
 hull construction, the chain check, the principal part and the index
@@ -18,12 +22,13 @@ from .record import Record, TupleRecord
 from .residue import (
     ResidueField,
     _residue_class,
+    ff_degree,
     ff_normalize,
     ff_to_string,
     reduce_mod_p,
     residue_field,
 )
-from .zpoly import PhiExpansion, PureShiftExpansion, ZPoly, _poly_valuation
+from .zpoly import PhiExpansion, PureShiftExpansion, ZPoly, _poly_valuation, degree
 
 
 class ValuedPoint(TupleRecord):
@@ -217,3 +222,138 @@ def residual_polynomial(
     if not coeffs[0] or not coeffs[-1]:
         raise ValidationError("side endpoints must lie on the polygon")
     return ResidualPolynomial(side, field, tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# the report at one base, and what is read off the reports at one prime
+
+
+class SideAnalysis(TupleRecord):
+    """One principal side together with its residual data."""
+
+    side: Side
+    residual: ResidualPolynomial
+    factors: tuple[tuple[tuple, int], ...]  # over residual.field
+
+    @property
+    def squarefree(self) -> bool:
+        return all(mult == 1 for _, mult in self.factors)
+
+    def factor_strings(self) -> tuple[str, ...]:
+        out = []
+        for psi, mult in self.factors:
+            text = ff_to_string(self.residual.field, psi)
+            out.append(text if mult == 1 else f"({text})^{mult}")
+        return tuple(out)
+
+
+class PhiReport(TupleRecord):
+    """Everything the polygon machinery knows about one factor of the reduction;
+    valued holds the valued points (i, v_p(a_i)) as the columns (abscissas,
+    valuations) or as the PureShiftExpansion whose valuations() gives them
+    when columns, valuations or points is read."""
+
+    phi: ZPoly
+    multiplicity: int
+    valued: "PureShiftExpansion | tuple"
+    polygon: NewtonPolygon
+    principal: NewtonPolygon
+    sides: tuple[SideAnalysis, ...]
+    index: int
+    regular: bool
+
+    @property
+    def columns(self) -> tuple:
+        valued = self.valued
+        if isinstance(valued, PureShiftExpansion):
+            return range(valued.params.degree + 1), valued.valuations()
+        return valued
+
+    @property
+    def valuations(self) -> tuple[int, ...]:
+        return self.columns[1]
+
+    @property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.columns))
+
+    @property
+    def phi_degree(self) -> int:
+        return degree(self.phi)
+
+
+class IndexBound(TupleRecord):
+    """Lower bound for v_p of the index; exact when the analysis is regular."""
+
+    value: int
+    exact: bool
+
+
+class _NotRegular:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "NOT_REGULAR"
+
+    def __bool__(self):
+        return False
+
+
+NOT_REGULAR = _NotRegular()
+
+
+class SplittingShape(TupleRecord):
+    """Multiset of (ramification index, residue degree) pairs, canonically sorted."""
+
+    pairs: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "SplittingShape":
+        return cls(tuple(sorted(pairs)))
+
+    def total_degree(self) -> int:
+        return sum(e * f for e, f in self.pairs)
+
+    def count_residue_degree(self, f: int) -> int:
+        return sum(1 for _, fi in self.pairs if fi == f)
+
+    def residue_degrees(self) -> tuple[int, ...]:
+        return tuple(sorted({f for _, f in self.pairs}))
+
+    def __str__(self):
+        return ",".join(f"{e}:{f}" for e, f in self.pairs)
+
+
+def index_lower_bound(reports) -> IndexBound:
+    """Sum of the per-factor indices; exact iff every report is regular."""
+    return IndexBound(sum(r.index for r in reports), all(r.regular for r in reports))
+
+
+def splitting_shape(reports):
+    """Shape of the prime factorization, or NOT_REGULAR.
+
+    In the regular case every side of slope -h/e contributes one prime
+    (e, deg(phi) * deg(psi)) per irreducible residual factor psi; a
+    factor of the reduction that equals f itself carries an empty
+    principal polygon and contributes the single unramified prime
+    (1, deg(phi)).  The fundamental identity sum(e*f) = deg(f) is
+    checked and its failure raises, since it would indicate a bug.
+    """
+    pairs = []
+    total_degree = 0
+    for report in reports:
+        total_degree += report.phi_degree * report.multiplicity
+        if not report.regular:
+            return NOT_REGULAR
+        if report.principal.is_empty:
+            pairs.append((1, report.phi_degree))
+            continue
+        for analysis in report.sides:
+            for psi, _ in analysis.factors:
+                pairs.append((analysis.side.e, report.phi_degree * ff_degree(psi)))
+    shape = SplittingShape.from_pairs(pairs)
+    if shape.total_degree() != total_degree:
+        raise InvariantError(
+            f"splitting shape covers degree {shape.total_degree()}, expected {total_degree}"
+        )
+    return shape

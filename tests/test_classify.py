@@ -17,7 +17,7 @@ from monogenity.general import (
 from monogenity.intarith import count_monic_irreducibles, is_squarefree, valuation
 from monogenity.oracle import brute_hull
 from monogenity import ore, polygon
-from monogenity.ore import NOT_REGULAR, PhiReport
+from monogenity.polygon import NOT_REGULAR, PhiReport
 from monogenity.zpoly import (
     PhiExpansion,
     PureFieldParams,
@@ -450,7 +450,7 @@ class TestClosedFormAtP:
             assert verdict.status is statuses.get(verdict.provenance, Status.NOT_MONOGENIC), m
             for analysis in cert.analyses:
                 # pure_prime_analysis's regularity proof: a shape, an exact bound
-                assert isinstance(analysis.shape, ore.SplittingShape), (m, analysis.prime)
+                assert isinstance(analysis.shape, polygon.SplittingShape), (m, analysis.prime)
                 assert analysis.index.exact, (m, analysis.prime)
             witnesses = _witnesses(cert.analysis_at(p).shape, p)
             assert bool(witnesses) == (verdict.status is Status.NOT_MONOGENIC), m

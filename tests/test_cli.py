@@ -227,6 +227,21 @@ class TestBoundedTime:
             q for q in range(2, 74) if is_prime(q)
         ]
 
+    def test_psi_12_is_factored(self, capsys):
+        # psi_12, the least strong pseudoprime to the 12 prime bases up to 37:
+        # it used to pass as prime and stand for itself among the primes of
+        # m; Brent's rho splits it in about 0.25 s on a 2 GHz core
+        with time_limit(20):
+            code, out, _ = run(
+                capsys, "analyze", "--p", "3", "--r", "1", "--m", "318665857834031151167461",
+                "--format", "json",
+            )
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload["certificate"]["discriminant_valuations"]) == [
+            "3", "399165290221", "798330580441"
+        ]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_scan_rejects_m_beyond_primality_limit(self, capsys, monkeypatch, tmp_path, jobs):
         # these m have a cofactor past intarith._MR_LIMIT; the scan used to
@@ -265,6 +280,30 @@ class TestBoundedTime:
         assert out.read_text().splitlines()[1:] == [
             f"{m},3,1,,,,,,,,,not_squarefree", f"{m + 4},3,1,,,,,,,,,not_squarefree"
         ]
+
+    def test_huge_scan_refused_at_once(self, tmp_path):
+        # 10**11 + 1 rows: the scan used to build its lists until the kernel
+        # killed it; a fresh process with 512 MiB of address space must now
+        # count the rows and refuse them
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        out = tmp_path / "rows.csv"
+        argv = [
+            sys.executable, "-S", "-m", "monogenity", "scan", "--p", "3", "--r", "1",
+            "--m-from", "0", "--m-to", str(10**11), "--out", str(out),
+        ]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        done = subprocess.run(
+            argv, env=env, preexec_fn=limit, capture_output=True, text=True, timeout=20
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == (
+            "error: the scan has 100000000001 values of m, past the cap of 500000 rows\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("r", [10**4, 10**8])
     @pytest.mark.parametrize("command", ["analyze", "scan", "render"])
@@ -499,6 +538,29 @@ class TestScan:
             "--m-from", "5", "--m-to", "3", "--out", "/tmp/unused.csv",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ("--m-from", "-2", "--m-to", "7"),
+            ("--m-from", "-20", "--m-to", "79", "--residue", "3", "--modulus", "10"),
+        ],
+        ids=["range", "residue"],
+    )
+    def test_row_cap(self, tmp_path, capsys, monkeypatch, window):
+        # both windows have 10 rows, counted before any row is built: at the
+        # cap the scan runs, one row past it exits 2 and writes nothing
+        out_path = tmp_path / "rows.csv"
+        argv = ["scan", "--p", "3", "--r", "1", *window, "--out", str(out_path)]
+        monkeypatch.setattr(cli, "_MAX_SCAN_ROWS", 10)
+        assert run(capsys, *argv)[0] == 0
+        assert len(out_path.read_text().splitlines()) == 1 + 10
+        out_path.unlink()
+        monkeypatch.setattr(cli, "_MAX_SCAN_ROWS", 9)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: the scan has 10 values of m, past the cap of 9 rows\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestByteIdentity:
@@ -844,9 +906,9 @@ class TestIrregularMutant:
 
     @pytest.fixture(autouse=True)
     def irregular(self, monkeypatch):
-        from monogenity import ore
+        from monogenity import polygon
 
-        monkeypatch.setattr(ore, "splitting_shape", lambda reports: ore.NOT_REGULAR)
+        monkeypatch.setattr(polygon, "splitting_shape", lambda reports: polygon.NOT_REGULAR)
 
     def test_classify_raises(self):
         from monogenity.classify import classify

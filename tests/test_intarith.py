@@ -217,5 +217,28 @@ class TestIsPrime:
         with pytest.raises(ValidationError):
             is_prime(10**25)
 
+    # psi_k (OEIS A014233): the least odd composite that is a strong
+    # probable prime to each of the first k prime bases
+    PSI = (
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461,
+    )
+
+    @pytest.mark.parametrize("k, psi", enumerate(PSI, 1))
+    def test_psi_composites_rejected(self, k, psi):
+        # psi_12 = 399165290221 * 798330580441 passed the 12 bases up to 37
+        # that used to be run on every n below psi_13
+        assert not is_prime(psi)
+
+    def test_agrees_with_a_sieve_below_10_6(self):
+        n = 10**6
+        sieve = bytearray([1]) * n
+        sieve[0] = sieve[1] = 0
+        for q in range(2, math.isqrt(n) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = bytes(len(range(q * q, n, q)))
+        assert [q for q in range(n) if is_prime(q) != sieve[q]] == []
+
     def test_moebius(self):
         assert [moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]

@@ -2,14 +2,13 @@ import pytest
 
 from monogenity.errors import ValidationError
 from monogenity.ore import (
-    NOT_REGULAR,
-    SplittingShape,
     _phi_report,
     analyze_prime,
     index_lower_bound,
     phi_report,
     splitting_shape,
 )
+from monogenity.polygon import NOT_REGULAR, SplittingShape
 from monogenity.zpoly import PureFieldParams, pure_polynomial
 
 
@@ -129,15 +128,15 @@ class TestSplittingShape:
         assert shape.pairs == ((1, 2),)
 
     def test_seed_independence(self, monkeypatch):
-        # the equal-degree split draws from residue._SPLIT_SEED; x^4 - 2 has
+        # the equal-degree split draws from general._SPLIT_SEED; x^4 - 2 has
         # two linear factors mod 7, so there the split runs
-        from monogenity import residue
+        from monogenity import general
 
         pure = pure_polynomial(PureFieldParams(3, 2, 35))
         for f, p in [(pure, 3), (pure, 5), (pure, 7), ((-2, 0, 0, 0, 1), 7)]:
             shapes = []
             for seed in (0, 98765):
-                monkeypatch.setattr(residue, "_SPLIT_SEED", seed)
+                monkeypatch.setattr(general, "_SPLIT_SEED", seed)
                 shapes.append(splitting_shape(analyze_prime(f, p)))
             assert shapes[0] == shapes[1]
 

@@ -33,6 +33,7 @@ NOT_LOADED = (
     "monogenity.oracle",
     "monogenity.render",
     "monogenity.general",
+    "monogenity.ore",
     "dataclasses",
     "fractions",
     "csv",
@@ -40,7 +41,9 @@ NOT_LOADED = (
     "random",
 )
 
-# (module, name) for every public name that moved into monogenity.general
+# (module, name) for every name that moved into monogenity.general: residue
+# keeps the element arithmetic, general has the polynomial arithmetic and the
+# factorization over F_q
 MOVED = [
     ("zpoly", name) for name in ("add", "sub", "mul", "divmod_monic", "phi_expansion")
 ] + [
@@ -50,7 +53,20 @@ MOVED = [
     ("classify", "is_common_index_divisor"),
     ("classify", "dedekind_divides_index"),
     ("residue", "ExtensionField"),
+] + [
+    ("residue", name)
+    for name in (
+        "ff_add", "ff_sub", "ff_mul", "ff_divmod", "ff_mod", "ff_quo", "ff_mulmod", "ff_gcd",
+        "ff_pow_mod", "ff_derivative", "ff_pth_root", "ff_factor", "_product", "_divide",
+        "_squarefree_into", "_distinct_degree", "_equal_degree", "_SPLIT_SEED", "_SPLIT_DRAWS",
+    )
 ]
+# the report records and their readers, which classify builds, moved from ore
+# (the reference pipeline) to polygon; ore still imports the two readers
+REPORT_RECORDS = (
+    "SideAnalysis", "PhiReport", "IndexBound", "NOT_REGULAR", "SplittingShape",
+    "index_lower_bound", "splitting_shape",
+)
 # the old paths that still resolve, through a PEP 562 hook: bench/checks.py reads them
 BENCH_READS = {("zpoly", "phi_expansion"), ("classify", "dedekind_divides_index")}
 
@@ -87,15 +103,15 @@ class TestImportGraph:
             "        for p, r in ((7, 1), (2, 8), (3, 2), (5, 1)):\n"
             "            main(['scan', '--p', str(p), '--r', str(r), '--m-from', '-60',\n"
             f"                  '--m-to', '60', '--format', fmt, '--out', {str(out)!r}])\n"
-            "print('monogenity.general' in sys.modules, 'typing' in sys.modules,\n"
-            "      'random' in sys.modules)\n"
+            "print('monogenity.general' in sys.modules, 'monogenity.ore' in sys.modules,\n"
+            "      'typing' in sys.modules, 'random' in sys.modules)\n"
             "from monogenity.residue import residue_field\n"
             "residue_field(7, (3, 1))\n"
             "print('monogenity.general' in sys.modules)\n"
             "residue_field(3, (1, 0, 1))\n"
             "print('monogenity.general' in sys.modules)\n"
         )
-        assert _run_bare(code).split() == ["False", "False", "False", "False", "True"]
+        assert _run_bare(code).split() == ["False", "False", "False", "False", "False", "True"]
 
     def test_package_import_loads_no_submodule(self):
         code = (
@@ -157,6 +173,19 @@ class TestImportGraph:
             and "__getattr__" in vars(importlib.import_module(f"monogenity.{info.name}"))
         }
         assert hooked == {module for module, _ in BENCH_READS}
+
+    def test_report_records_live_in_polygon(self):
+        from monogenity import ore, polygon
+
+        for name in REPORT_RECORDS:
+            assert name in vars(polygon), name
+            if name in ("index_lower_bound", "splitting_shape"):
+                assert getattr(ore, name) is getattr(polygon, name)
+            else:
+                assert not hasattr(ore, name), name
+            if name in monogenity.__all__:
+                assert monogenity._HOMES[name] == "polygon", name
+        assert set(vars(ore)) >= {"phi_report", "analyze_prime", "_phi_report"}
 
     def test_analyze_prime_lives_in_ore(self):
         from monogenity import general, ore

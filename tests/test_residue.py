@@ -5,24 +5,26 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monogenity import residue
+from monogenity import general
 from monogenity.errors import InvariantError, ValidationError
-from monogenity.oracle import _poly_mod_small, is_irreducible_by_trial_division
-from monogenity.residue import (
-    X,
-    ResidueField,
+from monogenity.general import (
     ff_add,
-    ff_degree,
     ff_derivative,
     ff_divmod,
     ff_factor,
     ff_gcd,
-    ff_make_monic,
     ff_mod,
     ff_mul,
     ff_mulmod,
     ff_pow_mod,
     ff_sub,
+)
+from monogenity.oracle import _poly_mod_small, is_irreducible_by_trial_division
+from monogenity.residue import (
+    X,
+    ResidueField,
+    ff_degree,
+    ff_make_monic,
     reduce_mod_p,
     residue_class,
     residue_field,
@@ -126,6 +128,37 @@ class TestResidueField:
         for q in primes[:600]:
             residue_field(q, (0, 1))
         assert residue_field.cache_info().currsize <= 512
+
+
+_PRIMES_TO_101 = [q for q in range(2, 102) if all(q % d for d in range(2, q))]
+
+
+class TestPrimeFieldElement:
+    """F_p takes the class of an integer polynomial by Horner's rule at the
+    root of its linear modulus; the division by the modulus that it replaced
+    must give the same element."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(_PRIMES_TO_101),
+        st.integers(min_value=0, max_value=100),
+        st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=60),
+    )
+    def test_horner_matches_division(self, p, a, coeffs):
+        modulus = (a % p, 1)
+        field = residue_field(p, modulus)
+        prime = residue_field(p, X)
+        rep = ff_mod(prime, reduce_mod_p(coeffs, p), modulus)
+        assert field.element(coeffs) == (rep[0] if rep else 0)
+        assert field.element(coeffs) == _ref_element(field, coeffs)
+
+    def test_long_and_negative(self):
+        field = residue_field(101, (7, 1))  # root -7
+        coeffs = [(-1) ** i * (10**20 + i) for i in range(500)]
+        rep = ff_mod(residue_field(101, X), reduce_mod_p(coeffs, 101), field.modulus)
+        assert field.element(coeffs) == rep[0]
+        assert field.element(()) == field.element([0, 0, 101]) == 0
+        assert field.element([-1]) == 100
 
 
 class TestResidueClass:
@@ -413,8 +446,8 @@ class TestPurePower:
 
     def test_y_to_4096_over_f17(self, monkeypatch):
         calls = []
-        gcd = residue.ff_gcd
-        monkeypatch.setattr(residue, "ff_gcd", lambda *args: calls.append(args) or gcd(*args))
+        gcd = general.ff_gcd
+        monkeypatch.setattr(general, "ff_gcd", lambda *args: calls.append(args) or gcd(*args))
         f17 = residue_field(17, (0, 1))
         assert ff_factor(f17, (0,) * 4096 + (1,)) == [((0, 1), 4096)]
         assert len(calls) <= 2
@@ -518,7 +551,7 @@ class TestPrimeFieldFactor:
         assert ff_factor(field, g) == [((0, 1), 2), ((1, 1), 1), ((2, 1), 1)]
 
     def test_seed_independent(self, monkeypatch):
-        # the equal-degree split draws from residue._SPLIT_SEED; the second
+        # the equal-degree split draws from general._SPLIT_SEED; the second
         # polynomial has three linear factors, so the split runs
         p = 7
         field = residue_field(p, X)
@@ -529,7 +562,7 @@ class TestPrimeFieldFactor:
         ):
             results = []
             for seed in (0, 123456):
-                monkeypatch.setattr(residue, "_SPLIT_SEED", seed)
+                monkeypatch.setattr(general, "_SPLIT_SEED", seed)
                 results.append(ff_factor(field, g))
             assert results[0] == results[1]
 
@@ -590,7 +623,7 @@ class TestBoundedSplit:
     def test_broken_modular_product_raises(self, monkeypatch, field, g):
         # a product mod g that drops its second factor: a**e mod g stays 1
         # and every trace is 0, so no draw can split g
-        monkeypatch.setattr(residue, "ff_mulmod", lambda fld, a, b, m: ff_mod(fld, a, m))
+        monkeypatch.setattr(general, "ff_mulmod", lambda fld, a, b, m: ff_mod(fld, a, m))
 
         def expire(signum, frame):
             raise TimeoutError("the split did not give up within 30 s")
@@ -599,7 +632,7 @@ class TestBoundedSplit:
         signal.alarm(30)
         try:
             with pytest.raises(InvariantError, match="equal-degree split.*draws"):
-                residue._equal_degree(field, g, 1, random.Random(0))
+                general._equal_degree(field, g, 1, random.Random(0))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)

@@ -15,10 +15,10 @@ import enum
 
 from . import polygon, zpoly
 from .errors import InvariantError, ValidationError
-from .intarith import _count_monic_irreducibles, _valuation, require_prime
+from .intarith import _count_monic_irreducibles, _fermat_valuation, require_prime
 from .polygon import ValuedPoint
 from .record import TupleRecord
-from .residue import X, ff_make_monic, residue_field
+from .residue import X, ff_make_monic, reduce_mod_p, residue_field
 from .zpoly import PureFieldParams, candidate_index_primes
 
 
@@ -92,13 +92,8 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
 
     At t | m the report is Eisenstein's.  At phi = x the expansion is
     a_0 = -m, a_n = 1 and nothing between, and v_t(m) = 1 as m is
-    squarefree, so the points are (0, 1) and (n, 0) and the polygon is
-    the one side between them, all principal: height 1, length n, so
-    e = n and degree 1.  Its residual reads the digit of a_0 at height 1
-    and that of a_n at height 0: y + c with c = (-m/t) mod t, a unit, so
-    linear, monic and its own factor.  No lattice point with x >= 1 and
-    y >= 1 lies on or below the side, so the index is 0, and t is
-    totally ramified: shape n:1.
+    squarefree, so the polygon is the one side from (0, 1) to (n, 0):
+    e = n, degree 1, residual y + (-m/t mod t), index 0, shape n:1.
 
     At t = p the report is closed form in (p, r, nu0), nu0 = v_p(a_0).
     The binomial lemma puts (j, r - v_p(j)) at 0 < j < n: each such point
@@ -111,29 +106,35 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     if nu0 > r + [p = 2], k = r if nu0 = 1, else k = r + 1 + [p = 2] -
     nu0.  Only a p = 2 side with a = 2 has degree 2, through its midpoint
     (2**(k - 1), r - k + 1); its three digits are units of F_2, so its
-    residual is y**2 + y + 1, irreducible.  Each side's one factor is
-    its monic residual.  ore._phi_report, the hull over all n + 1
-    points, is the reference the tests hold both closed forms to.
+    residual is y**2 + y + 1, irreducible.
 
-    Every analysis here is regular, each residual squarefree, so its
-    index bound is exact and its shape is the splitting of t (Ore; an
-    irregular one would need the higher-order polygons of Guardia,
-    Montes and Nart).  A side of degree 1 has a linear residual.  At
-    t | m the one side has degree 1.  At t = p every side has degree 1
-    but a p = 2 side of degree 2, whose residual y**2 + y + 1 is
-    irreducible.  An irregular shape therefore raises InvariantError.
+    So every residual is linear or y**2 + y + 1: each is its own one
+    squarefree factor, the analysis is regular, its index bound exact
+    and its shape the splitting of t (Ore).  _closed_report builds both
+    reports from the vertices, the base, the valued points and unit(j) =
+    (v_t(a_j), first t-adic digit of a_j), reading each residual's digits
+    at its side's lattice points; a valuation off the side, or a residual
+    of another shape, raises InvariantError.  ore._phi_report on the
+    dense expansion is the reference the tests hold both closed forms to.
     """
+    n = params.degree
     if t in params.m_primes:
-        reports = (_report_at_m(params, t),)
+        # the Eisenstein side: a_0 = -m and a_n = 1 are the only coefficients
+        phi, valued = X, ((0, n), (1, 0))
+        vertices = (ValuedPoint(0, 1), ValuedPoint(n, 0))
+        unit = {0: (1, -params.m // t % t), n: (0, 1)}.__getitem__
     elif t == params.p:
-        reports = (_report_at_p(params),)
+        shift = zpoly.pure_shift_expansion(params)
+        p, r, nu0 = t, params.r, shift.nu0
+        k = 0 if nu0 > r + (p == 2) else r + 1 + (p == 2 and nu0 > 1) - nu0
+        vertices = (ValuedPoint(0, nu0), *(ValuedPoint(p**j, r - j) for j in range(k, r + 1)))
+        phi, valued, unit = shift.phi, shift, shift.unit
     else:
         require_prime(t)
         raise ValidationError(f"{t} divides neither p nor m, so it cannot divide the index")
+    reports = (_closed_report(t, n, phi, vertices, valued, unit),)
     index = polygon.index_lower_bound(reports)
     shape = polygon.splitting_shape(reports)
-    if shape is polygon.NOT_REGULAR:
-        raise InvariantError(f"the pure analysis at {t} is not regular")
     pn_table = tuple(
         (f, shape.count_residue_degree(f), _count_monic_irreducibles(t, f))
         for f in shape.residue_degrees()
@@ -141,34 +142,28 @@ def pure_prime_analysis(params: PureFieldParams, t: int) -> PrimeAnalysis:
     return PrimeAnalysis(t, reports, index, shape, pn_table)
 
 
-def _report_at_m(params: PureFieldParams, t: int) -> polygon.PhiReport:
-    # the Eisenstein side of pure_prime_analysis's docstring
-    n = params.degree
-    side = polygon.Side(ValuedPoint(0, 1), ValuedPoint(n, 0))
-    hull = polygon.NewtonPolygon((side,))
-    residual = polygon.ResidualPolynomial(side, residue_field(t, X), (-params.m // t % t, 1))
-    sides = (polygon.SideAnalysis(side, residual, ((residual.coefficients, 1),)),)
-    return polygon.PhiReport(X, n, ((0, n), (1, 0)), hull, hull, sides, 0, True)
-
-
-def _report_at_p(params: PureFieldParams) -> polygon.PhiReport:
-    # the closed form of pure_prime_analysis's docstring
-    shift = zpoly.pure_shift_expansion(params)
-    p, r, nu0, n = params.p, params.r, shift.nu0, params.degree
-    k = 0 if nu0 > r + (p == 2) else r + 1 + (p == 2 and nu0 > 1) - nu0
-    vertices = [ValuedPoint(0, nu0)] + [ValuedPoint(p**j, r - j) for j in range(k, r + 1)]
+def _closed_report(t: int, n: int, phi, vertices, valued, unit) -> polygon.PhiReport:
+    # the report on the polygon with these vertices; see pure_prime_analysis
     hull = polygon.NewtonPolygon(tuple(map(polygon.Side, vertices, vertices[1:])))
+    if hull.span != (0, n):
+        raise InvariantError(f"polygon at {t} spans {hull.span}, expected (0, {n})")
+    field = residue_field(t, reduce_mod_p(phi, t))
     sides = []
     for side in hull.sides:
-        residual = polygon.residual_polynomial(shift, p, shift.phi, side)
-        monic = ff_make_monic(residual.field, residual.as_poly())
-        if len(monic) != side.degree + 1 or side.degree > 1 and monic != (1, 1, 1):
+        digits = []
+        for k in range(side.degree + 1):
+            j = side.start.i + k * side.e
+            v, digit = unit(j)
+            if v != side.start.v - k * side.h or not digit:
+                raise InvariantError(f"point ({j}, {v}) at {t} is off the side {side}")
+            digits.append(digit)
+        residual = polygon.ResidualPolynomial(side, field, tuple(digits))
+        monic = ff_make_monic(field, residual.coefficients)
+        if side.degree > 1 and monic != (1, 1, 1):
             raise InvariantError(f"residual {monic} on a side of degree {side.degree}")
         sides.append(polygon.SideAnalysis(side, residual, ((monic, 1),)))
-    if sum(side.length for side in hull.sides) != n:
-        raise InvariantError(f"polygon at {p} spans {hull.span}, expected (0, {n})")
     index = polygon.phi_index(hull, 1)
-    return polygon.PhiReport(shift.phi, n, shift, hull, hull, tuple(sides), index, True)
+    return polygon.PhiReport(phi, n, valued, hull, hull, tuple(sides), index, True)
 
 
 def classify(params: PureFieldParams) -> MonogenityVerdict:
@@ -191,10 +186,12 @@ def classify(params: PureFieldParams) -> MonogenityVerdict:
     nu > p and r >= p.  For p = 2 at most one side has degree 2, with
     residual y**2 + y + 1, so P_2 <= 1 = N_2, and P_1 is r + 1, nu - 2
     or 1 as nu > r + 1, 1 < nu <= r + 1 or nu = 1; so P_1 > 2 = N_1
-    exactly when r = 2 and nu >= 4, or r >= 3 and nu >= 5.
+    exactly when r = 2 and nu >= 4, or r >= 3 and nu >= 5.  nu is read
+    off m**p mod powers of p, and nu0 apart from it at the exponent n, so
+    the witness check also tests the lifting-the-exponent step.
     """
     p, r, m = params.p, params.r, params.m
-    nu_pivot = _valuation(p, m**p - m)
+    nu_pivot = _fermat_valuation(p, m, p)
     status = Status.NOT_MONOGENIC
     if nu_pivot == 1:
         status, provenance = Status.MONOGENIC_ZALPHA, Provenance.THEOREM_PIB

@@ -21,7 +21,6 @@ from json.encoder import encode_basestring_ascii
 from . import __version__, zpoly
 from .classify import MonogenityVerdict, PrimeAnalysis, classify
 from .errors import InvariantError, OracleDisagreement, ValidationError
-from .intarith import is_prime
 from .polygon import PhiReport, principal_part
 from .zpoly import PureFieldParams, PureShiftExpansion, pure_polynomial, to_string
 
@@ -380,11 +379,8 @@ def cmd_scan(args) -> int:
     jobs = _resolve_jobs(args.jobs, config)
     if args.m_from > args.m_to:
         raise ValidationError("--m-from must not exceed --m-to")
-    if not is_prime(args.p):
-        raise ValidationError(f"p must be prime, got {args.p}")
-    if args.r < 1:
-        raise ValidationError(f"r must be a positive integer, got {args.r}")
-    _check_degree(args.p, args.r)
+    _check_degree(args.p, args.r)  # before p is tested, as in _params
+    zpoly.check_prime_power(args.p, args.r)
     modulus = args.modulus
     residue = args.residue
     if (modulus is None) != (residue is None):

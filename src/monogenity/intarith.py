@@ -124,6 +124,20 @@ def _valuation(p: int, n: int):
         k += 1
 
 
+def _fermat_valuation(p: int, m: int, e: int) -> int:
+    """v_p(m**e - m), the paper's nu at e = p, for a p already checked: read
+    off pow(m, e, p**k) - m, with k doubled until it is nonzero mod p**k."""
+    if m in (-1, 0, 1) or e < 2:
+        raise ValidationError(f"m**e - m must be nonzero, got m={m}, e={e}")
+    k = 4
+    while True:
+        modulus = p**k
+        residue = (pow(m, e, modulus) - m) % modulus
+        if residue:
+            return _valuation(p, residue)
+        k *= 2
+
+
 def binomial_valuation(p: int, r: int, j: int) -> int:
     """p-adic valuation of C(p**r, j), computed as r - v_p(j).
 
@@ -269,6 +283,8 @@ def _count_monic_irreducibles(p: int, f: int) -> int:
     # count_monic_irreducibles() for a p already checked to be prime
     if f < 1:
         raise ValidationError(f"degree must be positive, got {f}")
+    if f == 1:
+        return p  # x - c for each c in F_p: the degree every pure analysis reads
     total = sum(moebius(d) * p ** (f // d) for d in _divisors(f))
     if total % f:
         raise InvariantError(f"necklace count for p={p}, f={f} is not integral")

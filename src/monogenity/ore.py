@@ -56,9 +56,9 @@ def analyze_prime(f: zpoly.ZPoly, p: int) -> list[polygon.PhiReport]:
     return [phi_report(f, p, phibar) for phibar, _ in ff_factor(prime_field, reduce_mod_p(f, p))]
 
 
-def _phi_report(p: int, expansion, valued) -> polygon.PhiReport:
-    """phi_report() for a base and an expansion already checked; valued is
-    the columns (abscissas, valuations)."""
+def _phi_report(p: int, expansion: zpoly.PhiExpansion, valued) -> polygon.PhiReport:
+    """phi_report() for a base and a dense expansion already checked; valued
+    is the columns (abscissas, valuations)."""
     phi = zpoly.poly(expansion.phi)
     abscissas, valuations = valued
     try:

@@ -21,11 +21,11 @@ from .errors import InvariantError, ValidationError
 from .record import Record, TupleRecord
 from .residue import (
     ResidueField,
-    _residue_class,
     ff_degree,
     ff_normalize,
     ff_to_string,
     reduce_mod_p,
+    residue_class,
     residue_field,
 )
 from .zpoly import PhiExpansion, PureShiftExpansion, ZPoly, _poly_valuation, degree
@@ -187,38 +187,30 @@ class ResidualPolynomial(TupleRecord):
 
 
 def residual_polynomial(
-    expansion: "PhiExpansion | PureShiftExpansion", p: int, phi: ZPoly, side: Side
+    expansion: PhiExpansion, p: int, phi: ZPoly, side: Side
 ) -> ResidualPolynomial:
-    """Residue classes of the on-side expansion coefficients.
+    """Residue classes of the on-side coefficients of a dense expansion.
 
-    A PhiExpansion gives each class by its exact coefficient, a
-    PureShiftExpansion by the closed form of its unit().  Raises if the
-    side does not match the expansion (endpoint valuations off, or
-    endpoints on zero coefficients).  Building F_phi checks p.
+    Raises if the side does not match the expansion (endpoint valuations
+    off, or endpoints on zero coefficients).  Building F_phi checks p.
+    classify's closed forms read their digits off the binomial lemma.
     """
     if tuple(phi) != tuple(expansion.phi):
         raise ValidationError("expansion was taken with a different base")
     if side.h < 0:
         raise ValidationError("residual polynomials do not attach to ascending sides")
     field = residue_field(p, reduce_mod_p(phi, p))
-    pure = isinstance(expansion, PureShiftExpansion)
     coeffs = []
     for k in range(side.degree + 1):
         pos = side.start.i + k * side.e
         u = side.start.v - k * side.h
-        if pure:
-            va, digit = expansion.unit(pos)
-        else:
-            a = expansion.coefficient(pos)
-            va = _poly_valuation(p, a)
+        a = expansion.coefficient(pos)
+        va = _poly_valuation(p, a)
         if va < u:
             raise ValidationError(
                 f"point ({pos}, {va}) lies below the side; inconsistent pairing"
             )
-        if va > u:
-            coeffs.append(field.zero)
-        else:
-            coeffs.append(digit if pure else _residue_class(field, a, u))
+        coeffs.append(field.zero if va > u else residue_class(field, a, u))
     if not coeffs[0] or not coeffs[-1]:
         raise ValidationError("side endpoints must lie on the polygon")
     return ResidualPolynomial(side, field, tuple(coeffs))

@@ -162,20 +162,10 @@ def _rep_str(rep: FpPoly) -> str:
     return " + ".join(terms)
 
 
-def residue_class(a, p: int, phi, u: int):
-    """Class of a(beta)/p**u in F_phi, beta a root of the reduction of phi.
-
-    Every coefficient of the integer polynomial a must be divisible by
-    p**u; the result is (a div p**u) reduced mod (p, phi).  Building
-    the field checks p.
-    """
-    if u < 0:
-        raise ValidationError("valuation shift must be a natural number")
-    return _residue_class(residue_field(p, reduce_mod_p(phi, p)), a, u)
-
-
-def _residue_class(field: ResidueField, a, u: int):
-    # residue_class() in a field the caller already holds
+def residue_class(field: ResidueField, a, u: int):
+    """Class of a(beta)/p**u in field = F_phi, beta a root of the reduction
+    of phi: (a div p**u) reduced mod (p, phi), where every coefficient of
+    the integer polynomial a must be divisible by p**u."""
     p = field.p
     pu = p**u
     divided = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import intarith
 from .errors import ValidationError
-from .intarith import INFINITY, _valuation, is_prime, require_prime
+from .intarith import INFINITY, _fermat_valuation, _valuation, is_prime, require_prime
 from .record import Record, TupleRecord
 
 ZPoly = tuple[int, ...]
@@ -64,6 +64,14 @@ def to_string(f: ZPoly, var: str = "x") -> str:
     return " ".join(terms)
 
 
+def check_prime_power(p: int, r: int) -> None:
+    """p prime, then r >= 1: the checks PureFieldParams and mono scan share."""
+    if not is_prime(p):
+        raise ValidationError(f"p must be prime, got {p}")
+    if r < 1:
+        raise ValidationError(f"r must be a positive integer, got {r}")
+
+
 class PureFieldParams(Record):
     """The triple (p, r, m) defining x**(p**r) - m.
 
@@ -81,10 +89,7 @@ class PureFieldParams(Record):
     _fields = ("p", "r", "m")
 
     def __init__(self, p: int, r: int, m: int):
-        if not is_prime(p):
-            raise ValidationError(f"p must be prime, got {p}")
-        if r < 1:
-            raise ValidationError(f"r must be a positive integer, got {r}")
+        check_prime_power(p, r)
         if m in (-1, 0, 1):
             raise ValidationError(f"m must satisfy |m| >= 2, got {m}")
         primes = []
@@ -136,12 +141,12 @@ class PureShiftExpansion(TupleRecord):
     The binomial theorem gives a_0 = m**n - m and
     a_j = binomial(n, j) * m**(n - j).  No a_j is ever built:
     valuations() gives every v_p(a_j) from the binomial lemma, and unit()
-    the first p-adic digit of one a_j, all that residual polynomials
-    read.
+    the first p-adic digit of one a_j, all that the closed-form report at
+    p (classify.pure_prime_analysis) reads of its residuals.
     """
 
     params: PureFieldParams
-    nu0: int  # v_p(a_0) = v_p(m**(n - 1) - 1)
+    nu0: int  # v_p(a_0) = v_p(m**n - m)
 
     @property
     def phi(self) -> ZPoly:
@@ -160,39 +165,28 @@ class PureShiftExpansion(TupleRecord):
         return (self.nu0, *inner, 0)
 
     def unit(self, j: int) -> tuple:
-        """(v_p(a_j), a_j / p**v_p(a_j) mod p), without building a_j.
+        """(v_p(a_j), a_j / p**v_p(a_j) mod p) at 0 <= j <= n, without a_j.
 
         With j = p**w * c, p not dividing c, binomial(n, j) / p**(r - w) is
         binomial(n - 1, j - 1) / c = (-1)**(j - 1) / c mod p, by Lucas'
-        theorem, as every base-p digit of n - 1 is p - 1.  Past n, a_j = 0.
+        theorem, as every base-p digit of n - 1 is p - 1.
         """
         p, r, m, n = self.params.p, self.params.r, self.params.m, self.params.degree
         if j == 0:
             modulus = p ** (self.nu0 + 1)
             return self.nu0, (pow(m, n, modulus) - m) % modulus // p**self.nu0
-        if j > n:
-            return INFINITY, 0
         w = _valuation(p, j)
         sign = 1 if j % 2 else -1
         return r - w, sign * pow(j // p**w, -1, p) * pow(m, n - j, p) % p
 
 
 def pure_shift_expansion(params: PureFieldParams) -> PureShiftExpansion:
-    """Expansion of x**n - m at x - m in closed form, for p not dividing m.
-
-    Only v_p(a_0) needs work: v_p(m**n - m) = v_p(m**(n - 1) - 1) is read
-    off pow(m, n - 1, p**k), with k doubled until the residue is nonzero.
-    """
-    p, m, n = params.p, params.m, params.degree
+    """Expansion of x**n - m at x - m in closed form, for p not dividing m:
+    only v_p(a_0) = v_p(m**n - m) needs work, done mod powers of p."""
+    p, m = params.p, params.m
     if m % p == 0:
         raise ValidationError(f"the closed form needs p not dividing m, got p={p}, m={m}")
-    k = 4
-    while True:
-        modulus = p**k
-        residue = (pow(m, n - 1, modulus) - 1) % modulus
-        if residue:
-            return PureShiftExpansion(params, _valuation(p, residue))
-        k *= 2
+    return PureShiftExpansion(params, _fermat_valuation(p, m, params.degree))
 
 
 def discriminant_valuation(params: PureFieldParams, q: int) -> int:

@@ -360,6 +360,16 @@ def _dense_expansion(params):
     return PhiExpansion((-m, 1), tuple(coeffs))
 
 
+def _exact_shift_expansion(params):
+    """Every coefficient of x**n - m at x - m, by the binomial theorem: a_n = 1
+    and a_j = a_(j+1) * m * (j + 1) / (n - j), exact at every step."""
+    n, m = params.degree, params.m
+    tail = [1]
+    for j in range(n - 1, 0, -1):
+        tail.append(tail[-1] * m * (j + 1) // (n - j))
+    return PhiExpansion((-m, 1), tuple((a,) for a in [m**n - m, *reversed(tail)]))
+
+
 def _nu0_against_r(p, r, m):
     """The sign of v_p(m**(n - 1) - 1) - r, read off a residue mod p**(r + 1)."""
     modulus = p ** (r + 1)
@@ -500,8 +510,9 @@ class TestClosedFormAtP:
             shift = pure_shift_expansion(params)
             n = params.degree
             closed = pure_prime_analysis(params, p).reports[0]
-            hull = ore._phi_report(p, shift, (range(n + 1), shift.valuations()))
-            assert closed.valued == shift and hull.valued == (range(n + 1), shift.valuations())
+            valued = (range(n + 1), shift.valuations())
+            hull = ore._phi_report(p, _exact_shift_expansion(params), valued)
+            assert closed.valued == shift and hull.valued == valued
             for name in PhiReport._fields:
                 if name != "valued":
                     assert getattr(closed, name) == getattr(hull, name), (m, name)
@@ -513,6 +524,7 @@ class TestClosedFormAtP:
             raise AssertionError("the hull pipeline ran on the pure path")
 
         monkeypatch.setattr(polygon, "lower_convex_hull", refuse)
+        monkeypatch.setattr(polygon, "residual_polynomial", refuse)
         monkeypatch.setattr(ore, "ff_factor", refuse)
         monkeypatch.setattr(ore, "_phi_report", refuse)
         # (2, 3, 17) has the degree-2 side from (0, 4) to (2, 2); (3, 2, -30)
@@ -530,6 +542,23 @@ class TestClosedFormAtP:
         ]
         (analysis,) = pure_prime_analysis(PureFieldParams(2, 3, 15), 5).reports[0].sides
         assert (analysis.side.e, analysis.factor_strings()) == (8, ("y + 2",))
+
+    def test_builder_refuses_what_no_closed_form_gives(self):
+        from monogenity.classify import _closed_report
+        from monogenity.polygon import ValuedPoint
+
+        side, valued = (ValuedPoint(0, 1), ValuedPoint(4, 0)), ((0, 4), (1, 0))
+        # a valuation above the side, and a zero digit on it
+        for unit in ({0: (2, 1), 4: (0, 1)}, {0: (1, 0), 4: (0, 1)}):
+            with pytest.raises(InvariantError, match="off the side"):
+                _closed_report(3, 4, (0, 1), side, valued, unit.__getitem__)
+        with pytest.raises(InvariantError, match="spans"):
+            _closed_report(3, 5, (0, 1), side, valued, {0: (1, 1), 4: (0, 1)}.__getitem__)
+        # a degree-2 side whose residual y**2 + 2y + 1 over F_3 is a square
+        hull = (ValuedPoint(0, 2), ValuedPoint(2, 0))
+        unit = {0: (2, 1), 1: (1, 2), 2: (0, 1)}.__getitem__
+        with pytest.raises(InvariantError, match="residual"):
+            _closed_report(3, 2, (0, 1), hull, ((0, 1, 2), (2, 1, 0)), unit)
 
     @pytest.mark.parametrize("p, r", _differential_grids())
     def test_closed_form_at_m_matches_the_hull_pipeline(self, p, r):
@@ -654,12 +683,25 @@ class TestFlatInN:
         assert [a.prime for a in verdict.certificate.analyses] == sorted({p, m})
         assert peak < 2**20, peak
 
+    def test_large_p_within_ten_times_small_p(self):
+        # nu = v_p(m**p - m) is read mod powers of p; building m**4093 made
+        # p = 4093 cost 48-75 times p = 7 on the same 24-digit m
+        import timeit
+
+        m = 200000000000000000000001
+        best = {}
+        for p in (7, 4093):
+            params = PureFieldParams(p, 1, m)
+            classify(params)
+            best[p] = min(timeit.repeat(lambda: classify(params), number=20, repeat=5))
+        assert best[4093] < 10 * best[7], best
+
 
 class TestPrimeChecks:
     """Primes are checked once at the public boundary, not in inner loops."""
 
     def test_classify_checks_few_primes(self, monkeypatch):
-        from monogenity import cli, intarith, residue, zpoly
+        from monogenity import intarith, residue, zpoly
 
         calls = []
 
@@ -667,7 +709,7 @@ class TestPrimeChecks:
             calls.append(n)
             return _is_prime(n)
 
-        for module in (intarith, zpoly, cli):
+        for module in (intarith, zpoly):
             monkeypatch.setattr(module, "is_prime", counting)
         # every residue field is built afresh, the most checks a call can make
         residue.residue_field.cache_clear()
@@ -692,7 +734,6 @@ class TestPrimeChecks:
             lambda: intarith.count_monic_irreducibles(q, 2),
             lambda: zpoly.discriminant_valuation(params, q),
             lambda: residue.residue_field(q, (0, 1)),
-            lambda: residue.residue_class((12,), q, (0, 1), 0),
             lambda: general.valued_points(expansion, q),
             lambda: polygon.residual_polynomial(expansion, q, (0, 1), side),
             lambda: ore.phi_report(f, q, (0, 1)),

@@ -327,6 +327,30 @@ class TestBoundedTime:
         assert "exceeds the CLI cap of 4096" in err
 
 
+    @pytest.mark.parametrize(
+        "p, r, message",
+        [
+            (4, 7, "degree p**r = 16384 exceeds the CLI cap of 4096"),
+            (10**26, 1, f"degree p**r = {10**26} exceeds the CLI cap of 4096"),
+            (4, 1, "p must be prime, got 4"),
+            (3, 0, "r must be a positive integer, got 0"),
+            (1, 5, "p must be prime, got 1"),
+        ],
+    )
+    def test_same_error_from_every_command(self, capsys, tmp_path, p, r, message):
+        # the degree cap is checked before p, then p before r, by every command
+        pr = ["--p", str(p), "--r", str(r)]
+        out = tmp_path / "out.txt"
+        for argv in (
+            ["analyze", *pr, "--m", "2"],
+            ["scan", *pr, "--m-from", "2", "--m-to", "9", "--out", str(out)],
+            ["render", *pr, "--m", "2", "--at", "2", "--out", str(out)],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (2, f"error: {message}\n"), argv
+            assert list(tmp_path.iterdir()) == [], argv
+
+
 class TestParserReuse:
     """main builds its parser once per process, so no option may carry
     over from one call into the next."""
@@ -898,41 +922,6 @@ class TestPointWriters:
         assert cli._points_text(expansion, "(%d,{})", " ") == " ".join(
             f"({j},{v})" for j, v in pairs
         )
-
-
-class TestIrregularMutant:
-    """A NOT_REGULAR splitting, which no pure field has, is an internal
-    error: classify raises and the CLI exits 4, with no row or report."""
-
-    @pytest.fixture(autouse=True)
-    def irregular(self, monkeypatch):
-        from monogenity import polygon
-
-        monkeypatch.setattr(polygon, "splitting_shape", lambda reports: polygon.NOT_REGULAR)
-
-    def test_classify_raises(self):
-        from monogenity.classify import classify
-        from monogenity.errors import InvariantError
-        from monogenity.zpoly import PureFieldParams
-
-        with pytest.raises(InvariantError, match="not regular"):
-            classify(PureFieldParams(2, 2, 17))
-
-    def test_analyze_exits_4(self, capsys):
-        code, out, err = run(capsys, "analyze", "--p", "3", "--r", "3", "--m", "161")
-        assert code == 4
-        assert out == ""
-        assert "not regular" in err
-
-    def test_scan_exits_4(self, tmp_path, capsys):
-        out_path = tmp_path / "rows.csv"
-        code, _, err = run(
-            capsys, "scan", "--p", "7", "--r", "1",
-            "--m-from", "2", "--m-to", "20", "--jobs", "1", "--out", str(out_path),
-        )
-        assert code == 4
-        assert "not regular" in err
-        assert not out_path.exists()
 
 
 class TestAtomicOutput:

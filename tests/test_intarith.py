@@ -2,11 +2,13 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monogenity.errors import ValidationError
 from monogenity.intarith import (
     _MR_LIMIT,
+    _fermat_valuation,
+    _valuation,
     INFINITY,
     binomial_valuation,
     count_monic_irreducibles,
@@ -55,6 +57,33 @@ class TestValuation:
     )
     def test_multiplicative(self, p, a, b):
         assert valuation(p, a * b) == valuation(p, a) + valuation(p, b)
+
+
+class TestFermatValuation:
+    """v_p(m**e - m) read mod powers of p, against the big integer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([q for q in range(2, 62) if is_prime(q)]),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.integers(min_value=0, max_value=3),
+    )
+    @example(p=2, r=3, m=17, k=0)  # v_2(17**8 - 17) = 4
+    @example(p=2, r=4, m=-(10**30), k=0)  # negative, and a multiple of 2**30
+    @example(p=5, r=2, m=15626, k=0)  # 15626 = 1 + 5**6
+    def test_against_big_integer(self, p, r, m, k):
+        m = m // p**k * p**k  # a multiple of p**k, as large as 10**30
+        if abs(m) < 2:
+            m = 2 * p**k
+        n = p**r if p**r <= 4096 else p * p
+        for e in (p, n):
+            assert _fermat_valuation(p, m, e) == _valuation(p, m**e - m), (p, m, e)
+
+    @pytest.mark.parametrize("m, e", [(0, 3), (1, 3), (-1, 3), (5, 1)])
+    def test_zero_difference_rejected(self, m, e):
+        with pytest.raises(ValidationError, match="nonzero"):
+            _fermat_valuation(3, m, e)
 
 
 class TestBinomialValuation:

@@ -192,13 +192,13 @@ class TestPhiReportValidation:
 
     def test_valuation_column_without_unit(self):
         from monogenity.errors import InvariantError
-        from monogenity.zpoly import pure_shift_expansion
+        from monogenity.general import phi_expansion, valued_points
 
-        params = PureFieldParams(3, 2, 10)
-        closed = pure_shift_expansion(params)
-        valuations = closed.valuations()[:-1] + (1,)  # a_n = 1 made a non-unit
+        expansion = phi_expansion(pure_polynomial(PureFieldParams(3, 2, 10)), (-10, 1))
+        abscissas, valuations = zip(*valued_points(expansion, 3))
+        valuations = valuations[:-1] + (1,)  # a_n = 1 made a non-unit
         with pytest.raises(InvariantError, match="no unit coefficient"):
-            _phi_report(3, closed, (range(10), valuations))
+            _phi_report(3, expansion, (abscissas, valuations))
 
     def test_a0_zero_rejected(self):
         # x**2 - x = x * (x - 1): no valued point at abscissa 0

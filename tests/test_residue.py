@@ -164,23 +164,23 @@ class TestPrimeFieldElement:
 class TestResidueClass:
     def test_constant_case(self):
         # 12 / 2^2 = 3, reduced mod (2, x - 3) -> 1
-        assert residue_class((12,), 2, (-3, 1), 2) == 1
+        assert residue_class(residue_field(2, reduce_mod_p((-3, 1), 2)), (12,), 2) == 1
 
     def test_division_by_p(self):
         # 84 / 3 = 28 = 1 mod 3, any linear base
-        assert residue_class((84,), 3, (-161, 1), 1) == 1
+        assert residue_class(residue_field(3, reduce_mod_p((-161, 1), 3)), (84,), 1) == 1
 
     def test_generator_image(self):
-        z = residue_class((0, 1), 2, (1, 1, 1), 0)
+        z = residue_class(F4, (0, 1), 0)
         assert z == F4.element((0, 1))
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValidationError):
-            residue_class((6,), 2, (1, 1), 2)
+            residue_class(residue_field(2, (1, 1)), (6,), 2)
 
     def test_automatic_zero_above(self):
         # valuation strictly larger than the shift reduces to zero
-        z = residue_class((8,), 2, (1, 1), 2)
+        z = residue_class(residue_field(2, (1, 1)), (8,), 2)
         assert not z
 
 

@@ -160,8 +160,8 @@ class TestBinomialClosedForms:
 
     @pytest.mark.parametrize("p, r, m", FIELDS)
     def test_against_exact_coefficients(self, p, r, m):
+        from monogenity.classify import pure_prime_analysis
         from monogenity.ore import _phi_report
-        from monogenity.polygon import residual_polynomial
         from monogenity.zpoly import pure_shift_expansion
 
         params = PureFieldParams(p, r, m)
@@ -181,18 +181,14 @@ class TestBinomialClosedForms:
             assert points[j] == (j, v), (p, r, m, j)
             assert closed.unit(j) == (v, digit), (p, r, m, j)
 
-        # every on-side residue against the residue of the exact coefficient
+        # every residual the closed form reads off unit() against the hull
+        # pipeline's, on the residues of the exact coefficients
         dense = PhiExpansion(closed.phi, tuple((a,) for a in exact))
-        report = _phi_report(p, closed, (range(n + 1), closed.valuations()))
-        for analysis in report.sides:
-            exact_residual = residual_polynomial(dense, p, closed.phi, analysis.side)
-            assert analysis.residual.coefficients == exact_residual.coefficients
-
-    def test_unit_past_the_degree(self):
-        from monogenity.intarith import INFINITY
-        from monogenity.zpoly import pure_shift_expansion
-
-        assert pure_shift_expansion(PureFieldParams(3, 2, 2)).unit(10) == (INFINITY, 0)
+        report = _phi_report(p, dense, (range(n + 1), closed.valuations()))
+        (closed_report,) = pure_prime_analysis(params, p).reports
+        assert len(closed_report.sides) == len(report.sides)
+        for a, b in zip(closed_report.sides, report.sides):
+            assert a.residual == b.residual
 
 
 class TestDivmodMonic:

@@ -1,5 +1,6 @@
 """Command-line front end: analyze one field, scan ranges of m with
-persistent output, or render a polygon.
+persistent output, or render a polygon.  Analyze's certificate text and
+--verify checks are in monogenity.output, which only analyze loads.
 
 Option precedence is flags > environment (MONO_ prefix) > optional JSON
 config file (path from --config or MONO_CONFIG).  Exit codes: 0 ok,
@@ -16,13 +17,11 @@ import io
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from . import __version__, zpoly
-from .classify import MonogenityVerdict, PrimeAnalysis, classify
+from .classify import classify
 from .errors import InvariantError, OracleDisagreement, ValidationError
-from .polygon import PhiReport, principal_part
-from .zpoly import PureFieldParams, PureShiftExpansion, pure_polynomial, to_string
+from .zpoly import PureFieldParams
 
 # Analyze output lists all p**r + 1 valued points and render draws every
 # lattice column, so both grow linearly with the degree; the cap keeps one
@@ -66,235 +65,9 @@ def _params(p: int, r: int, m: int) -> PureFieldParams:
     return PureFieldParams(p=p, r=r, m=m)
 
 
-def _report_payload(report: PhiReport) -> dict:
-    sides = []
-    for analysis in report.sides:
-        sides.append(
-            {
-                "slope": analysis.side.slope_text(),
-                "length": analysis.side.length,
-                "height": analysis.side.height,
-                "degree": analysis.side.degree,
-                "residual": str(analysis.residual),
-                "residual_factors": list(analysis.factor_strings()),
-            }
-        )
-    return {
-        "phi": to_string(report.phi),
-        "multiplicity": report.multiplicity,
-        "points": report.valued,  # written as [i, v] pairs by _points_text
-        "vertices": [[v.i, v.v] for v in report.polygon.vertices],
-        "sides": sides,
-        "index": report.index,
-        "regular": report.regular,
-    }
-
-
-def _analysis_payload(analysis: PrimeAnalysis) -> dict:
-    return {
-        "factors": [_report_payload(rep) for rep in analysis.reports],
-        "index_bound": {"value": analysis.index.value, "exact": analysis.index.exact},
-        "shape": [[e, f] for e, f in analysis.shape.pairs],
-        "pn_table": [
-            {"f": f, "P": p_count, "N": n_count}
-            for f, p_count, n_count in analysis.pn_table
-        ],
-    }
-
-
-def _analyze_payload(verdict: MonogenityVerdict, oracle_reports) -> dict:
-    cert = verdict.certificate
-    params = cert.params
-    comindex = None
-    if cert.comindex_prime is not None:
-        comindex = {"prime": cert.comindex_prime, "residue_degree": cert.comindex_degree}
-    return {
-        "artifact_version": __version__,
-        "input": {"p": params.p, "r": params.r, "m": params.m},
-        "verdict": {
-            "status": verdict.status.value,
-            "provenance": verdict.provenance.value,
-        },
-        "certificate": {
-            "polynomial": params.polynomial_text(),
-            "nu_pivot": cert.nu_pivot,
-            "nu_fermat": cert.nu_fermat,
-            "negative_m": cert.negative_m,
-            "discriminant_valuations": {
-                str(q): v for q, v in cert.discriminant_valuations
-            },
-            "comindex": comindex,
-            "primes": {
-                str(a.prime): _analysis_payload(a) for a in cert.analyses
-            },
-        },
-        "oracle": oracle_reports,
-    }
-
-
-def _points_text(valued, piece: str, sep: str) -> str:
-    """A report's valued points as text, one piece each: piece has %d for i
-    and {} for v, and the pieces fill one %-template with the abscissas.
-
-    For a PureShiftExpansion no column of valuations is built: the
-    template follows the block structure of valuations(), where the
-    pieces at 0 < j < p**(k + 1) are p copies of those at 0 < j < p**k,
-    joined by the piece for r - k.  Other points come as columns.
-
-    The template is bytes, decoded once: str % reads its template one
-    character at a time to find the next field, where bytes % finds it
-    with memchr and copies the run before it whole, so at n = 4096 the
-    fill takes about half the time.
-    """
-    piece, sep = piece.encode("ascii"), sep.encode("ascii")
-
-    def fill(v: int) -> bytes:
-        return piece.replace(b"{}", b"%d" % v)
-
-    if isinstance(valued, PureShiftExpansion):
-        p, r = valued.params.p, valued.params.r
-        block = sep.join([fill(r)] * (p - 1))
-        for k in range(1, r):
-            block = (sep + fill(r - k) + sep).join([block] * p)
-        template = sep.join((fill(valued.nu0), block, fill(0)))
-        abscissas = range(p**r + 1)
-    else:
-        abscissas, valuations = valued
-        template = sep.join(map(fill, valuations))
-    return (template % tuple(abscissas)).decode("ascii")
-
-
-def _emit(value, indent: str, append) -> None:
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte, handed to
-    append piece by piece in one walk (with indent, json.dumps runs its
-    pure-Python encoder, a generator per container).  A report's valued
-    points, a tuple, are a list of [i, v] pairs that _points_text writes; a
-    report always holds its unit point, so no such list is empty.  indent
-    is the newline and spaces that start a line at value's depth."""
-    if value is None or value is True or value is False:
-        append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        append(int.__repr__(value))
-    elif isinstance(value, str):
-        append(encode_basestring_ascii(value))
-    elif isinstance(value, tuple):  # a report's valued points
-        pair = indent + "  "
-        append("[")
-        append(_points_text(value, f"{pair}[{pair}  %d,{pair}  {{}}{pair}]", ","))
-        append(indent + "]")  # apart, so the 10-20 bytes a point are not copied again
-    elif isinstance(value, (dict, list)) and value:
-        keyed = isinstance(value, dict)
-        inner = indent + "  "
-        sep = ("{" if keyed else "[") + inner
-        for item in sorted(value) if keyed else value:
-            append(sep + encode_basestring_ascii(item) + ": " if keyed else sep)
-            _emit(value[item] if keyed else item, inner, append)
-            sep = "," + inner
-        append(indent + ("}" if keyed else "]"))
-    elif isinstance(value, (dict, list)):
-        append("{}" if isinstance(value, dict) else "[]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _oracle_reports(verdict: MonogenityVerdict) -> list[dict]:
-    from . import oracle  # only --verify runs the oracles
-    from .general import dedekind_divides_index
-
-    cert = verdict.certificate
-    params = cert.params
-    f = pure_polynomial(params)
-    reports: list[dict] = []
-
-    def check(name: str, engine, expected) -> None:
-        agree = engine == expected
-        reports.append(
-            {"name": name, "engine": _plain(engine), "oracle": _plain(expected), "agree": agree}
-        )
-
-    for analysis in cert.analyses:
-        for rep in analysis.reports:
-            tag = f"prime {analysis.prime}, base {to_string(rep.phi)}"
-            points = oracle.pure_valued_points(params.degree, params.m, analysis.prime, rep.phi)
-            wrong = {i for i, _ in set(rep.points).symmetric_difference(points)}
-            check(f"abscissas of wrong valued points ({tag})", sorted(wrong), [])
-            hull = oracle.brute_hull(points)
-            check(f"hull vertices ({tag})", rep.polygon.vertices, hull.vertices)
-            index = oracle.brute_phi_index(principal_part(rep.polygon))
-            check(f"lattice index ({tag})", rep.index, zpoly.degree(rep.phi) * index)
-    if params.degree <= 64:
-        for q, engine_value in cert.discriminant_valuations:
-            expected = oracle.resultant_discriminant_valuation(f, q)
-            check(f"discriminant valuation at {q}", engine_value, expected)
-    check(f"Dedekind test at {params.p}", cert.nu_pivot >= 2, dedekind_divides_index(f, params.p))
-    for q, _ in cert.discriminant_valuations:
-        if params.m % q == 0:
-            check(f"Dedekind test at {q} (divides m)", False, dedekind_divides_index(f, q))
-    return reports
-
-
-def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
-
-
-def _write_human(payload: dict, out) -> None:
-    """Print the human text of an analyze payload to the stream out, line by
-    line; each report's points line comes from _points_text."""
-    cert = payload["certificate"]
-    inp = payload["input"]
-    print(f"{cert['polynomial']}  (p={inp['p']}, r={inp['r']}, m={inp['m']})", file=out)
-    print(
-        f"verdict: {payload['verdict']['status']}  [{payload['verdict']['provenance']}]",
-        file=out,
-    )
-    print(f"nu = v_p(m^p - m) = {cert['nu_pivot']}", file=out)
-    if cert["nu_fermat"] is not None:
-        print(f"v_p(m^(p-1) - 1) = {cert['nu_fermat']}", file=out)
-    if cert["negative_m"]:
-        print("note: m < 0", file=out)
-    if cert["comindex"]:
-        print(
-            f"common index divisor: {cert['comindex']['prime']} "
-            f"(residue degree {cert['comindex']['residue_degree']})",
-            file=out,
-        )
-    disc = ", ".join(f"v_{q} = {v}" for q, v in cert["discriminant_valuations"].items())
-    print(f"discriminant valuations: {disc}", file=out)
-    for prime, analysis in cert["primes"].items():
-        for factor in analysis["factors"]:
-            print(
-                f"at prime {prime}: base {factor['phi']}, "
-                f"multiplicity {factor['multiplicity']}",
-                file=out,
-            )
-            points = _points_text(factor["points"], "(%d,{})", " ")
-            vertices = " ".join(f"({i},{v})" for i, v in factor["vertices"])
-            print(f"  points: {points}", file=out)
-            print(f"  vertices: {vertices}", file=out)
-            for k, side in enumerate(factor["sides"]):
-                factors = ", ".join(side["residual_factors"])
-                print(
-                    f"  side {k + 1}: slope {side['slope']}, length {side['length']}, "
-                    f"degree {side['degree']}, residual {side['residual']} = [{factors}]",
-                    file=out,
-                )
-        print(f"  index bound: {analysis['index_bound']['value']} (exact)", file=out)
-        shape = ",".join(f"{e}:{f}" for e, f in analysis["shape"])
-        print(f"  splitting shape: {shape}", file=out)
-        for entry in analysis["pn_table"]:
-            print(
-                f"  residue degree {entry['f']}: P = {entry['P']}, N = {entry['N']}",
-                file=out,
-            )
-    if payload["oracle"] is not None:
-        for check in payload["oracle"]:
-            mark = "ok" if check["agree"] else "DISAGREE"
-            print(f"verify: {check['name']}: {mark}", file=out)
-
-
 def cmd_analyze(args) -> int:
+    from . import output  # only analyze writes a certificate
+
     config = _load_config(args.config)
     fmt = _resolve("format", args.format, config, "human")
     if fmt not in ("human", "json"):
@@ -302,13 +75,13 @@ def cmd_analyze(args) -> int:
     verify = _resolve_bool("verify", args.verify, config)
     params = _params(args.p, args.r, args.m)
     verdict = classify(params)
-    oracle_reports = _oracle_reports(verdict) if verify else None
-    payload = _analyze_payload(verdict, oracle_reports)
+    oracle_reports = output._oracle_reports(verdict) if verify else None
+    payload = output._analyze_payload(verdict, oracle_reports)
     if fmt == "json":
-        _emit(payload, "\n", sys.stdout.write)
+        output._emit(payload, "\n", sys.stdout.write)
         sys.stdout.write("\n")
     else:
-        _write_human(payload, sys.stdout)
+        output._write_human(payload, sys.stdout)
     bad = [c for c in oracle_reports or () if not c["agree"]]
     if bad:
         raise OracleDisagreement(
@@ -608,7 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # about 1 ms, half of a small analyze; parse_args gives each call a fresh namespace
+    # build_parser() takes 0.55-0.59 ms, where a warm analyze at (2, 2, 17)
+    # takes 0.17-0.22 ms with its parse (timeit minima, Python 3.11, 2-vCPU
+    # Xeon); parse_args gives each call a fresh namespace
+
     return build_parser()
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import monogenity
-from monogenity import cli
+from monogenity import cli, output
 from monogenity.cli import main
 from monogenity.errors import OracleDisagreement
 from monogenity.intarith import is_squarefree
@@ -798,12 +798,12 @@ def _nested(depth, leaf):
 
 def json_text(value):  # what analyze --format json writes for value, less its last newline
     out = []
-    cli._emit(value, "\n", out.append)
+    output._emit(value, "\n", out.append)
     return "".join(out)
 
 
 class TestJsonEmitter:
-    """cli._emit against the reference encoder, with each report's
+    """output._emit against the reference encoder, with each report's
     points materialized as the [i, v] lists the schema describes."""
 
     # bench/workloads.py ANCHORS: the analyze_ladder rungs
@@ -819,7 +819,7 @@ class TestJsonEmitter:
         from monogenity.zpoly import PureFieldParams
 
         verdict = classify(PureFieldParams(p, r, m))
-        return cli._analyze_payload(verdict, cli._oracle_reports(verdict) if verify else None)
+        return output._analyze_payload(verdict, output._oracle_reports(verdict) if verify else None)
 
     def check(self, p, r, m, verify):
         from monogenity.classify import classify
@@ -919,7 +919,7 @@ class TestPointWriters:
         assert json_text({"points": expansion}) == json.dumps(
             {"points": pairs}, indent=2, sort_keys=True
         )
-        assert cli._points_text(expansion, "(%d,{})", " ") == " ".join(
+        assert output._points_text(expansion, "(%d,{})", " ") == " ".join(
             f"({j},{v})" for j, v in pairs
         )
 

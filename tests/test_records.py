@@ -26,10 +26,11 @@ from monogenity.zpoly import PhiExpansion, pure_shift_expansion
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Loaded by --verify, render, scan, Side.slope, a Cantor-Zassenhaus split or
-# a polynomial outside the pure family only, never by a load of the CLI: each
-# would be built or compiled on every command.
+# Loaded by analyze, --verify, render, scan, Side.slope, a Cantor-Zassenhaus
+# split or a polynomial outside the pure family only, never by a load of the
+# CLI: each would be built or compiled on every command.
 NOT_LOADED = (
+    "monogenity.output",
     "monogenity.oracle",
     "monogenity.render",
     "monogenity.general",
@@ -41,9 +42,10 @@ NOT_LOADED = (
     "random",
 )
 
-# (module, name) for every name that moved into monogenity.general: residue
-# keeps the element arithmetic, general has the polynomial arithmetic and the
-# factorization over F_q
+# (module, name) for every name that moved out of module: analyze's output
+# layer from cli into monogenity.output, and the rest into monogenity.general
+# (residue keeps the element arithmetic, general has the polynomial arithmetic
+# and the factorization over F_q)
 MOVED = [
     ("zpoly", name) for name in ("add", "sub", "mul", "divmod_monic", "phi_expansion")
 ] + [
@@ -60,7 +62,21 @@ MOVED = [
         "ff_pow_mod", "ff_derivative", "ff_pth_root", "ff_factor", "_product", "_divide",
         "_squarefree_into", "_distinct_degree", "_equal_degree", "_SPLIT_SEED", "_SPLIT_DRAWS",
     )
+] + [
+    ("cli", name)
+    for name in (
+        "_analyze_payload", "_analysis_payload", "_report_payload", "_points_text", "_emit",
+        "_write_human", "_plain", "_oracle_reports",
+    )
 ]
+
+
+def _moved_to(home: str):
+    """Parametrize a test over the MOVED pairs whose new home is home."""
+    pairs = [pair for pair in MOVED if (pair[0] == "cli") == (home == "output")]
+    return pytest.mark.parametrize("module, name", pairs, ids=[".".join(pair) for pair in pairs])
+
+
 # the report records and their readers, which classify builds, moved from ore
 # (the reference pipeline) to polygon; ore still imports the two readers
 REPORT_RECORDS = (
@@ -146,7 +162,32 @@ class TestImportGraph:
         with pytest.raises(AttributeError):
             monogenity.no_such_name
 
-    @pytest.mark.parametrize("module, name", MOVED, ids=[".".join(pair) for pair in MOVED])
+    def test_scan_loads_no_analyze_output_or_engine(self, tmp_path):
+        out = tmp_path / "scan"
+        refused = ("monogenity.output", "monogenity.oracle", "monogenity.render",
+                   "monogenity.general", "monogenity.ore")
+        code = (
+            "import contextlib, io, sys\n"
+            "from monogenity.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for fmt in ('csv', 'jsonl'):\n"
+            "        for p, r in ((7, 1), (2, 8), (3, 2)):\n"
+            "            code = main(['scan', '--p', str(p), '--r', str(r), '--m-from', '-60',\n"
+            f"                         '--m-to', '60', '--format', fmt, '--out', {str(out)!r}])\n"
+            "            assert code == 0, (p, r, fmt)\n"
+            f"print(' '.join(sorted(set({refused!r}) & set(sys.modules))) or 'none')\n"
+        )
+        assert _run_bare(code).split() == ["none"]
+
+    @_moved_to("output")
+    def test_moved_name_leaves_cli_for_the_output_layer(self, module, name):
+        from monogenity import cli, output
+
+        assert name in vars(output) and name not in vars(cli)
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
+
+    @_moved_to("general")
     def test_moved_name_resolves_to_the_general_engine(self, module, name):
         import importlib
 

@@ -3,7 +3,8 @@ persistent output, or render a polygon.  Analyze's certificate text and
 --verify checks are in monogenity.output, which only analyze loads.
 
 Option precedence is flags > environment (MONO_ prefix) > optional JSON
-config file (path from --config or MONO_CONFIG).  Exit codes: 0 ok,
+config file (path from --config or MONO_CONFIG) > default, resolved and
+checked once, before the command runs.  Exit codes: 0 ok,
 2 validation error, 3 I/O error, 4 internal invariant violation,
 5 oracle disagreement under --verify.
 """
@@ -20,7 +21,7 @@ import sys
 
 from . import __version__, zpoly
 from .classify import classify
-from .errors import InvariantError, OracleDisagreement, ValidationError
+from .errors import InvariantError, NotSquarefree, OracleDisagreement, ValidationError
 from .zpoly import PureFieldParams
 
 # Analyze output lists all p**r + 1 valued points and render draws every
@@ -50,7 +51,9 @@ _ROWS_PER_WORKER = 1024
 _MAX_SCAN_ROWS = 500_000
 
 
-def _check_degree(p: int, r: int) -> None:
+def _check_field(p: int, r: int) -> None:
+    """The checks of p and r that every command makes, in order: the
+    degree cap, then p prime, then r >= 1."""
     # p >= 2, so r > 12 is past the cap: building 3**(10**7) alone takes seconds
     if r >= 1 and p >= 2 and (r > 12 or p**r > _MAX_DEGREE):
         degree = f"{p}**{r}"
@@ -58,26 +61,22 @@ def _check_degree(p: int, r: int) -> None:
             with contextlib.suppress(ValueError):
                 degree = str(p**r)
         raise ValidationError(f"degree p**r = {degree} exceeds the CLI cap of {_MAX_DEGREE}")
+    zpoly.check_prime_power(p, r)
 
 
 def _params(p: int, r: int, m: int) -> PureFieldParams:
-    _check_degree(p, r)
+    _check_field(p, r)
     return PureFieldParams(p=p, r=r, m=m)
 
 
 def cmd_analyze(args) -> int:
     from . import output  # only analyze writes a certificate
 
-    config = _load_config(args.config)
-    fmt = _resolve("format", args.format, config, "human")
-    if fmt not in ("human", "json"):
-        raise ValidationError(f"unknown analyze format {fmt!r}")
-    verify = _resolve_bool("verify", args.verify, config)
     params = _params(args.p, args.r, args.m)
     verdict = classify(params)
-    oracle_reports = output._oracle_reports(verdict) if verify else None
+    oracle_reports = output._oracle_reports(verdict) if args.verify else None
     payload = output._analyze_payload(verdict, oracle_reports)
-    if fmt == "json":
+    if args.format == "json":
         output._emit(payload, "\n", sys.stdout.write)
         sys.stdout.write("\n")
     else:
@@ -97,10 +96,7 @@ def _scan_row(task) -> dict:
         return {**base, "skipped_reason": "excluded_m"}
     try:
         params = PureFieldParams(p=p, r=r, m=m)
-    except ValidationError as exc:
-        # cmd_scan has checked p and r; an m it cannot factor fails the scan
-        if not str(exc).startswith("m must be squarefree"):
-            raise
+    except NotSquarefree:  # cmd_scan has checked p and r; an m it cannot factor fails the scan
         return {**base, "skipped_reason": "not_squarefree"}
     verdict = classify(params)
     cert = verdict.certificate
@@ -145,15 +141,9 @@ def cmd_scan(args) -> int:
     at 10**4 rows and 79 MiB at 10**5, p=3 r=1), so the cap keeps a scan
     near 350 MiB and about a minute.
     """
-    config = _load_config(args.config)
-    fmt = _resolve("format", args.format, config, "csv")
-    if fmt not in ("csv", "jsonl"):
-        raise ValidationError(f"unknown scan format {fmt!r}")
-    jobs = _resolve_jobs(args.jobs, config)
     if args.m_from > args.m_to:
         raise ValidationError("--m-from must not exceed --m-to")
-    _check_degree(args.p, args.r)  # before p is tested, as in _params
-    zpoly.check_prime_power(args.p, args.r)
+    _check_field(args.p, args.r)
     modulus = args.modulus
     residue = args.residue
     if (modulus is None) != (residue is None):
@@ -169,7 +159,7 @@ def cmd_scan(args) -> int:
             f"the scan has {count} values of m, past the cap of {_MAX_SCAN_ROWS} rows"
         )
     tasks = [(args.p, args.r, m) for m in range(first, args.m_to + 1, step)]
-    workers = min(jobs, len(tasks) // _ROWS_PER_WORKER, _usable_cpus())
+    workers = min(args.jobs, len(tasks) // _ROWS_PER_WORKER, _usable_cpus())
     if workers <= 1:
         rows = [_scan_row(t) for t in tasks]
     else:
@@ -181,7 +171,7 @@ def cmd_scan(args) -> int:
             rows = list(pool.map(_scan_row, tasks, chunksize=chunk))
 
     with _replacing(args.out) as handle:
-        handle.write(_format_rows(rows, fmt))
+        handle.write(_format_rows(rows, args.format))
 
     counts: dict[str, int] = {}
     skipped = 0
@@ -235,15 +225,11 @@ def _format_rows(rows, fmt: str) -> str:
 def cmd_render(args) -> int:
     from . import render
 
-    config = _load_config(args.config)
-    fmt = _resolve("format", args.format, config, "ascii")
-    if fmt not in ("ascii", "svg"):
-        raise ValidationError(f"unknown render format {fmt!r}")
-    linear = _resolve_bool("linear_x", args.linear_x, config)
     params = _params(args.p, args.r, args.m)
     fig = render.figure_for(params, args.at)
     with _replacing(args.out) as handle:
-        handle.write(render.render_ascii(fig) if fmt == "ascii" else render.render_svg(fig, linear))
+        svg = args.format == "svg"
+        handle.write(render.render_svg(fig, args.linear_x) if svg else render.render_ascii(fig))
     print(f"wrote {args.out}")
     return 0
 
@@ -252,14 +238,19 @@ def cmd_render(args) -> int:
 def _replacing(path: str):
     """A new file that replaces path as the block ends, or is removed if it fails."""
     partial = f"{path}.{os.getpid()}.partial"
-    handle = open(partial, "x", encoding="utf-8", newline="")
     try:
-        with handle:
-            yield handle
-        os.replace(partial, path)
-    except BaseException:
-        os.unlink(partial)
-        raise
+        handle = open(partial, "x", encoding="utf-8", newline="")
+        try:
+            with handle:
+                yield handle
+            os.replace(partial, path)
+        except BaseException:
+            os.unlink(partial)
+            raise
+    except OSError as exc:  # open and replace name the partial file, whose name holds the pid
+        if exc.filename != partial:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _load_config(path: "str | None") -> dict:
@@ -278,61 +269,62 @@ def _load_config(path: "str | None") -> dict:
     return config
 
 
-def _resolve(name: str, flag_value, config: dict, default):
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(f"MONO_{name.upper()}")
-    if env is not None:
-        return env
-    if name in config:
-        return config[name]
-    return default
+_FORMATS = {"analyze": ("human", "json"), "scan": ("csv", "jsonl"), "render": ("ascii", "svg")}
 
 
-def _resolve_jobs(flag_value, config: dict) -> int:
-    """jobs from --jobs (an int), MONO_JOBS (a decimal string) or the config
-    (a JSON integer, not a boolean); anything else, or a value below 1, is
-    rejected."""
-    env = os.environ.get("MONO_JOBS")
-    if flag_value is not None:
-        source, value = "--jobs", flag_value
-    elif env is not None:
-        source, value = "MONO_JOBS", env
-        if env.isascii() and env.isdigit():
-            with contextlib.suppress(ValueError):  # int() refuses past 4300 digits
-                value = int(env)
-    elif "jobs" in config:
-        source, value = "config key 'jobs'", config["jobs"]
-    else:
-        return 1
+def _format(value, source: str, command: str) -> str:
+    if value not in _FORMATS[command]:
+        raise ValidationError(f"unknown {command} format {value!r}")
+    return value
+
+
+def _boolean(value, source: str, command: str) -> bool:
+    """A flag (only sets True), a JSON boolean, or in MONO_<NAME> 1, true, yes, on or
+    0, false, no, off in any case, spaces around ignored, empty for false."""
+    if isinstance(value, bool):
+        return value
+    if source.startswith("MONO_"):
+        word = value.strip().lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("", "0", "false", "no", "off"):
+            return False
+    raise ValidationError(f"{source} must be a boolean, got {value!r}")
+
+
+def _jobs(value, source: str, command: str) -> int:
+    """At least 1: an int from --jobs, digits in MONO_JOBS or a JSON integer, not a bool."""
+    if source == "MONO_JOBS" and value.isascii() and value.isdigit():
+        with contextlib.suppress(ValueError):  # int() refuses past 4300 digits
+            value = int(value)
     if type(value) is not int or value < 1:
         raise ValidationError(f"{source} must be an integer of at least 1, got {value!r}")
     return value
 
 
-def _resolve_bool(name: str, flag_value, config: dict) -> bool:
-    """name from its flag (which only sets True), MONO_<NAME> (1, true, yes,
-    on or 0, false, no, off in any case, spaces around ignored, empty for
-    false) or the config (a JSON boolean); anything else is rejected."""
-    if flag_value is not None:
-        return flag_value
-    env_name = f"MONO_{name.upper()}"
-    env = os.environ.get(env_name)
-    if env is not None:
-        word = env.strip().lower()
-        if word in ("1", "true", "yes", "on"):
-            return True
-        if word in ("", "0", "false", "no", "off"):
-            return False
-        source, value = env_name, env
-    elif name in config:
-        value = config[name]
-        if isinstance(value, bool):
-            return value
-        source = f"config key {name!r}"
-    else:
-        return False
-    raise ValidationError(f"{source} must be a boolean, got {value!r}")
+# each command's options, in the order they are resolved and checked: (name, default, check)
+_OPTIONS = {
+    "analyze": (("format", "human", _format), ("verify", False, _boolean)),
+    "scan": (("format", "csv", _format), ("jobs", 1, _jobs)),
+    "render": (("format", "ascii", _format), ("linear_x", False, _boolean)),
+}
+
+
+def _resolve_options(args) -> None:
+    """Set each option the flag left unset from MONO_<NAME>, else the config (loaded
+    once, here), else the default, and check every value, whatever its source."""
+    config = _load_config(args.config)
+    for name, default, check in _OPTIONS[args.command]:
+        env = f"MONO_{name.upper()}"
+        if getattr(args, name) is not None:
+            source, value = "--" + name.replace("_", "-"), getattr(args, name)
+        elif env in os.environ:
+            source, value = env, os.environ[env]
+        elif name in config:
+            source, value = f"config key {name!r}", config[name]
+        else:
+            source, value = "the default", default
+        setattr(args, name, check(value, source, args.command))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,6 +383,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _resolve_options(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

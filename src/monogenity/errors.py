@@ -14,6 +14,10 @@ class ValidationError(MonogenityError):
     """An input violates a documented precondition or invariant."""
 
 
+class NotSquarefree(ValidationError):
+    """m has a square prime factor: mono scan skips that m instead of failing."""
+
+
 class InvariantError(MonogenityError):
     """An internal consistency check failed; indicates a bug."""
 

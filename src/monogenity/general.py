@@ -8,7 +8,7 @@ expansion at any monic base, polynomials over any residue field with
 their factorization, the residue fields F_(p^k) with k >= 2, valued
 points, the common-index test, Dedekind's criterion and the lattice
 points that render draws.  ore, the reference pipeline, imports this
-module at its top; ResidueField (for a modulus of degree >= 2), render
+module at its top; residue_field (for a modulus of degree >= 2), render
 and --verify load it when they need it.  It imports classify, which
 imports neither it nor ore.
 

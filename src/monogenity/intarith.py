@@ -252,28 +252,11 @@ def is_squarefree(m: int) -> bool:
     return all(e == 1 for _, e in _prime_powers(m))
 
 
-def moebius(n: int) -> int:
-    if n < 1:
-        raise ValidationError(f"moebius needs a positive argument, got {n}")
-    if n == 1:
-        return 1
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n):
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def count_monic_irreducibles(p: int, f: int) -> int:
     """Number of monic irreducible polynomials of degree f over F_p.
 
-    Moebius necklace count: N_f = (1/f) * sum over d | f of mu(d) * p**(f/d).
+    Moebius necklace count: N_f = (1/f) * sum over the squarefree d | f of
+    (-1)**k * p**(f/d), k the number of primes of d.
     """
     require_prime(p)
     return _count_monic_irreducibles(p, f)
@@ -285,7 +268,12 @@ def _count_monic_irreducibles(p: int, f: int) -> int:
         raise ValidationError(f"degree must be positive, got {f}")
     if f == 1:
         return p  # x - c for each c in F_p: the degree every pure analysis reads
-    total = sum(moebius(d) * p ** (f // d) for d in _divisors(f))
+    primes = [q for q, _ in factorize(f)]
+    total = sum(
+        (-1) ** k * p ** (f // math.prod(d))
+        for k in range(len(primes) + 1)
+        for d in itertools.combinations(primes, k)
+    )
     if total % f:
         raise InvariantError(f"necklace count for p={p}, f={f} is not integral")
     return total // f

@@ -47,9 +47,9 @@ def reduce_mod_p(coeffs, p: int) -> FpPoly:
 class ResidueField(Record):
     """The field F_p[x]/(modulus), modulus monic irreducible over F_p.
 
-    ResidueField(p, modulus) is a PrimeField when the modulus is linear
-    and otherwise a monogenity.general.ExtensionField, imported then.
-    Both have zero, one, element(coeffs) (the class of an integer
+    residue_field(p, modulus) builds a PrimeField when the modulus is
+    linear and otherwise a monogenity.general.ExtensionField, imported
+    then.  Both have zero, one, element(coeffs) (the class of an integer
     polynomial) and the element operations add(a, b), sub(a, b),
     mul(a, b), pow(a, e), inv(a) and scale(a, n) (a times the integer
     n).  They also have the unreduced accumulators that
@@ -61,18 +61,6 @@ class ResidueField(Record):
     """
 
     __slots__ = _fields = ("p", "modulus")
-
-    def __new__(cls, p, modulus):
-        # the element representation follows the degree; unpickling
-        # calls the subclass itself
-        if cls is ResidueField:
-            if len(modulus) > 2:
-                from .general import ExtensionField  # analyze and scan meet F_p only
-
-                cls = ExtensionField
-            else:
-                cls = PrimeField
-        return object.__new__(cls)
 
     def __init__(self, p: int, modulus: FpPoly):
         require_prime(p)
@@ -143,7 +131,12 @@ class PrimeField(ResidueField):
 # F_{p^k} that a batch of general polynomials reuses.
 @functools.lru_cache(maxsize=512)
 def residue_field(p: int, modulus: FpPoly) -> ResidueField:
-    return ResidueField(p, modulus)
+    # the element representation follows the degree of the modulus
+    if len(modulus) > 2:
+        from .general import ExtensionField  # analyze and scan meet F_p only
+
+        return ExtensionField(p, modulus)
+    return PrimeField(p, modulus)
 
 
 def _rep_str(rep: FpPoly) -> str:

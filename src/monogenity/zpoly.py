@@ -10,7 +10,7 @@ monogenity.general, which classify never needs.
 from __future__ import annotations
 
 from . import intarith
-from .errors import ValidationError
+from .errors import NotSquarefree, ValidationError
 from .intarith import INFINITY, _fermat_valuation, _valuation, is_prime, require_prime
 from .record import Record, TupleRecord
 
@@ -95,7 +95,7 @@ class PureFieldParams(Record):
         primes = []
         for q, e in intarith._prime_powers(m):  # on the module, where a tracer can wrap it
             if e > 1:
-                raise ValidationError(f"m must be squarefree, got {m}")
+                raise NotSquarefree(f"m must be squarefree, got {m}")
             primes.append(q)
         for name, value in zip(self.__slots__, (p, r, m, tuple(primes))):
             object.__setattr__(self, name, value)

@@ -556,6 +556,31 @@ class TestScan:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_io_error_names_the_out_path(self, tmp_path, target):
+        # the open of the partial file and its rename both failed naming
+        # <out>.<pid>.partial, so the message changed from run to run
+        if target == "missing-dir":
+            out = tmp_path / "missing" / "rows.csv"
+            expected = f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+        else:
+            out = tmp_path / "rows.csv"
+            out.mkdir()
+            expected = f"i/o error: [Errno 21] Is a directory: '{out}'\n"
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(monogenity.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [
+            sys.executable, "-m", "monogenity", "scan", "--p", "3", "--r", "1",
+            "--m-from", "1", "--m-to", "5", "--out", str(out),
+        ]
+        for _ in range(2):  # a fresh process, with a new pid, each time
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+            assert (done.returncode, done.stdout, done.stderr) == (3, "", expected)
+            assert [path.name for path in tmp_path.iterdir()] == (
+                [] if target == "missing-dir" else ["rows.csv"]
+            )
+
     def test_bad_range(self, capsys):
         code, _, _ = run(
             capsys, "scan", "--p", "2", "--r", "1",
@@ -1277,3 +1302,54 @@ class TestBooleanOptions:
         code, out, _ = run(capsys, *self.ANALYZE, "--verify")
         assert code == 0
         assert "verify:" in out
+
+
+class TestOptionErrors:
+    """Every option is resolved and checked before the command runs: the
+    format first, then the command's other option, then p, r and m."""
+
+    ARGV = {
+        "analyze": ["analyze", "--p", "4", "--r", "1", "--m", "2"],
+        "scan": ["scan", "--p", "4", "--r", "1", "--m-from", "2", "--m-to", "9"],
+        "render": ["render", "--p", "4", "--r", "1", "--m", "2", "--at", "2"],
+    }
+    OTHER = {"analyze": "verify", "scan": "jobs", "render": "linear_x"}
+
+    def outcome(self, capsys, tmp_path, monkeypatch, command, env, config):
+        """(exit code, stdout, stderr) with MONO_<NAME> set from env and the
+        config file from config, and no --out file left behind."""
+        for key in [k for k in os.environ if k.startswith("MONO_")]:
+            monkeypatch.delenv(key)
+        for name, value in env.items():
+            monkeypatch.setenv(f"MONO_{name.upper()}", value)
+        path = tmp_path / "mono.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.txt"
+        argv = self.ARGV[command] + ["--config", str(path)]
+        if command != "analyze":
+            argv += ["--out", str(out)]
+        result = run(capsys, *argv)
+        assert not out.exists()
+        return result
+
+    @pytest.mark.parametrize("source", ["env", "config"])
+    @pytest.mark.parametrize("command", ["analyze", "scan", "render"])
+    def test_unknown_format(self, capsys, tmp_path, monkeypatch, command, source):
+        env, config = ({"format": "yaml"}, {}) if source == "env" else ({}, {"format": "yaml"})
+        result = self.outcome(capsys, tmp_path, monkeypatch, command, env, config)
+        assert result == (2, "", f"error: unknown {command} format 'yaml'\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "scan", "render"])
+    def test_format_then_option_then_p(self, capsys, tmp_path, monkeypatch, command):
+        other = self.OTHER[command]
+        env = {"format": "yaml", other: "maybe"}
+        result = self.outcome(capsys, tmp_path, monkeypatch, command, env, {})
+        assert result == (2, "", f"error: unknown {command} format 'yaml'\n")
+        env = {other: "maybe"}
+        result = self.outcome(capsys, tmp_path, monkeypatch, command, env, {})
+        kind = "an integer of at least 1" if other == "jobs" else "a boolean"
+        assert result == (2, "", f"error: MONO_{other.upper()} must be {kind}, got 'maybe'\n")
+        result = self.outcome(capsys, tmp_path, monkeypatch, command, {}, {other: 2.5})
+        assert result == (2, "", f"error: config key '{other}' must be {kind}, got 2.5\n")
+        result = self.outcome(capsys, tmp_path, monkeypatch, command, {}, {})
+        assert result == (2, "", "error: p must be prime, got 4\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -15,7 +16,6 @@ from monogenity.intarith import (
     factorize,
     is_prime,
     is_squarefree,
-    moebius,
     valuation,
 )
 from monogenity.oracle import brute_binomial_valuation, enumerate_monic_irreducibles
@@ -222,10 +222,8 @@ class TestCountMonicIrreducibles:
         assert count_monic_irreducibles(p, f) == enumerate_monic_irreducibles(p, f)
 
     def test_identities(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            p = rng.choice([2, 3, 5, 7])
-            f = rng.randint(1, 8)
+        # every f <= 30, so that f = 30 = 2 * 3 * 5 sums over three primes
+        for p, f in itertools.product([2, 3, 5, 7], range(1, 31)):
             n_f = count_monic_irreducibles(p, f)
             assert f * n_f <= p**f
             divisors = [d for d in range(1, f + 1) if f % d == 0]
@@ -268,6 +266,3 @@ class TestIsPrime:
             if sieve[q]:
                 sieve[q * q :: q] = bytes(len(range(q * q, n, q)))
         assert [q for q in range(n) if is_prime(q) != sieve[q]] == []
-
-    def test_moebius(self):
-        assert [moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]

@@ -21,7 +21,7 @@ from monogenity import (
 )
 from monogenity.general import ExtensionField
 from monogenity.polygon import NewtonPolygon
-from monogenity.residue import PrimeField, ResidueField, residue_field
+from monogenity.residue import PrimeField, residue_field
 from monogenity.zpoly import PhiExpansion, pure_shift_expansion
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -287,8 +287,8 @@ class TestRecordSemantics:
             lambda: PureFieldParams(p=2, r=3, m=17),
             lambda: _side((0, 4), (2, 2)),
             lambda: NewtonPolygon((_side((0, 4), (2, 2)), _side((2, 2), (8, 0)))),
-            lambda: ResidueField(3, (1, 0, 1)),
-            lambda: ResidueField(7, (3, 1)),
+            lambda: ExtensionField(3, (1, 0, 1)),
+            lambda: PrimeField(7, (3, 1)),
             lambda: PhiExpansion((0, 1), ((5,), (), (1,))),
             lambda: IndexBound(value=3, exact=False),
             lambda: SplittingShape.from_pairs([(2, 1), (1, 1)]),
@@ -305,7 +305,7 @@ class TestRecordSemantics:
     def test_unequal_across_values_and_classes(self):
         assert PureFieldParams(p=2, r=3, m=17) != PureFieldParams(p=2, r=3, m=-17)
         assert _side((0, 4), (2, 2)) != _side((0, 4), (2, 3))
-        assert ResidueField(3, (1, 0, 1)) != ResidueField(3, (2, 1))
+        assert residue_field(3, (1, 0, 1)) != residue_field(3, (2, 1))
         assert PhiExpansion((0, 1), ((1,),)) != ((0, 1), ((1,),))
 
     @pytest.mark.parametrize(
@@ -315,8 +315,8 @@ class TestRecordSemantics:
             (PureFieldParams(p=2, r=3, m=17), "m_primes"),
             (_side((0, 4), (2, 2)), "h"),
             (NewtonPolygon(()), "sides"),
-            (ResidueField(7, (3, 1)), "p"),
-            (ResidueField(3, (1, 0, 1)), "_folds"),
+            (residue_field(7, (3, 1)), "p"),
+            (residue_field(3, (1, 0, 1)), "_folds"),
             (PhiExpansion((0, 1), ((1,),)), "phi"),
             (VERDICT, "status"),
             (VERDICT.certificate.analyses[0].index, "value"),
@@ -331,7 +331,7 @@ class TestRecordSemantics:
 
     @pytest.mark.parametrize(
         "record",
-        [ResidueField(7, (3, 1)), ResidueField(3, (1, 0, 1))]
+        [residue_field(7, (3, 1)), residue_field(3, (1, 0, 1))]
         + [make() for make in TUPLE_RECORDS.values()],
         ids=["PrimeField", "ExtensionField", *TUPLE_RECORDS],
     )
@@ -355,14 +355,14 @@ class TestRecordSemantics:
         assert repr(ValuedPoint(4, 0)) == "ValuedPoint(i=4, v=0)"
         assert str(ValuedPoint(4, 0)) == "ValuedPoint(i=4, v=0)"
         assert repr(PureFieldParams(p=2, r=3, m=17)) == "PureFieldParams(p=2, r=3, m=17)"
-        assert repr(ResidueField(3, (1, 0, 1))) == "ExtensionField(p=3, modulus=(1, 0, 1))"
+        assert repr(residue_field(3, (1, 0, 1))) == "ExtensionField(p=3, modulus=(1, 0, 1))"
         assert repr(_side((0, 2), (4, 0))) == (
             "Side(start=ValuedPoint(i=0, v=2), end=ValuedPoint(i=4, v=0))"
         )
 
     def test_residue_field_dispatches(self):
-        assert type(ResidueField(7, (3, 1))) is PrimeField
-        assert type(ResidueField(3, (1, 0, 1))) is ExtensionField
+        assert type(residue_field(7, (3, 1))) is PrimeField
+        assert type(residue_field(3, (1, 0, 1))) is ExtensionField
 
     def test_infinity_unpickles_to_the_one_instance(self):
         assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY

@@ -22,7 +22,6 @@ from monogenity.general import (
 from monogenity.oracle import _poly_mod_small, is_irreducible_by_trial_division
 from monogenity.residue import (
     X,
-    ResidueField,
     ff_degree,
     ff_make_monic,
     reduce_mod_p,
@@ -90,11 +89,11 @@ def _elements(field):
 class TestResidueField:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValidationError):
-            ResidueField(2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+            residue_field(2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
 
     def test_non_monic_rejected(self):
         with pytest.raises(ValidationError):
-            ResidueField(3, (1, 2))
+            residue_field(3, (1, 2))
 
     def test_orders(self):
         assert F2.order == 2
@@ -585,8 +584,8 @@ class TestModulusIrreducibility:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_accepts_exactly_the_irreducibles(self, p):
         # every monic modulus of degree d <= 6 with p**d <= 729, then 100
-        # drawn ones of degree 6; ResidueField itself, not the cached
-        # residue_field, so each modulus is checked afresh
+        # drawn ones of degree 6; residue_field's uncached body, not the
+        # cached function, so each modulus is checked afresh
         rng = random.Random(p)
         moduli = [
             tail + (1,)
@@ -597,7 +596,7 @@ class TestModulusIrreducibility:
         moduli += [tuple(rng.randrange(p) for _ in range(6)) + (1,) for _ in range(100)]
         for g in moduli:
             try:
-                ResidueField(p, g)
+                residue_field.__wrapped__(p, g)
                 accepted = True
             except ValidationError:
                 accepted = False
@@ -606,7 +605,7 @@ class TestModulusIrreducibility:
     def test_sub_and_constants(self):
         assert ff_sub(F2, (1, 1), (1,)) == (0, 1)
         with pytest.raises(ValidationError):
-            ResidueField(5, (1,))
+            residue_field(5, (1,))
 
 
 class TestBoundedSplit:

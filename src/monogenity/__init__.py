@@ -22,16 +22,15 @@ _HOMES = {
         ("classify", "Certificate MonogenityVerdict PrimeAnalysis Provenance Status "
                      "classify pure_prime_analysis"),
         ("errors", "InvariantError MonogenityError OracleDisagreement ValidationError"),
-        ("general", "ComIndexEvidence dedekind_divides_index is_common_index_divisor "
-                    "phi_expansion valued_points"),
         ("intarith", "INFINITY binomial_valuation count_monic_irreducibles is_prime "
                      "is_squarefree valuation"),
-        ("ore", "analyze_prime phi_report"),
+        ("ore", "PhiExpansion analyze_prime dedekind_divides_index lower_convex_hull "
+                "phi_expansion phi_report residual_polynomial valued_points"),
         ("polygon", "NOT_REGULAR IndexBound NewtonPolygon PhiReport ResidualPolynomial Side "
-                    "SplittingShape ValuedPoint index_lower_bound lower_convex_hull phi_index "
-                    "principal_part residual_polynomial splitting_shape"),
-        ("zpoly", "PhiExpansion PureFieldParams candidate_index_primes "
-                  "discriminant_valuation pure_polynomial"),
+                    "SplittingShape ValuedPoint index_lower_bound phi_index principal_part "
+                    "splitting_shape"),
+        ("zpoly", "PureFieldParams candidate_index_primes discriminant_valuation "
+                  "pure_polynomial"),
     )
     for name in names.split()
 }

@@ -3,10 +3,10 @@
 The verdict is read off nu = v_p(m**p - m), p and r, as in the paper's
 theorems; the engine's P_f/N_f table and common-index witness at p are
 evidence in the certificate, checked against them.  The reports are
-closed forms built from monogenity.polygon's records; this module loads
-neither ore, the reference pipeline, nor general, the engine that holds
-the Dedekind criterion (an independent check that a prime divides the
-index of Z[alpha]) and the common-index test at one prime.
+closed forms built from monogenity.polygon's records; this module never
+loads ore, the reference engine, which holds the dense pipeline they are
+tested against and Dedekind's criterion (an independent check that a
+prime divides the index of Z[alpha]).
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def classify(params: PureFieldParams) -> MonogenityVerdict:
 
 def __getattr__(name):  # PEP 562: bench/checks.py reads dedekind_divides_index here
     if name == "dedekind_divides_index":
-        from .general import dedekind_divides_index
+        from .ore import dedekind_divides_index
 
         return dedekind_divides_index
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

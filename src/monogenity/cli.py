@@ -51,9 +51,8 @@ _ROWS_PER_WORKER = 1024
 _MAX_SCAN_ROWS = 500_000
 
 
-def _check_field(p: int, r: int) -> None:
-    """The checks of p and r that every command makes, in order: the
-    degree cap, then p prime, then r >= 1."""
+def _check_degree(p: int, r: int) -> None:
+    """The degree cap, which every command checks before p and r."""
     # p >= 2, so r > 12 is past the cap: building 3**(10**7) alone takes seconds
     if r >= 1 and p >= 2 and (r > 12 or p**r > _MAX_DEGREE):
         degree = f"{p}**{r}"
@@ -61,12 +60,11 @@ def _check_field(p: int, r: int) -> None:
             with contextlib.suppress(ValueError):
                 degree = str(p**r)
         raise ValidationError(f"degree p**r = {degree} exceeds the CLI cap of {_MAX_DEGREE}")
-    zpoly.check_prime_power(p, r)
 
 
 def _params(p: int, r: int, m: int) -> PureFieldParams:
-    _check_field(p, r)
-    return PureFieldParams(p=p, r=r, m=m)
+    _check_degree(p, r)
+    return PureFieldParams(p=p, r=r, m=m)  # checks p, then r, then m
 
 
 def cmd_analyze(args) -> int:
@@ -143,7 +141,8 @@ def cmd_scan(args) -> int:
     """
     if args.m_from > args.m_to:
         raise ValidationError("--m-from must not exceed --m-to")
-    _check_field(args.p, args.r)
+    _check_degree(args.p, args.r)
+    zpoly.check_prime_power(args.p, args.r)
     modulus = args.modulus
     residue = args.residue
     if (modulus is None) != (residue is None):
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--p", type=int, required=True)
     analyze.add_argument("--r", type=int, required=True)
     analyze.add_argument("--m", type=int, required=True)
-    analyze.add_argument("--format", choices=("human", "json"))
+    analyze.add_argument("--format", choices=_FORMATS["analyze"])
     analyze.add_argument("--verify", action="store_const", const=True, default=None,
                          help="cross-check against brute-force oracles")
     analyze.add_argument("--config")
@@ -353,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--residue", type=int)
     scan.add_argument("--modulus", type=int)
     scan.add_argument("--out", required=True)
-    scan.add_argument("--format", choices=("csv", "jsonl"))
+    scan.add_argument("--format", choices=_FORMATS["scan"])
     scan.add_argument("--jobs", type=int)
     scan.add_argument("--config")
     scan.set_defaults(func=cmd_scan)
@@ -363,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     rend.add_argument("--r", type=int, required=True)
     rend.add_argument("--m", type=int, required=True)
     rend.add_argument("--at", type=int, required=True, help="prime to localize at")
-    rend.add_argument("--format", choices=("ascii", "svg"))
+    rend.add_argument("--format", choices=_FORMATS["render"])
     rend.add_argument("--out", required=True)
     rend.add_argument("--linear-x", action="store_const", const=True, default=None)
     rend.add_argument("--config")

@@ -148,7 +148,7 @@ def _emit(value, indent: str, append) -> None:
 
 def _oracle_reports(verdict: MonogenityVerdict) -> list[dict]:
     from . import oracle  # only --verify runs the oracles
-    from .general import dedekind_divides_index
+    from .ore import dedekind_divides_index
 
     cert = verdict.certificate
     params = cert.params

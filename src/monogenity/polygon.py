@@ -1,16 +1,17 @@
-"""Valued points, lower convex envelopes with exact rational slopes,
-the principal part, lattice-point index counts, residual polynomials,
-and the report records built from them: SideAnalysis and PhiReport at
-one base, and the IndexBound and SplittingShape (or NOT_REGULAR) read
-off the reports at one prime.  classify builds its closed-form reports
-from these records, and ore's reference pipeline builds the same
-records from a hull.  The valued points of a dense expansion and the
-lattice points that render draws live in monogenity.general.
+"""Valued points, Newton polygons with exact rational slopes, the
+principal part, lattice-point index counts, residual polynomials, and
+the report records built from them: SideAnalysis and PhiReport at one
+base, and the IndexBound and SplittingShape (or NOT_REGULAR) read off
+the reports at one prime.  classify builds its closed-form reports from
+these records, and the reference engine monogenity.ore builds the same
+records from the lower convex hull and the residual polynomials of a
+dense expansion, which live there.  The lattice points that render
+draws are in monogenity.render.
 
 A side's slope is -h/e in lowest terms, kept as the integers h and e:
-hull construction, the chain check, the principal part and the index
-compare slopes by integer cross products or by the sign of h, so
-nothing here ever rounds.
+the chain check, the principal part and the index compare slopes by
+integer cross products or by the sign of h, so nothing here ever
+rounds.
 """
 
 from __future__ import annotations
@@ -19,16 +20,8 @@ import math
 
 from .errors import InvariantError, ValidationError
 from .record import Record, TupleRecord
-from .residue import (
-    ResidueField,
-    ff_degree,
-    ff_normalize,
-    ff_to_string,
-    reduce_mod_p,
-    residue_class,
-    residue_field,
-)
-from .zpoly import PhiExpansion, PureShiftExpansion, ZPoly, _poly_valuation, degree
+from .residue import ResidueField, ff_degree, ff_normalize, ff_to_string
+from .zpoly import PureShiftExpansion, ZPoly, degree
 
 
 class ValuedPoint(TupleRecord):
@@ -101,34 +94,6 @@ class NewtonPolygon(Record):
         return self.sides[0].start.i, self.sides[-1].end.i
 
 
-def _dedupe(points) -> list[ValuedPoint]:
-    best: dict[int, int] = {}
-    for pt in points:
-        i, v = pt
-        if i not in best or v < best[i]:
-            best[i] = v
-    return [ValuedPoint(i, v) for i, v in sorted(best.items())]
-
-
-def lower_convex_hull(points) -> NewtonPolygon:
-    """Lower boundary convex envelope; collinear points merge into one side."""
-    pts = _dedupe(points)
-    if not pts:
-        raise ValidationError("hull of an empty point set")
-    hull: list[ValuedPoint] = []
-    for pt in pts:
-        # pop while the previous slope is >= the new one (merges collinear)
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (b.v - a.v) * (pt.i - b.i) >= (pt.v - b.v) * (b.i - a.i):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    sides = tuple(Side(a, b) for a, b in zip(hull, hull[1:]))
-    return NewtonPolygon(sides)
-
-
 def principal_part(polygon: NewtonPolygon) -> NewtonPolygon:
     """The sub-chain of sides with strictly negative slope."""
     return NewtonPolygon(tuple(s for s in polygon.sides if s.h > 0))
@@ -184,36 +149,6 @@ class ResidualPolynomial(TupleRecord):
 
     def __str__(self):
         return ff_to_string(self.field, self.as_poly())
-
-
-def residual_polynomial(
-    expansion: PhiExpansion, p: int, phi: ZPoly, side: Side
-) -> ResidualPolynomial:
-    """Residue classes of the on-side coefficients of a dense expansion.
-
-    Raises if the side does not match the expansion (endpoint valuations
-    off, or endpoints on zero coefficients).  Building F_phi checks p.
-    classify's closed forms read their digits off the binomial lemma.
-    """
-    if tuple(phi) != tuple(expansion.phi):
-        raise ValidationError("expansion was taken with a different base")
-    if side.h < 0:
-        raise ValidationError("residual polynomials do not attach to ascending sides")
-    field = residue_field(p, reduce_mod_p(phi, p))
-    coeffs = []
-    for k in range(side.degree + 1):
-        pos = side.start.i + k * side.e
-        u = side.start.v - k * side.h
-        a = expansion.coefficient(pos)
-        va = _poly_valuation(p, a)
-        if va < u:
-            raise ValidationError(
-                f"point ({pos}, {va}) lies below the side; inconsistent pairing"
-            )
-        coeffs.append(field.zero if va > u else residue_class(field, a, u))
-    if not coeffs[0] or not coeffs[-1]:
-        raise ValidationError("side endpoints must lie on the polygon")
-    return ResidualPolynomial(side, field, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

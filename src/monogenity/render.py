@@ -11,7 +11,6 @@ import math
 from . import __version__
 from .classify import pure_prime_analysis
 from .errors import ValidationError
-from .general import index_lattice_points
 from .intarith import require_prime
 from .polygon import NewtonPolygon, principal_part
 from .record import TupleRecord
@@ -24,6 +23,21 @@ class PolygonFigure(TupleRecord):
     polygon: NewtonPolygon
     index_points: tuple[tuple[int, int], ...]
     side_labels: tuple[str, ...]
+
+
+def index_lattice_points(principal: NewtonPolygon) -> list[tuple[int, int]]:
+    """The lattice points counted by phi_index (with deg_phi = 1), column by column."""
+    out = []
+    if principal.is_empty:
+        return out
+    first = principal.sides[0].start.i
+    for side in principal.sides:
+        lo = side.start.i if side.start.i == first else side.start.i + 1
+        for x in range(max(1, lo), side.end.i + 1):
+            top = (side.start.v * side.e - (x - side.start.i) * side.h) // side.e
+            for y in range(1, top + 1):
+                out.append((x, y))
+    return out
 
 
 def figure_from_polygon(title: str, points, polygon: NewtonPolygon) -> PolygonFigure:

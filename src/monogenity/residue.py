@@ -1,5 +1,5 @@
-"""Residue fields F_q = F_p[x]/(phibar): their elements, residue classes,
-and the few polynomial helpers that analyze and scan read.
+"""Residue fields F_q = F_p[x]/(phibar): their elements and the few
+polynomial helpers that analyze and scan read.
 
 F_p[x] is the case q = p, with the prime field residue_field(p, X).  A
 polynomial over F_q is a tuple of elements in ascending degree order
@@ -14,10 +14,11 @@ This module is arithmetic only: element operations, the class of an
 integer polynomial, normalization, monic scaling and printing.  F_p
 takes the class of an integer polynomial as its value at the root of
 the linear modulus (the remainder theorem), so it divides nothing.
-The fields of degree k >= 2 (ExtensionField) and the arithmetic,
-gcds and factorization of polynomials over any F_q (ff_mul, ff_divmod,
-ff_gcd, ff_factor, ...) live in monogenity.general, which analyze and
-scan never load.
+The fields of degree k >= 2 (ExtensionField), the residue class of
+a(beta)/p**u (residue_class), and the arithmetic, gcds and
+factorization of polynomials over any F_q (ff_mul, ff_divmod, ff_gcd,
+ff_factor, ...) live in the reference engine monogenity.ore, which
+analyze, scan and render never load.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ class ResidueField(Record):
     """The field F_p[x]/(modulus), modulus monic irreducible over F_p.
 
     residue_field(p, modulus) builds a PrimeField when the modulus is
-    linear and otherwise a monogenity.general.ExtensionField, imported
+    linear and otherwise a monogenity.ore.ExtensionField, imported
     then.  Both have zero, one, element(coeffs) (the class of an integer
     polynomial) and the element operations add(a, b), sub(a, b),
     mul(a, b), pow(a, e), inv(a) and scale(a, n) (a times the integer
     n).  They also have the unreduced accumulators that
-    monogenity.general's ff_mul and ff_divmod sum products in, one per
+    monogenity.ore's ff_mul and ff_divmod sum products in, one per
     polynomial coefficient: lift(a) is the element a as an accumulator,
     fma(accs, i, q, ys) and fms(accs, i, q, ys) add and subtract q*ys[j]
     to and from accs[i + j] in place, and reduce(acc) is the element that
@@ -133,7 +134,7 @@ class PrimeField(ResidueField):
 def residue_field(p: int, modulus: FpPoly) -> ResidueField:
     # the element representation follows the degree of the modulus
     if len(modulus) > 2:
-        from .general import ExtensionField  # analyze and scan meet F_p only
+        from .ore import ExtensionField  # analyze, scan and render meet F_p only
 
         return ExtensionField(p, modulus)
     return PrimeField(p, modulus)
@@ -153,23 +154,6 @@ def _rep_str(rep: FpPoly) -> str:
             head = "" if c == 1 else str(c)
             terms.append(f"{head}x" if i == 1 else f"{head}x^{i}")
     return " + ".join(terms)
-
-
-def residue_class(field: ResidueField, a, u: int):
-    """Class of a(beta)/p**u in field = F_phi, beta a root of the reduction
-    of phi: (a div p**u) reduced mod (p, phi), where every coefficient of
-    the integer polynomial a must be divisible by p**u."""
-    p = field.p
-    pu = p**u
-    divided = []
-    for c in a:
-        q, rem = divmod(c, pu)
-        if rem:
-            raise ValidationError(
-                f"coefficient {c} is not divisible by {p}**{u} in residue_class"
-            )
-        divided.append(q)
-    return field.element(divided)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@ its expansion at x - m in closed form.
 
 Integer polynomials are tuples of Python ints in ascending degree
 order with no trailing zeros; () is the zero polynomial.  The dense
-Z[x] arithmetic and the phi-adic expansion at any base live in
-monogenity.general, which classify never needs.
+Z[x] arithmetic, the Gauss valuation and the phi-adic expansion at any
+base (PhiExpansion) live in the reference engine monogenity.ore, which
+classify never needs.
 """
 
 from __future__ import annotations
 
 from . import intarith
 from .errors import NotSquarefree, ValidationError
-from .intarith import INFINITY, _fermat_valuation, _valuation, is_prime, require_prime
+from .intarith import _fermat_valuation, _valuation, is_prime, require_prime
 from .record import Record, TupleRecord
 
 ZPoly = tuple[int, ...]
@@ -30,18 +31,8 @@ def degree(f: ZPoly) -> int:
     return len(f) - 1
 
 
-def is_monic(f: ZPoly) -> bool:
-    return bool(f) and f[-1] == 1
-
-
 def derivative(f: ZPoly) -> ZPoly:
     return poly([i * c for i, c in enumerate(f)][1:])
-
-
-def _poly_valuation(p: int, f: ZPoly):
-    """Gauss valuation: minimum of the coefficient valuations (INFINITY for 0),
-    for a p the caller has already checked to be prime."""
-    return min(_valuation(p, c) for c in f) if f else INFINITY
 
 
 def to_string(f: ZPoly, var: str = "x") -> str:
@@ -112,27 +103,6 @@ def pure_polynomial(params: PureFieldParams) -> ZPoly:
     """The defining polynomial x**(p**r) - m."""
     n = params.degree
     return (-params.m,) + (0,) * (n - 1) + (1,)
-
-
-class PhiExpansion(Record):
-    """f written as sum of coefficients[i] * phi**i with deg coefficients[i] < deg phi:
-    PhiExpansion(phi, coefficients), both ZPoly tuples."""
-
-    __slots__ = _fields = ("phi", "coefficients")
-
-    def __len__(self):
-        return len(self.coefficients)
-
-    def coefficient(self, i: int) -> ZPoly:
-        return self.coefficients[i] if i < len(self.coefficients) else ()
-
-    def reconstruct(self) -> ZPoly:
-        from .general import add, mul  # the dense arithmetic; classify never reconstructs
-
-        acc: ZPoly = ()
-        for a in reversed(self.coefficients):
-            acc = add(mul(acc, self.phi), a)
-        return acc
 
 
 class PureShiftExpansion(TupleRecord):
@@ -210,7 +180,7 @@ def candidate_index_primes(params: PureFieldParams) -> tuple[int, ...]:
 
 def __getattr__(name):  # PEP 562: bench/checks.py reads phi_expansion here
     if name == "phi_expansion":
-        from .general import phi_expansion
+        from .ore import phi_expansion
 
         return phi_expansion
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,6 @@ import pytest
 
 from monogenity.classify import Status, classify
 from monogenity.errors import ValidationError
-from monogenity.general import dedekind_divides_index
 from monogenity.intarith import (
     binomial_valuation,
     count_monic_irreducibles,
@@ -25,14 +24,8 @@ from monogenity.oracle import (
     enumerate_monic_irreducibles,
     factorial_valuation_table,
 )
-from monogenity.polygon import (
-    NewtonPolygon,
-    Side,
-    ValuedPoint,
-    lower_convex_hull,
-    phi_index,
-    principal_part,
-)
+from monogenity.ore import dedekind_divides_index, lower_convex_hull
+from monogenity.polygon import NewtonPolygon, Side, ValuedPoint, phi_index, principal_part
 from monogenity.render import figure_for, render_svg
 from monogenity.zpoly import PureFieldParams, candidate_index_primes, pure_polynomial
 

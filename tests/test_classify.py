@@ -7,19 +7,12 @@ import pytest
 
 from monogenity.classify import Provenance, Status, classify, pure_prime_analysis
 from monogenity.errors import InvariantError, ValidationError
-from monogenity.general import (
-    ComIndexEvidence,
-    dedekind_divides_index,
-    is_common_index_divisor,
-    phi_expansion,
-    valued_points,
-)
 from monogenity.intarith import count_monic_irreducibles, is_squarefree, valuation
 from monogenity.oracle import brute_hull
 from monogenity import ore, polygon
+from monogenity.ore import PhiExpansion, dedekind_divides_index, phi_expansion, valued_points
 from monogenity.polygon import NOT_REGULAR, PhiReport
 from monogenity.zpoly import (
-    PhiExpansion,
     PureFieldParams,
     candidate_index_primes,
     pure_polynomial,
@@ -156,9 +149,7 @@ class TestDedekind:
 
     def test_radical_not_dividing_raises(self, monkeypatch):
         # x does not divide x^2 + 1 over F_2, so hbar = fbar / gbar is not exact
-        from monogenity import general
-
-        monkeypatch.setattr(general, "ff_factor", lambda field, g: [((0, 1), 2)])
+        monkeypatch.setattr(ore, "ff_factor", lambda field, g: [((0, 1), 2)])
         with pytest.raises(InvariantError):
             dedekind_divides_index((1, 0, 1), 2)
 
@@ -181,42 +172,61 @@ class TestDedekind:
 
 
 class TestCommonIndexDivisor:
+    """The common-index witness: PrimeAnalysis.comindex_witness() at p, and the
+    certificate's comindex_prime and comindex_degree that classify copies it to."""
+
     def test_yes_cases(self):
-        assert is_common_index_divisor(PureFieldParams(2, 2, 17), 2) is ComIndexEvidence.YES
-        assert is_common_index_divisor(PureFieldParams(3, 3, 161), 3) is ComIndexEvidence.YES
+        for p, r, m in ((2, 2, 17), (3, 3, 161)):
+            params = PureFieldParams(p, r, m)
+            assert pure_prime_analysis(params, p).comindex_witness() == 1
+            cert = classify(params).certificate
+            assert (cert.comindex_prime, cert.comindex_degree) == (p, 1)
+            assert cert.analysis_at(p).comindex_witness() == 1
 
     def test_no_evidence(self):
-        assert (
-            is_common_index_divisor(PureFieldParams(2, 2, 3), 2)
-            is ComIndexEvidence.NO_EVIDENCE
-        )
+        params = PureFieldParams(2, 2, 3)
+        cert = classify(params).certificate
+        assert (cert.comindex_prime, cert.comindex_degree) == (None, None)
+        for analysis in cert.analyses:
+            assert analysis.comindex_witness() is None, analysis.prime
+        assert pure_prime_analysis(params, 2).comindex_witness() is None
 
     def test_prime_outside_candidates(self):
-        # a prime not dividing p*m splits distinctly; never a witness
-        assert (
-            is_common_index_divisor(PureFieldParams(2, 2, 17), 5)
-            is ComIndexEvidence.NO_EVIDENCE
-        )
+        # a prime not dividing p*m splits distinctly; never a witness, so the
+        # certificate holds no analysis there and the closed form refuses it
+        params = PureFieldParams(2, 2, 17)
+        cert = classify(params).certificate
+        assert cert.comindex_prime == 2
+        with pytest.raises(ValidationError, match="no analysis at 5"):
+            cert.analysis_at(5)
+        with pytest.raises(ValidationError, match="cannot divide the index"):
+            pure_prime_analysis(params, 5)
+        shape = ore.splitting_shape(ore.analyze_prime(pure_polynomial(params), 5))
+        assert _witnesses(shape, 5) == []
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValidationError, match="15 is not prime"):
-            is_common_index_divisor(PureFieldParams(2, 2, 17), 15)
+            pure_prime_analysis(PureFieldParams(2, 2, 17), 15)
 
     @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
     def test_prime_outside_candidates_in_bounded_time(self):
         # the dense O(n**2) pipeline takes seconds on x**1024 - 17 at 5; the
-        # discriminant answers at once
+        # closed form refuses 5 at once, and the certificate is read off p
         def expire(signum, frame):
             raise TimeoutError("no answer within 2 s")
 
+        params = PureFieldParams(2, 12, 17)
         previous = signal.signal(signal.SIGALRM, expire)
         signal.alarm(2)
         try:
-            evidence = is_common_index_divisor(PureFieldParams(2, 12, 17), 5)
+            with pytest.raises(ValidationError, match="cannot divide the index"):
+                pure_prime_analysis(params, 5)
+            cert = classify(params).certificate
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert evidence is ComIndexEvidence.NO_EVIDENCE
+        assert (cert.comindex_prime, cert.comindex_degree) == (None, None)
+        assert [a.prime for a in cert.analyses] == [2]
 
     @pytest.mark.parametrize("p, r, m", [(2, 3, 3), (2, 4, -15), (3, 2, 10), (5, 1, 7), (7, 1, 2)])
     def test_dense_analysis_off_p_m_is_regular_without_witness(self, p, r, m):
@@ -523,8 +533,8 @@ class TestClosedFormAtP:
         def refuse(*args):
             raise AssertionError("the hull pipeline ran on the pure path")
 
-        monkeypatch.setattr(polygon, "lower_convex_hull", refuse)
-        monkeypatch.setattr(polygon, "residual_polynomial", refuse)
+        monkeypatch.setattr(ore, "lower_convex_hull", refuse)
+        monkeypatch.setattr(ore, "residual_polynomial", refuse)
         monkeypatch.setattr(ore, "ff_factor", refuse)
         monkeypatch.setattr(ore, "_phi_report", refuse)
         # (2, 3, 17) has the degree-2 side from (0, 4) to (2, 2); (3, 2, -30)
@@ -626,7 +636,7 @@ class TestClosedFormAtP:
         "p, r", [(p, r) for p in (2, 3, 5, 7) for r in range(1, 9) if p**r <= 343]
     )
     def test_points_match_dense_valued_points(self, p, r):
-        from monogenity.general import divmod_monic
+        from monogenity.ore import divmod_monic
 
         def division_tower(f, phi):  # not phi_expansion's fast paths at x and x - m
             coeffs = []
@@ -722,20 +732,20 @@ class TestPrimeChecks:
 
     @pytest.mark.parametrize("q", [4, 9, 15])
     def test_composite_rejected_at_every_entry(self, q):
-        from monogenity import general, intarith, ore, polygon, residue, zpoly
+        from monogenity import intarith, ore, residue, zpoly
 
         params = PureFieldParams(2, 1, 30)  # 15 divides m
         f = (-12, 0, 1)
         expansion = phi_expansion(f, (0, 1))
-        side = polygon.lower_convex_hull([(0, 2), (2, 0)]).sides[0]
+        side = ore.lower_convex_hull([(0, 2), (2, 0)]).sides[0]
         entries = [
             lambda: intarith.valuation(q, 12),
             lambda: intarith.binomial_valuation(q, 1, 1),
             lambda: intarith.count_monic_irreducibles(q, 2),
             lambda: zpoly.discriminant_valuation(params, q),
             lambda: residue.residue_field(q, (0, 1)),
-            lambda: general.valued_points(expansion, q),
-            lambda: polygon.residual_polynomial(expansion, q, (0, 1), side),
+            lambda: ore.valued_points(expansion, q),
+            lambda: ore.residual_polynomial(expansion, q, (0, 1), side),
             lambda: ore.phi_report(f, q, (0, 1)),
             lambda: ore.analyze_prime(f, q),
             lambda: pure_prime_analysis(params, q),

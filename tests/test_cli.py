@@ -765,19 +765,19 @@ class TestByteIdentity:
     def test_residuals_over_extension_fields(self):
         # the pure family only meets F_phi = F_p, so no other digest covers
         # residuals and factors over F_{p^k} with k >= 2
-        from monogenity import general, ore
+        from monogenity import ore
 
         def power(phi, k):
             out = (1,)
             for _ in range(k):
-                out = general.mul(out, phi)
+                out = ore.mul(out, phi)
             return out
 
         lines = []
         for phi, p, k, terms in self.EXTENSION_CASES:
             f = power(phi, k)
             for j, a, c in terms:
-                f = general.add(f, general.mul((p**a,), general.mul(c, power(phi, j))))
+                f = ore.add(f, ore.mul((p**a,), ore.mul(c, power(phi, j))))
             for report in ore.analyze_prime(f, p):
                 for side in report.sides:
                     lines.append(f"{side.residual}|{';'.join(side.factor_strings())}")

@@ -128,15 +128,15 @@ class TestSplittingShape:
         assert shape.pairs == ((1, 2),)
 
     def test_seed_independence(self, monkeypatch):
-        # the equal-degree split draws from general._SPLIT_SEED; x^4 - 2 has
+        # the equal-degree split draws from ore._SPLIT_SEED; x^4 - 2 has
         # two linear factors mod 7, so there the split runs
-        from monogenity import general
+        from monogenity import ore
 
         pure = pure_polynomial(PureFieldParams(3, 2, 35))
         for f, p in [(pure, 3), (pure, 5), (pure, 7), ((-2, 0, 0, 0, 1), 7)]:
             shapes = []
             for seed in (0, 98765):
-                monkeypatch.setattr(general, "_SPLIT_SEED", seed)
+                monkeypatch.setattr(ore, "_SPLIT_SEED", seed)
                 shapes.append(splitting_shape(analyze_prime(f, p)))
             assert shapes[0] == shapes[1]
 
@@ -192,7 +192,7 @@ class TestPhiReportValidation:
 
     def test_valuation_column_without_unit(self):
         from monogenity.errors import InvariantError
-        from monogenity.general import phi_expansion, valued_points
+        from monogenity.ore import phi_expansion, valued_points
 
         expansion = phi_expansion(pure_polynomial(PureFieldParams(3, 2, 10)), (-10, 1))
         abscissas, valuations = zip(*valued_points(expansion, 3))

@@ -19,10 +19,10 @@ from monogenity import (
     ValuedPoint,
     classify,
 )
-from monogenity.general import ExtensionField
+from monogenity.ore import ExtensionField, PhiExpansion
 from monogenity.polygon import NewtonPolygon
 from monogenity.residue import PrimeField, residue_field
-from monogenity.zpoly import PhiExpansion, pure_shift_expansion
+from monogenity.zpoly import pure_shift_expansion
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,7 +33,6 @@ NOT_LOADED = (
     "monogenity.output",
     "monogenity.oracle",
     "monogenity.render",
-    "monogenity.general",
     "monogenity.ore",
     "dataclasses",
     "fractions",
@@ -42,39 +41,69 @@ NOT_LOADED = (
     "random",
 )
 
-# (module, name) for every name that moved out of module: analyze's output
-# layer from cli into monogenity.output, and the rest into monogenity.general
-# (residue keeps the element arithmetic, general has the polynomial arithmetic
-# and the factorization over F_q)
-MOVED = [
-    ("zpoly", name) for name in ("add", "sub", "mul", "divmod_monic", "phi_expansion")
-] + [
-    ("polygon", name) for name in ("valued_points", "index_lattice_points")
-] + [
-    ("classify", "ComIndexEvidence"),
-    ("classify", "is_common_index_divisor"),
-    ("classify", "dedekind_divides_index"),
-    ("residue", "ExtensionField"),
-] + [
-    ("residue", name)
-    for name in (
-        "ff_add", "ff_sub", "ff_mul", "ff_divmod", "ff_mod", "ff_quo", "ff_mulmod", "ff_gcd",
-        "ff_pow_mod", "ff_derivative", "ff_pth_root", "ff_factor", "_product", "_divide",
-        "_squarefree_into", "_distinct_degree", "_equal_degree", "_SPLIT_SEED", "_SPLIT_DRAWS",
-    )
-] + [
-    ("cli", name)
-    for name in (
-        "_analyze_payload", "_analysis_payload", "_report_payload", "_points_text", "_emit",
-        "_write_human", "_plain", "_oracle_reports",
-    )
-]
+# (module, name) for every name that moved out of module, by its new home:
+# into monogenity.ore, the reference engine, the dense Z[x] arithmetic and
+# the phi-expansion, the hull and the residuals of a dense expansion, the
+# polynomial arithmetic and the factorization over F_q, F_(p^k) and
+# Dedekind's criterion; into monogenity.output, analyze's output layer; into
+# monogenity.render, the lattice points that only render draws
+MOVED = {
+    "ore": [
+        ("zpoly", name)
+        for name in (
+            "add", "sub", "mul", "divmod_monic", "phi_expansion", "PhiExpansion", "is_monic",
+            "_poly_valuation",
+        )
+    ] + [
+        ("polygon", name)
+        for name in ("valued_points", "_dedupe", "lower_convex_hull", "residual_polynomial")
+    ] + [
+        ("classify", "dedekind_divides_index"),
+        ("residue", "ExtensionField"),
+        ("residue", "residue_class"),
+    ] + [
+        ("residue", name)
+        for name in (
+            "ff_add", "ff_sub", "ff_mul", "ff_divmod", "ff_mod", "ff_quo", "ff_mulmod", "ff_gcd",
+            "ff_pow_mod", "ff_derivative", "ff_pth_root", "ff_factor", "_product", "_divide",
+            "_squarefree_into", "_distinct_degree", "_equal_degree", "_SPLIT_SEED", "_SPLIT_DRAWS",
+        )
+    ],
+    "output": [
+        ("cli", name)
+        for name in (
+            "_analyze_payload", "_analysis_payload", "_report_payload", "_points_text", "_emit",
+            "_write_human", "_plain", "_oracle_reports",
+        )
+    ],
+    "render": [("polygon", "index_lattice_points")],
+}
+# deleted with no new home: the certificate's comindex_prime and comindex_degree
+# and PrimeAnalysis.comindex_witness() give the common-index test's answer
+DELETED = ("ComIndexEvidence", "is_common_index_divisor")
 
 
 def _moved_to(home: str):
     """Parametrize a test over the MOVED pairs whose new home is home."""
-    pairs = [pair for pair in MOVED if (pair[0] == "cli") == (home == "output")]
+    pairs = MOVED[home]
     return pytest.mark.parametrize("module, name", pairs, ids=[".".join(pair) for pair in pairs])
+
+
+def _assert_moved(module: str, name: str, home: str) -> None:
+    """name is defined in monogenity.<home>, and monogenity.<module> neither holds
+    it nor reaches it, except through the hook a bench path keeps."""
+    import importlib
+
+    old = importlib.import_module(f"monogenity.{module}")
+    new = importlib.import_module(f"monogenity.{home}")
+    assert name in vars(new) and name not in vars(old)
+    if (module, name) in BENCH_READS:
+        assert getattr(old, name) is getattr(new, name)
+    else:
+        with pytest.raises(AttributeError):
+            getattr(old, name)
+    with pytest.raises(AttributeError):
+        getattr(old, "no_such_name")
 
 
 # the report records and their readers, which classify builds, moved from ore
@@ -119,15 +148,49 @@ class TestImportGraph:
             "        for p, r in ((7, 1), (2, 8), (3, 2), (5, 1)):\n"
             "            main(['scan', '--p', str(p), '--r', str(r), '--m-from', '-60',\n"
             f"                  '--m-to', '60', '--format', fmt, '--out', {str(out)!r}])\n"
-            "print('monogenity.general' in sys.modules, 'monogenity.ore' in sys.modules,\n"
-            "      'typing' in sys.modules, 'random' in sys.modules)\n"
+            "print('monogenity.ore' in sys.modules, 'typing' in sys.modules,\n"
+            "      'random' in sys.modules)\n"
             "from monogenity.residue import residue_field\n"
             "residue_field(7, (3, 1))\n"
-            "print('monogenity.general' in sys.modules)\n"
+            "print('monogenity.ore' in sys.modules)\n"
             "residue_field(3, (1, 0, 1))\n"
-            "print('monogenity.general' in sys.modules)\n"
+            "print('monogenity.ore' in sys.modules)\n"
         )
-        assert _run_bare(code).split() == ["False", "False", "False", "False", "False", "True"]
+        assert _run_bare(code).split() == ["False", "False", "False", "False", "True"]
+
+    def test_engine_loads_nothing_above_its_layers(self):
+        code = (
+            "import sys\n"
+            "import monogenity.ore\n"
+            "print(' '.join(sorted(n for n in sys.modules if n.startswith('monogenity.'))))\n"
+        )
+        # the layers below the engine only: no classify, cli, output or render
+        assert set(_run_bare(code).split()) == {
+            f"monogenity.{m}"
+            for m in ("errors", "intarith", "ore", "polygon", "record", "residue", "zpoly")
+        }
+
+    def test_render_loads_no_engine(self, tmp_path):
+        out = tmp_path / "figure"
+        code = (
+            "import contextlib, io, sys\n"
+            "from monogenity.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for fmt in ('ascii', 'svg'):\n"
+            "        for p, r, m, at in ((3, 3, 161, 3), (2, 12, 17, 2), (2, 2, 6, 3)):\n"
+            "            code = main(['render', '--p', str(p), '--r', str(r), '--m', str(m),\n"
+            f"                         '--at', str(at), '--format', fmt, '--out', {str(out)!r}])\n"
+            "            assert code == 0, (p, r, m, at, fmt)\n"
+            "print(' '.join(sorted(n for n in sys.modules if n.startswith('monogenity.'))))\n"
+        )
+        # the pure layer and the drawing, with no engine (monogenity.ore)
+        assert set(_run_bare(code).split()) == {
+            f"monogenity.{m}"
+            for m in (
+                "classify", "cli", "errors", "intarith", "polygon", "record", "render", "residue",
+                "zpoly",
+            )
+        }
 
     def test_package_import_loads_no_submodule(self):
         code = (
@@ -165,7 +228,7 @@ class TestImportGraph:
     def test_scan_loads_no_analyze_output_or_engine(self, tmp_path):
         out = tmp_path / "scan"
         refused = ("monogenity.output", "monogenity.oracle", "monogenity.render",
-                   "monogenity.general", "monogenity.ore")
+                   "monogenity.ore")
         code = (
             "import contextlib, io, sys\n"
             "from monogenity.cli import main\n"
@@ -181,27 +244,29 @@ class TestImportGraph:
 
     @_moved_to("output")
     def test_moved_name_leaves_cli_for_the_output_layer(self, module, name):
-        from monogenity import cli, output
+        _assert_moved(module, name, "output")
 
-        assert name in vars(output) and name not in vars(cli)
-        with pytest.raises(AttributeError):
-            getattr(cli, name)
-
-    @_moved_to("general")
+    @_moved_to("ore")
     def test_moved_name_resolves_to_the_general_engine(self, module, name):
+        # the engine for any monic f, monogenity.ore
+        _assert_moved(module, name, "ore")
+
+    @_moved_to("render")
+    def test_moved_name_resolves_to_render(self, module, name):
+        _assert_moved(module, name, "render")
+        from monogenity import ore
+
+        assert not hasattr(ore, name)
+
+    def test_one_engine_module_and_no_common_index_test(self):
         import importlib
+        import importlib.util
 
-        from monogenity import general
-
-        old = importlib.import_module(f"monogenity.{module}")
-        assert name in vars(general) and name not in vars(old)
-        if (module, name) in BENCH_READS:
-            assert getattr(old, name) is getattr(general, name)
-        else:
-            with pytest.raises(AttributeError):
-                getattr(old, name)
-        with pytest.raises(AttributeError):
-            getattr(old, "no_such_name")
+        assert importlib.util.find_spec("monogenity.general") is None
+        for name in DELETED:
+            assert name not in monogenity.__all__
+            for module in ("classify", "ore"):
+                assert not hasattr(importlib.import_module(f"monogenity.{module}"), name)
 
     def test_only_the_bench_paths_keep_a_hook(self):
         import importlib
@@ -229,9 +294,9 @@ class TestImportGraph:
         assert set(vars(ore)) >= {"phi_report", "analyze_prime", "_phi_report"}
 
     def test_analyze_prime_lives_in_ore(self):
-        from monogenity import general, ore
+        from monogenity import ore
 
-        assert "analyze_prime" in vars(ore) and "analyze_prime" not in vars(general)
+        assert "analyze_prime" in vars(ore)
         assert monogenity.analyze_prime is ore.analyze_prime
         assert "analyze_prime" in monogenity.__all__
 

@@ -5,9 +5,9 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monogenity import general
+from monogenity import ore
 from monogenity.errors import InvariantError, ValidationError
-from monogenity.general import (
+from monogenity.ore import (
     ff_add,
     ff_derivative,
     ff_divmod,
@@ -18,6 +18,7 @@ from monogenity.general import (
     ff_mulmod,
     ff_pow_mod,
     ff_sub,
+    residue_class,
 )
 from monogenity.oracle import _poly_mod_small, is_irreducible_by_trial_division
 from monogenity.residue import (
@@ -25,7 +26,6 @@ from monogenity.residue import (
     ff_degree,
     ff_make_monic,
     reduce_mod_p,
-    residue_class,
     residue_field,
 )
 
@@ -445,8 +445,8 @@ class TestPurePower:
 
     def test_y_to_4096_over_f17(self, monkeypatch):
         calls = []
-        gcd = general.ff_gcd
-        monkeypatch.setattr(general, "ff_gcd", lambda *args: calls.append(args) or gcd(*args))
+        gcd = ore.ff_gcd
+        monkeypatch.setattr(ore, "ff_gcd", lambda *args: calls.append(args) or gcd(*args))
         f17 = residue_field(17, (0, 1))
         assert ff_factor(f17, (0,) * 4096 + (1,)) == [((0, 1), 4096)]
         assert len(calls) <= 2
@@ -550,7 +550,7 @@ class TestPrimeFieldFactor:
         assert ff_factor(field, g) == [((0, 1), 2), ((1, 1), 1), ((2, 1), 1)]
 
     def test_seed_independent(self, monkeypatch):
-        # the equal-degree split draws from general._SPLIT_SEED; the second
+        # the equal-degree split draws from ore._SPLIT_SEED; the second
         # polynomial has three linear factors, so the split runs
         p = 7
         field = residue_field(p, X)
@@ -561,7 +561,7 @@ class TestPrimeFieldFactor:
         ):
             results = []
             for seed in (0, 123456):
-                monkeypatch.setattr(general, "_SPLIT_SEED", seed)
+                monkeypatch.setattr(ore, "_SPLIT_SEED", seed)
                 results.append(ff_factor(field, g))
             assert results[0] == results[1]
 
@@ -622,7 +622,7 @@ class TestBoundedSplit:
     def test_broken_modular_product_raises(self, monkeypatch, field, g):
         # a product mod g that drops its second factor: a**e mod g stays 1
         # and every trace is 0, so no draw can split g
-        monkeypatch.setattr(general, "ff_mulmod", lambda fld, a, b, m: ff_mod(fld, a, m))
+        monkeypatch.setattr(ore, "ff_mulmod", lambda fld, a, b, m: ff_mod(fld, a, m))
 
         def expire(signum, frame):
             raise TimeoutError("the split did not give up within 30 s")
@@ -631,7 +631,7 @@ class TestBoundedSplit:
         signal.alarm(30)
         try:
             with pytest.raises(InvariantError, match="equal-degree split.*draws"):
-                general._equal_degree(field, g, 1, random.Random(0))
+                ore._equal_degree(field, g, 1, random.Random(0))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)

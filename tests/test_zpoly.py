@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monogenity.errors import ValidationError
-from monogenity.general import divmod_monic, phi_expansion
 from monogenity.oracle import resultant_discriminant_valuation
+from monogenity.ore import PhiExpansion, divmod_monic, phi_expansion
 from monogenity.zpoly import (
-    PhiExpansion,
     PureFieldParams,
     candidate_index_primes,
     discriminant_valuation,
@@ -113,7 +112,7 @@ class TestPhiExpansion:
             assert fast == slow
 
     def test_closed_form_matches_division(self):
-        from monogenity.general import valued_points
+        from monogenity.ore import valued_points
         from monogenity.zpoly import pure_shift_expansion
 
         # 257 and 65537 put v_p(a_0) at 8 and 16, past the first modulus p**4
@@ -198,7 +197,7 @@ class TestDivmodMonic:
             f = poly([rng.randint(-30, 30) for _ in range(rng.randint(0, 12))])
             g = poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1])
             q, r = divmod_monic(f, g)
-            from monogenity.general import add, mul
+            from monogenity.ore import add, mul
 
             assert add(mul(q, g), r) == f
 

@@ -14,6 +14,8 @@ from .classify import MonogenityVerdict, PrimeAnalysis
 from .polygon import PhiReport, principal_part
 from .zpoly import PureShiftExpansion, pure_polynomial, to_string
 
+_CHUNK = 256  # valued points a write at most: about 10 KB of JSON
+
 
 def _report_payload(report: PhiReport) -> dict:
     sides = []
@@ -81,45 +83,51 @@ def _analyze_payload(verdict: MonogenityVerdict, oracle_reports) -> dict:
     }
 
 
-def _points_text(valued, piece: str, sep: str) -> str:
-    """A report's valued points as text, one piece each: piece has %d for i
-    and {} for v, and the pieces fill one %-template with the abscissas.
+def _points_text(valued, piece: str, sep: str, append) -> None:
+    """Hand a report's valued points to append as text, at most _CHUNK
+    points a call: piece has %d for i and {} for v, sep joins the pieces.
 
-    For a PureShiftExpansion no column of valuations is built: the
-    template follows the block structure of valuations(), where the
-    pieces at 0 < j < p**(k + 1) are p copies of those at 0 < j < p**k,
-    joined by the piece for r - k.  Other points come as columns.
-
-    The template is bytes, decoded once: str % reads its template one
-    character at a time to find the next field, where bytes % finds it
-    with memchr and copies the run before it whole, so at n = 4096 the
-    fill takes about half the time.
-    """
+    For a PureShiftExpansion, with step = p**L the largest power of p up to
+    _CHUNK (1 <= L <= r), v = r - v_p(j - a*step) at a*step < j < (a + 1)*step
+    for every a: one bytes template of that block (bytes % finds each field
+    with memchr) is filled with each run of abscissas, and j = a*step has
+    v = r - L - v_p(a).  At L = 1 a block is p - 1 points at v = r, filled
+    _CHUNK at a time.  Other points are columns, written whole."""
     piece, sep = piece.encode("ascii"), sep.encode("ascii")
 
     def fill(v: int) -> bytes:
         return piece.replace(b"{}", b"%d" % v)
 
-    if isinstance(valued, PureShiftExpansion):
-        p, r = valued.params.p, valued.params.r
-        block = sep.join([fill(r)] * (p - 1))
-        for k in range(1, r):
-            block = (sep + fill(r - k) + sep).join([block] * p)
-        template = sep.join((fill(valued.nu0), block, fill(0)))
-        abscissas = range(p**r + 1)
-    else:
+    if not isinstance(valued, PureShiftExpansion):
         abscissas, valuations = valued
-        template = sep.join(map(fill, valuations))
-    return (template % tuple(abscissas)).decode("ascii")
+        append((sep.join(map(fill, valuations)) % tuple(abscissas)).decode("ascii"))
+        return
+    p, n, v = valued.params.p, valued.params.degree, valued.params.r
+    unit, step = sep + fill(v), p
+    block = unit * min(p - 1, _CHUNK)  # each piece led by its sep
+    while step < n and step * p <= _CHUNK:
+        v, step = v - 1, step * p
+        block = (sep + fill(v)).join([block] * p)
+    append((fill(valued.nu0) % 0).decode("ascii"))
+    for start in range(0, n, step):
+        for i in range(start + 1, start + step, _CHUNK):  # more than once only past p = 257
+            count = min(start + step - i, _CHUNK)
+            template = block[: count * len(unit)] if step == p else block
+            append((template % tuple(range(i, i + count))).decode("ascii"))
+        w, a = v - 1, start // step + 1
+        while a % p == 0:
+            w, a = w - 1, a // p
+        append(((sep + fill(w)) % (start + step)).decode("ascii"))
 
 
 def _emit(value, indent: str, append) -> None:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, handed to
     append piece by piece in one walk (with indent, json.dumps runs its
     pure-Python encoder, a generator per container).  A report's valued
-    points, a tuple, are a list of [i, v] pairs that _points_text writes; a
-    report always holds its unit point, so no such list is empty.  indent
-    is the newline and spaces that start a line at value's depth."""
+    points, a tuple, are a list of [i, v] pairs that _points_text writes in
+    chunks, so no piece grows with n; a report always holds its unit point,
+    so no such list is empty.  indent is the newline and spaces that start a
+    line at value's depth."""
     if value is None or value is True or value is False:
         append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -129,8 +137,8 @@ def _emit(value, indent: str, append) -> None:
     elif isinstance(value, tuple):  # a report's valued points
         pair = indent + "  "
         append("[")
-        append(_points_text(value, f"{pair}[{pair}  %d,{pair}  {{}}{pair}]", ","))
-        append(indent + "]")  # apart, so the 10-20 bytes a point are not copied again
+        _points_text(value, f"{pair}[{pair}  %d,{pair}  {{}}{pair}]", ",", append)
+        append(indent + "]")
     elif isinstance(value, (dict, list)) and value:
         keyed = isinstance(value, dict)
         inner = indent + "  "
@@ -190,7 +198,7 @@ def _plain(value):
 
 def _write_human(payload: dict, out) -> None:
     """Print the human text of an analyze payload to the stream out, line by
-    line; each report's points line comes from _points_text."""
+    line; _points_text writes each report's points line in chunks."""
     cert = payload["certificate"]
     inp = payload["input"]
     print(f"{cert['polynomial']}  (p={inp['p']}, r={inp['r']}, m={inp['m']})", file=out)
@@ -218,10 +226,10 @@ def _write_human(payload: dict, out) -> None:
                 f"multiplicity {factor['multiplicity']}",
                 file=out,
             )
-            points = _points_text(factor["points"], "(%d,{})", " ")
+            out.write("  points: ")
+            _points_text(factor["points"], "(%d,{})", " ", out.write)
             vertices = " ".join(f"({i},{v})" for i, v in factor["vertices"])
-            print(f"  points: {points}", file=out)
-            print(f"  vertices: {vertices}", file=out)
+            print(f"\n  vertices: {vertices}", file=out)
             for k, side in enumerate(factor["sides"]):
                 factors = ", ".join(side["residual_factors"])
                 print(

@@ -210,6 +210,21 @@ class TestBoundedTime:
         assert code == 2
         assert "only decided deterministically" in err
 
+    def test_balanced_semiprime_below_primality_limit(self, capsys):
+        # the hardest kind of m the bound still answers: two 13-digit primes,
+        # which only Brent's rho splits; 1.3-1.5 s a process on a 2-vCPU Xeon VM
+        from monogenity.intarith import _MR_LIMIT
+
+        m = 1800000000047 * 1840000000001
+        assert m == 3312000000088280000000047 < _MR_LIMIT
+        with time_limit(20):
+            code, out, _ = run(
+                capsys, "analyze", "--p", "3", "--r", "1", "--m", str(m), "--format", "json"
+            )
+        assert code == 0
+        primes = json.loads(out)["certificate"]["discriminant_valuations"]
+        assert sorted(map(int, primes)) == [3, 1800000000047, 1840000000001]
+
     def test_small_primes_beyond_primality_limit(self, capsys):
         # the product of the primes up to 71 exceeds the limit, yet trial
         # division factors it whole and no primality test is needed
@@ -932,6 +947,12 @@ class TestPointWriters:
     @settings(max_examples=60, deadline=None)
     @example((2, 12, 17, 4))  # the largest field of the analyze ladder
     @example((2, 12, 2049, 11))  # a two-digit nu0
+    @example((3, 7, 10, 2))  # many chunks at each level of p**L: 243, 125, 61, 49
+    @example((5, 5, 7, 2))
+    @example((61, 2, 3, 1))
+    @example((7, 4, 2, 1))
+    @example((257, 1, 258, 1))  # one block of p - 1 = 256 points at v = r
+    @example((4093, 1, 4094, 1))  # p - 1 = 15 * 256 + 252: a block filled 256 at a time
     def test_points_match_explicit_pairs(self, field):
         from monogenity.zpoly import PureFieldParams, pure_shift_expansion
 
@@ -944,9 +965,31 @@ class TestPointWriters:
         assert json_text({"points": expansion}) == json.dumps(
             {"points": pairs}, indent=2, sort_keys=True
         )
-        assert output._points_text(expansion, "(%d,{})", " ") == " ".join(
-            f"({j},{v})" for j, v in pairs
-        )
+        chunks = []
+        output._points_text(expansion, "(%d,{})", " ", chunks.append)
+        assert "".join(chunks) == " ".join(f"({j},{v})" for j, v in pairs)
+        assert max(map(len, chunks)) < 32 * 1024
+
+    @pytest.mark.parametrize("fmt", ["json", "human"])
+    def test_writers_hold_no_buffer_that_grows_with_n(self, fmt, monkeypatch):
+        # analyze at n = 4096 writing into a stream that keeps nothing; the
+        # whole point text at once took 260 KiB (human) to 1,171 KiB (JSON)
+        import tracemalloc
+
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        argv = ["analyze", "--p", "2", "--r", "12", "--m", "17", "--format", fmt]
+        monkeypatch.setattr(sys, "stdout", Discard())
+        assert main(argv) == 0  # imports and caches, before the count starts
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
 
 
 class TestAtomicOutput:

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import __version__, zpoly
-from .classify import classify
+from .classify import Status, classify
 from .errors import InvariantError, NotSquarefree, OracleDisagreement, ValidationError
 from .zpoly import PureFieldParams
 
@@ -180,8 +180,8 @@ def cmd_scan(args) -> int:
         else:
             counts[row["status"]] = counts.get(row["status"], 0) + 1
     print(f"scanned {len(rows)} values of m in [{args.m_from}, {args.m_to}]")
-    for status in ("MONOGENIC_ZALPHA", "NOT_MONOGENIC", "UNDETERMINED"):
-        print(f"{status}: {counts.get(status, 0)}")
+    for status in Status:
+        print(f"{status.value}: {counts.get(status.value, 0)}")
     print(f"skipped: {skipped}")
     return 0
 

@@ -1,7 +1,8 @@
 """Deliberately naive recomputations used in tests and in --verify mode.
 
 Each oracle is implemented independently of the engine path it checks;
-only the data types and big-integer arithmetic are shared.
+only the data types and big-integer arithmetic are shared.  Render draws
+index_lattice_points, so nothing here may import monogenity.ore.
 """
 
 from __future__ import annotations
@@ -44,20 +45,26 @@ def brute_hull(points) -> NewtonPolygon:
     return NewtonPolygon(sides)
 
 
-def brute_phi_index(polygon: NewtonPolygon) -> int:
-    """Direct double loop over lattice columns, testing on-or-below per side."""
-    if polygon.is_empty:
-        return 0
-    first, last = polygon.span
-    vmax = max(max(s.start.v, s.end.v) for s in polygon.sides)
-    count = 0
-    for x in range(max(1, first), last + 1):
-        side = next(s for s in polygon.sides if s.start.i <= x <= s.end.i)
-        for y in range(1, vmax + 1):
+def index_lattice_points(principal: NewtonPolygon) -> list[tuple[int, int]]:
+    """The lattice points that phi_index counts (with deg_phi = 1) and render
+    draws: x, y >= 1 on or under the polygon, column by column."""
+    out = []
+    if principal.is_empty:
+        return out
+    first = principal.sides[0].start.i
+    for side in principal.sides:
+        lo = side.start.i if side.start.i == first else side.start.i + 1
+        for x in range(max(1, lo), side.end.i + 1):
             # y <= v0 - (x - x0) h/e without fractions
-            if y * side.e <= side.start.v * side.e - (x - side.start.i) * side.h:
-                count += 1
-    return count
+            top = (side.start.v * side.e - (x - side.start.i) * side.h) // side.e
+            for y in range(1, top + 1):
+                out.append((x, y))
+    return out
+
+
+def brute_phi_index(polygon: NewtonPolygon) -> int:
+    """The number of index_lattice_points, one by one."""
+    return len(index_lattice_points(polygon))
 
 
 def brute_binomial_valuation(p: int, n: int, k: int) -> int:
@@ -117,16 +124,13 @@ def _prem(a, b):
     a = list(a)
     db = len(b) - 1
     lead = b[-1]
-    steps = len(a) - len(b) + 1
     for shift in range(len(a) - len(b), -1, -1):
         c = a[shift + db]
         for j in range(len(a)):
             a[j] *= lead
         for j, cb in enumerate(b):
             a[shift + j] -= c * cb
-    out = tuple(a[:db]) if db else ()
-    # strip leading zeros
-    return zpoly.poly(out) if db else ()
+    return zpoly.poly(a[:db])
 
 
 def resultant(f, g) -> int:

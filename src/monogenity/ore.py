@@ -43,7 +43,7 @@ from .intarith import INFINITY, _valuation, require_prime
 from .polygon import index_lower_bound, splitting_shape  # read on the engine's reports as ore.*
 from .record import Record
 from .residue import (
-    X, FpPoly, ResidueField, ff_degree, ff_make_monic, ff_normalize, reduce_mod_p, residue_field,
+    X, FpPoly, ResidueField, ff_degree, ff_make_monic, reduce_mod_p, residue_field,
 )
 from .zpoly import ZPoly, degree, poly
 
@@ -116,9 +116,6 @@ class PhiExpansion(Record):
 
     __slots__ = _fields = ("phi", "coefficients")
 
-    def __len__(self):
-        return len(self.coefficients)
-
     def coefficient(self, i: int) -> ZPoly:
         return self.coefficients[i] if i < len(self.coefficients) else ()
 
@@ -184,7 +181,7 @@ def ff_add(field: ResidueField, a, b) -> tuple:
     out = list(a)
     for i, c in enumerate(b):
         out[i] = add(out[i], c)
-    return ff_normalize(out)
+    return poly(out)
 
 
 def ff_sub(field: ResidueField, a, b) -> tuple:
@@ -192,7 +189,7 @@ def ff_sub(field: ResidueField, a, b) -> tuple:
     out = list(a) + [field.zero] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = sub(out[i], c)
-    return ff_normalize(out)
+    return poly(out)
 
 
 def _product(field: ResidueField, a, b) -> list:
@@ -222,13 +219,13 @@ def _divide(field: ResidueField, rem: list, b) -> tuple[tuple, tuple]:
             q = c if inv_lead is None else mul(c, inv_lead)
             quo[shift] = q
             fms(rem, shift, q, b)
-    return ff_normalize(quo), ff_normalize(list(map(reduce, rem[: lb - 1])))
+    return poly(quo), poly(list(map(reduce, rem[: lb - 1])))
 
 
 def ff_mul(field: ResidueField, a, b) -> tuple:
     if not a or not b:
         return ()
-    return ff_normalize(list(map(field.reduce, _product(field, a, b))))
+    return poly(list(map(field.reduce, _product(field, a, b))))
 
 
 def ff_divmod(field: ResidueField, a, b) -> tuple[tuple, tuple]:
@@ -274,14 +271,14 @@ def ff_pow_mod(field: ResidueField, base, e: int, modulus) -> tuple:
 
 def ff_derivative(field: ResidueField, g) -> tuple:
     scale, p = field.scale, field.p
-    return ff_normalize([scale(c, i % p) for i, c in enumerate(g)][1:])
+    return poly([scale(c, i % p) for i, c in enumerate(g)][1:])
 
 
 def ff_pth_root(field: ResidueField, g) -> tuple:
     """The p-th root of a polynomial whose derivative is 0: only exponents
     divisible by p occur, and c -> c**(q/p) inverts Frobenius on F_q."""
     e = field.order // field.p
-    return ff_normalize([field.pow(c, e) for c in g[:: field.p]])
+    return poly([field.pow(c, e) for c in g[:: field.p]])
 
 
 def _squarefree_into(field: ResidueField, f, scale: int, out: dict) -> None:
@@ -333,7 +330,7 @@ def _equal_degree(field: ResidueField, g, d: int, rng: random.Random) -> list[tu
     if ff_degree(g) == d:
         return [g]
     for _ in range(_SPLIT_DRAWS):
-        a = ff_normalize(
+        a = poly(
             [field.element([rng.randrange(field.p) for _ in range(field.degree)])
              for _ in range(ff_degree(g))]
         )
@@ -366,7 +363,7 @@ def ff_factor(field: ResidueField, g) -> list[tuple[tuple, int]]:
     degree, then by coefficients, so the result does not depend on the
     random choices of the equal-degree split.
     """
-    g = ff_normalize(g)
+    g = poly(g)
     if not g:
         raise ValidationError("cannot factor the zero polynomial")
     if g[-1] != field.one:
@@ -492,10 +489,7 @@ class ExtensionField(ResidueField):
                 for i, r in terms:
                     acc[i] += c * r
         p = self.p
-        out = [c % p for c in acc[: len(self.modulus) - 1]]
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
+        return poly([c % p for c in acc[: len(self.modulus) - 1]])
 
 
 def _accumulate(accs, i, terms, ys):
@@ -517,9 +511,7 @@ def valued_points(expansion: PhiExpansion, p: int) -> list[polygon.ValuedPoint]:
     points = []
     for i, a in enumerate(expansion.coefficients):
         if a:
-            v = _poly_valuation(p, a)
-            if v is not INFINITY:
-                points.append(polygon.ValuedPoint(i, v))
+            points.append(polygon.ValuedPoint(i, _poly_valuation(p, a)))
     return points
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-from . import __version__, zpoly
+from . import __version__
 from .classify import MonogenityVerdict, PrimeAnalysis
 from .polygon import PhiReport, principal_part
 from .zpoly import PureShiftExpansion, pure_polynomial, to_string
@@ -178,7 +178,7 @@ def _oracle_reports(verdict: MonogenityVerdict) -> list[dict]:
             hull = oracle.brute_hull(points)
             check(f"hull vertices ({tag})", rep.polygon.vertices, hull.vertices)
             index = oracle.brute_phi_index(principal_part(rep.polygon))
-            check(f"lattice index ({tag})", rep.index, zpoly.degree(rep.phi) * index)
+            check(f"lattice index ({tag})", rep.index, rep.phi_degree * index)
     if params.degree <= 64:
         for q, engine_value in cert.discriminant_valuations:
             expected = oracle.resultant_discriminant_valuation(f, q)

@@ -6,7 +6,7 @@ the reports at one prime.  classify builds its closed-form reports from
 these records, and the reference engine monogenity.ore builds the same
 records from the lower convex hull and the residual polynomials of a
 dense expansion, which live there.  The lattice points that render
-draws are in monogenity.render.
+draws are enumerated in monogenity.oracle.
 
 A side's slope is -h/e in lowest terms, kept as the integers h and e:
 the chain check, the principal part and the index compare slopes by
@@ -20,8 +20,8 @@ import math
 
 from .errors import InvariantError, ValidationError
 from .record import Record, TupleRecord
-from .residue import ResidueField, ff_degree, ff_normalize, ff_to_string
-from .zpoly import PureShiftExpansion, ZPoly, degree
+from .residue import ResidueField, ff_degree, ff_to_string
+from .zpoly import PureShiftExpansion, ZPoly, degree, poly
 
 
 class ValuedPoint(TupleRecord):
@@ -145,7 +145,7 @@ class ResidualPolynomial(TupleRecord):
         return len(self.coefficients) - 1
 
     def as_poly(self):
-        return ff_normalize(self.coefficients)
+        return poly(self.coefficients)
 
     def __str__(self):
         return ff_to_string(self.field, self.as_poly())
@@ -195,10 +195,6 @@ class PhiReport(TupleRecord):
         if isinstance(valued, PureShiftExpansion):
             return range(valued.params.degree + 1), valued.valuations()
         return valued
-
-    @property
-    def valuations(self) -> tuple[int, ...]:
-        return self.columns[1]
 
     @property
     def points(self) -> tuple[tuple[int, int], ...]:

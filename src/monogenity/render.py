@@ -1,7 +1,8 @@
 """Polygon drawing: fixed-width ASCII grids and deterministic SVG.
 
 Both renderers consume a PolygonFigure, so tests can feed synthetic
-point sets without going through the pure-field pipeline.
+point sets without going through the pure-field pipeline.  The lattice
+points marked are those that --verify counts (oracle.index_lattice_points).
 """
 
 from __future__ import annotations
@@ -10,11 +11,10 @@ import math
 
 from . import __version__
 from .classify import pure_prime_analysis
-from .errors import ValidationError
-from .intarith import require_prime
+from .oracle import index_lattice_points
 from .polygon import NewtonPolygon, principal_part
 from .record import TupleRecord
-from .zpoly import PureFieldParams, candidate_index_primes, to_string
+from .zpoly import PureFieldParams, to_string
 
 
 class PolygonFigure(TupleRecord):
@@ -23,21 +23,6 @@ class PolygonFigure(TupleRecord):
     polygon: NewtonPolygon
     index_points: tuple[tuple[int, int], ...]
     side_labels: tuple[str, ...]
-
-
-def index_lattice_points(principal: NewtonPolygon) -> list[tuple[int, int]]:
-    """The lattice points counted by phi_index (with deg_phi = 1), column by column."""
-    out = []
-    if principal.is_empty:
-        return out
-    first = principal.sides[0].start.i
-    for side in principal.sides:
-        lo = side.start.i if side.start.i == first else side.start.i + 1
-        for x in range(max(1, lo), side.end.i + 1):
-            top = (side.start.v * side.e - (x - side.start.i) * side.h) // side.e
-            for y in range(1, top + 1):
-                out.append((x, y))
-    return out
 
 
 def figure_from_polygon(title: str, points, polygon: NewtonPolygon) -> PolygonFigure:
@@ -56,12 +41,8 @@ def figure_from_polygon(title: str, points, polygon: NewtonPolygon) -> PolygonFi
 
 
 def figure_for(params: PureFieldParams, q: int) -> PolygonFigure:
-    """Figure for the polygon of x**(p**r) - m at the prime q."""
-    require_prime(q)
-    if q not in candidate_index_primes(params):
-        raise ValidationError(
-            f"{q} divides neither p nor m; there is no interesting polygon to draw"
-        )
+    """Figure for the polygon of x**(p**r) - m at the prime q; pure_prime_analysis
+    refuses a q that is not prime or divides neither p nor m."""
     analysis = pure_prime_analysis(params, q)
     report = analysis.reports[0]
     title = (

@@ -11,7 +11,8 @@ degree < k.  Elements do not carry their field: it is the first
 argument of every ff_* function.
 
 This module is arithmetic only: element operations, the class of an
-integer polynomial, normalization, monic scaling and printing.  F_p
+integer polynomial, monic scaling and printing.  The normal form of a
+polynomial over F_q is monogenity.zpoly.poly, the one that Z[x] uses.  F_p
 takes the class of an integer polynomial as its value at the root of
 the linear modulus (the remainder theorem), so it divides nothing.
 The fields of degree k >= 2 (ExtensionField), the residue class of
@@ -28,6 +29,7 @@ import functools
 from .errors import ValidationError
 from .intarith import require_prime
 from .record import Record
+from .zpoly import poly
 
 FpPoly = tuple[int, ...]
 
@@ -39,10 +41,7 @@ def reduce_mod_p(coeffs, p: int) -> FpPoly:
 
     p is not checked: the residue field built over it checks.
     """
-    out = [c % p for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return poly([c % p for c in coeffs])
 
 
 class ResidueField(Record):
@@ -160,13 +159,6 @@ def _rep_str(rep: FpPoly) -> str:
 # polynomials over a residue field
 
 
-def ff_normalize(coeffs) -> tuple:
-    out = list(coeffs)
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
 def ff_degree(g) -> int:
     """Degree, with the zero polynomial at -1."""
     return len(g) - 1
@@ -176,7 +168,7 @@ def ff_make_monic(field: ResidueField, g) -> tuple:
     if not g or g[-1] == field.one:
         return g
     inv = field.inv(g[-1])
-    return ff_normalize([field.mul(c, inv) for c in g])
+    return poly([field.mul(c, inv) for c in g])
 
 
 def ff_to_string(field: ResidueField, g, var: str = "y") -> str:

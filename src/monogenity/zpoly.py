@@ -2,7 +2,8 @@
 its expansion at x - m in closed form.
 
 Integer polynomials are tuples of Python ints in ascending degree
-order with no trailing zeros; () is the zero polynomial.  The dense
+order with no trailing zeros; () is the zero polynomial.  poly is the
+normal form, also of polynomials over F_q (zero 0 or ()).  The dense
 Z[x] arithmetic, the Gauss valuation and the phi-adic expansion at any
 base (PhiExpansion) live in the reference engine monogenity.ore, which
 classify never needs.
@@ -19,12 +20,11 @@ ZPoly = tuple[int, ...]
 
 
 def poly(coeffs) -> ZPoly:
-    if type(coeffs) is tuple and (not coeffs or coeffs[-1]):
-        return coeffs  # already normalized: x**4096 - m is not copied
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    out = coeffs if type(coeffs) is tuple else tuple(coeffs)
+    n = len(out)
+    while n and not out[n - 1]:
+        n -= 1
+    return out if n == len(out) else out[:n]  # x**4096 - m is not copied
 
 
 def degree(f: ZPoly) -> int:

@@ -596,6 +596,24 @@ class TestScan:
                 [] if target == "missing-dir" else ["rows.csv"]
             )
 
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            (("--residue", "1"), "--residue and --modulus must be given together"),
+            (("--modulus", "3"), "--residue and --modulus must be given together"),
+            (("--residue", "1", "--modulus", "0"), "--modulus must be positive"),
+        ],
+        ids=["residue-alone", "modulus-alone", "modulus-zero"],
+    )
+    def test_bad_residue_class_rejected(self, tmp_path, capsys, window, message):
+        out_path = tmp_path / "rows.csv"
+        code, out, err = run(
+            capsys, "scan", "--p", "3", "--r", "1", "--m-from", "2", "--m-to", "9", *window,
+            "--out", str(out_path),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_path.exists()
+
     def test_bad_range(self, capsys):
         code, _, _ = run(
             capsys, "scan", "--p", "2", "--r", "1",
@@ -713,6 +731,8 @@ class TestByteIdentity:
             (61, 2, 3, "5e89718c2c4b4b68caba482dce95625e681a1d2b99586d9c1605a84c3b4f961f"),
             (3, 7, 10, "5343294124c1d4ba62f3f9c548d3eff227e60ce1938a0e925dbfb64b82d97f48"),
             (5, 5, 7, "24569863a5954ca5178d41ae797282bebb13a46fb6708f3d740ab94b31122c47"),
+            # m < 0: the "note: m < 0" line
+            (2, 3, -15, "29353d034c8fbb9bad48190f87a9f25a78050fe8c59b45c482eb85cd10db276f"),
         ],
     )
     def test_analyze_human(self, capsys, p, r, m, digest):
@@ -1119,7 +1139,7 @@ class TestRender:
     @pytest.mark.parametrize("at", ["7", "4", "0", "1", "-3"])
     def test_prime_off_p_and_m_rejected(self, tmp_path, capsys, at):
         # 7 divides neither 3 nor 10; 4, 0, 1 and -3 are not prime, and say so
-        # first, as analyze and pure_prime_analysis do
+        # first: each message is pure_prime_analysis's, as in the library
         out_path = tmp_path / "fig.txt"
         code, out, err = run(
             capsys, "render", "--p", "3", "--r", "1", "--m", "10", "--at", at,
@@ -1129,7 +1149,7 @@ class TestRender:
         assert out == ""
         if at == "7":
             assert err == (
-                "error: 7 divides neither p nor m; there is no interesting polygon to draw\n"
+                "error: 7 divides neither p nor m, so it cannot divide the index\n"
             )
         else:
             assert err == f"error: {at} is not prime\n"
@@ -1254,6 +1274,23 @@ class TestConfigPrecedence:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: config file {config} is not valid JSON: ")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("via", ["analyze-flag", "scan-env"])
+    def test_config_array_rejected(self, capsys, tmp_path, monkeypatch, via):
+        # valid JSON, but the options are keys of an object
+        config = tmp_path / "mono.json"
+        config.write_text(json.dumps([{"format": "json"}]))
+        out_path = tmp_path / "rows.csv"
+        if via == "analyze-flag":
+            monkeypatch.delenv("MONO_CONFIG", raising=False)
+            argv = ["analyze", "--p", "2", "--r", "2", "--m", "3", "--config", str(config)]
+        else:
+            monkeypatch.setenv("MONO_CONFIG", str(config))
+            argv = [*self.SCAN, "--out", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: config file {config} must hold a JSON object\n"
         assert not out_path.exists()
 
 

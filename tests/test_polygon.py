@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monogenity.errors import ValidationError
-from monogenity.oracle import brute_hull, brute_phi_index
+from monogenity.oracle import brute_hull, brute_phi_index, index_lattice_points
 from monogenity.ore import lower_convex_hull, phi_expansion, residual_polynomial, valued_points
 from monogenity.polygon import NewtonPolygon, Side, ValuedPoint, phi_index, principal_part
-from monogenity.render import index_lattice_points
 from monogenity.zpoly import PureFieldParams, pure_polynomial
 
 FIG1_VERTICES = [(0, 5), (1, 3), (5, 1), (9, 0)]

@@ -46,7 +46,8 @@ NOT_LOADED = (
 # the phi-expansion, the hull and the residuals of a dense expansion, the
 # polynomial arithmetic and the factorization over F_q, F_(p^k) and
 # Dedekind's criterion; into monogenity.output, analyze's output layer; into
-# monogenity.render, the lattice points that only render draws
+# monogenity.oracle, the one enumerator of the lattice points, which
+# brute_phi_index counts and render draws
 MOVED = {
     "ore": [
         ("zpoly", name)
@@ -76,7 +77,7 @@ MOVED = {
             "_write_human", "_plain", "_oracle_reports",
         )
     ],
-    "render": [("polygon", "index_lattice_points")],
+    "oracle": [("polygon", "index_lattice_points")],
 }
 # deleted with no new home: the certificate's comindex_prime and comindex_degree
 # and PrimeAnalysis.comindex_witness() give the common-index test's answer
@@ -183,12 +184,13 @@ class TestImportGraph:
             "            assert code == 0, (p, r, m, at, fmt)\n"
             "print(' '.join(sorted(n for n in sys.modules if n.startswith('monogenity.'))))\n"
         )
-        # the pure layer and the drawing, with no engine (monogenity.ore)
+        # the pure layer, the drawing and the lattice points it draws
+        # (monogenity.oracle), with no engine (monogenity.ore)
         assert set(_run_bare(code).split()) == {
             f"monogenity.{m}"
             for m in (
-                "classify", "cli", "errors", "intarith", "polygon", "record", "render", "residue",
-                "zpoly",
+                "classify", "cli", "errors", "intarith", "oracle", "polygon", "record", "render",
+                "residue", "zpoly",
             )
         }
 
@@ -251,12 +253,14 @@ class TestImportGraph:
         # the engine for any monic f, monogenity.ore
         _assert_moved(module, name, "ore")
 
-    @_moved_to("render")
-    def test_moved_name_resolves_to_render(self, module, name):
-        _assert_moved(module, name, "render")
-        from monogenity import ore
+    @_moved_to("oracle")
+    def test_moved_name_resolves_to_oracle(self, module, name):
+        _assert_moved(module, name, "oracle")
+        from monogenity import oracle, ore, render
 
+        # render draws the oracle's points and keeps no enumerator of its own
         assert not hasattr(ore, name)
+        assert getattr(render, name) is getattr(oracle, name)
 
     def test_one_engine_module_and_no_common_index_test(self):
         import importlib

@@ -36,6 +36,31 @@ def shift_coefficient(params, j):
     return (math.comb(n, j) * m ** (n - j),) if j <= n else ()
 
 
+class TestNormalForm:
+    """poly is the one normal form, for Z[x] and for F_q[y]: a zero top
+    coefficient is stripped whether it is the int 0 or F_(p^k)'s ()."""
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            ((3, 0, 1), (3, 0, 1)),
+            ([3, 0, 1, 0, 0], (3, 0, 1)),
+            ((0, 0), ()),
+            ([], ()),
+            (((1,), ()), ((1,),)),
+            ([(), (0, 1), (), ()], ((), (0, 1))),
+            (((), ()), ()),
+        ],
+        ids=["normal", "int-zeros", "int-zero", "empty", "ext-zero", "ext-zeros", "ext-all-zero"],
+    )
+    def test_strips_zero_top_coefficients(self, coeffs, expected):
+        assert poly(coeffs) == expected
+
+    def test_normal_tuple_is_not_copied(self):
+        f = (-17,) + (0,) * 4095 + (1,)
+        assert poly(f) is f
+
+
 class TestPureFieldParams:
     def test_valid(self):
         params = PureFieldParams(2, 2, 17)

@@ -26,9 +26,8 @@ _HOMES = {
                      "is_squarefree valuation"),
         ("ore", "PhiExpansion analyze_prime dedekind_divides_index lower_convex_hull "
                 "phi_expansion phi_report residual_polynomial valued_points"),
-        ("polygon", "NOT_REGULAR IndexBound NewtonPolygon PhiReport ResidualPolynomial Side "
-                    "SplittingShape ValuedPoint index_lower_bound phi_index principal_part "
-                    "splitting_shape"),
+        ("polygon", "NOT_REGULAR IndexBound NewtonPolygon PhiReport Side SplittingShape "
+                    "ValuedPoint index_lower_bound phi_index principal_part splitting_shape"),
         ("zpoly", "PureFieldParams candidate_index_primes discriminant_valuation "
                   "pure_polynomial"),
     )

@@ -54,16 +54,14 @@ class PrimeAnalysis(TupleRecord):
 
 
 class Certificate(TupleRecord):
-    """Machine-checkable evidence; every number is recomputable from (p, r, m)."""
+    """Machine-checkable evidence; every number is recomputable from (p, r, m).
+    The common-index answer is analysis_at(p).comindex_witness(); output
+    derives v_p(m**(p-1) - 1) and the sign of m from params and nu_pivot."""
 
     params: PureFieldParams
     nu_pivot: int  # v_p(m**p - m)
-    nu_fermat: "int | None"  # v_p(m**(p-1) - 1) = nu_pivot when p does not divide m
-    negative_m: bool
     analyses: tuple[PrimeAnalysis, ...]
     discriminant_valuations: tuple[tuple[int, int], ...]
-    comindex_prime: "int | None"
-    comindex_degree: "int | None"
 
     def analysis_at(self, prime: int) -> PrimeAnalysis:
         for analysis in self.analyses:
@@ -157,13 +155,13 @@ def _closed_report(t: int, n: int, phi, vertices, valued, unit) -> polygon.PhiRe
             if v != side.start.v - k * side.h or not digit:
                 raise InvariantError(f"point ({j}, {v}) at {t} is off the side {side}")
             digits.append(digit)
-        residual = polygon.ResidualPolynomial(side, field, tuple(digits))
-        monic = ff_make_monic(field, residual.coefficients)
+        residual = tuple(digits)
+        monic = ff_make_monic(field, residual)
         if side.degree > 1 and monic != (1, 1, 1):
             raise InvariantError(f"residual {monic} on a side of degree {side.degree}")
-        sides.append(polygon.SideAnalysis(side, residual, ((monic, 1),)))
+        sides.append(polygon.SideAnalysis(side, field, residual, ((monic, 1),)))
     index = polygon.phi_index(hull, 1)
-    return polygon.PhiReport(phi, n, valued, hull, hull, tuple(sides), index, True)
+    return polygon.PhiReport(phi, n, valued, hull, tuple(sides), index, True)
 
 
 def classify(params: PureFieldParams) -> MonogenityVerdict:
@@ -190,8 +188,8 @@ def classify(params: PureFieldParams) -> MonogenityVerdict:
     off m**p mod powers of p, and nu0 apart from it at the exponent n, so
     the witness check also tests the lifting-the-exponent step.
     """
-    p, r, m = params.p, params.r, params.m
-    nu_pivot = _fermat_valuation(p, m, p)
+    p, r = params.p, params.r
+    nu_pivot = _fermat_valuation(p, params.m, p)
     status = Status.NOT_MONOGENIC
     if nu_pivot == 1:
         status, provenance = Status.MONOGENIC_ZALPHA, Provenance.THEOREM_PIB
@@ -221,10 +219,7 @@ def classify(params: PureFieldParams) -> MonogenityVerdict:
             f"common index divisor at {p}"
         )
     disc = tuple((t, zpoly.discriminant_valuation(params, t)) for t in candidates)
-    nu_fermat = nu_pivot if m % p else None  # m**p - m = m * (m**(p-1) - 1)
-    comindex_prime = None if witness is None else p
-    cert = Certificate(params, nu_pivot, nu_fermat, m < 0, analyses, disc, comindex_prime, witness)
-    return MonogenityVerdict(status, provenance, cert)
+    return MonogenityVerdict(status, provenance, Certificate(params, nu_pivot, analyses, disc))
 
 
 def __getattr__(name):  # PEP 562: bench/checks.py reads dedekind_divides_index here

@@ -43,7 +43,7 @@ from .intarith import INFINITY, _valuation, require_prime
 from .polygon import index_lower_bound, splitting_shape  # read on the engine's reports as ore.*
 from .record import Record
 from .residue import (
-    X, FpPoly, ResidueField, ff_degree, ff_make_monic, reduce_mod_p, residue_field,
+    X, FpPoly, ResidueField, ff_make_monic, reduce_mod_p, residue_field,
 )
 from .zpoly import ZPoly, degree, poly
 
@@ -165,8 +165,6 @@ def phi_expansion(f: ZPoly, phi: ZPoly) -> PhiExpansion:
         while g:
             g, rem = divmod_monic(g, phi)
             coeffs.append(rem)
-    while len(coeffs) > 1 and coeffs[-1] == ():
-        coeffs.pop()
     return PhiExpansion(phi, tuple(coeffs))
 
 
@@ -284,7 +282,7 @@ def ff_pth_root(field: ResidueField, g) -> tuple:
 def _squarefree_into(field: ResidueField, f, scale: int, out: dict) -> None:
     """Squarefree factorization of a monic f: out[i * scale] becomes the
     product of the irreducible factors that divide f exactly i times."""
-    if ff_degree(f) < 1:
+    if degree(f) < 1:
         return
     d = ff_derivative(field, f)
     if not d:
@@ -293,16 +291,16 @@ def _squarefree_into(field: ResidueField, f, scale: int, out: dict) -> None:
     c = ff_gcd(field, f, d)
     w = ff_quo(field, f, c)
     i = 1
-    while ff_degree(w) > 0:
+    while degree(w) > 0:
         y = ff_gcd(field, w, c)
         z = ff_quo(field, w, y)
-        if ff_degree(z) > 0:
+        if degree(z) > 0:
             key = i * scale
             out[key] = ff_mul(field, out[key], z) if key in out else z
         w = y
         c = ff_quo(field, c, y)
         i += 1
-    if ff_degree(c) > 0:
+    if degree(c) > 0:
         _squarefree_into(field, ff_pth_root(field, c), scale * field.p, out)
 
 
@@ -312,29 +310,29 @@ def _distinct_degree(field: ResidueField, g) -> list[tuple[tuple, int]]:
     y = (field.zero, field.one)
     h = ff_mod(field, y, g)
     d = 0
-    while ff_degree(g) >= 2 * (d + 1):
+    while degree(g) >= 2 * (d + 1):
         d += 1
         h = ff_pow_mod(field, h, field.order, g)
         part = ff_gcd(field, ff_sub(field, h, y), g)
-        if ff_degree(part) > 0:
+        if degree(part) > 0:
             out.append((part, d))
             g = ff_quo(field, g, part)
             h = ff_mod(field, h, g)
-    if ff_degree(g) > 0:
-        out.append((g, ff_degree(g)))
+    if degree(g) > 0:
+        out.append((g, degree(g)))
     return out
 
 
 def _equal_degree(field: ResidueField, g, d: int, rng: random.Random) -> list[tuple]:
     """Split g, a product of distinct monic irreducibles of degree d, into them."""
-    if ff_degree(g) == d:
+    if degree(g) == d:
         return [g]
     for _ in range(_SPLIT_DRAWS):
         a = poly(
             [field.element([rng.randrange(field.p) for _ in range(field.degree)])
-             for _ in range(ff_degree(g))]
+             for _ in range(degree(g))]
         )
-        if ff_degree(a) < 1:
+        if degree(a) < 1:
             continue
         if field.p == 2:
             # the trace of a from F_(2^(kd)) down to F_2
@@ -346,12 +344,12 @@ def _equal_degree(field: ResidueField, g, d: int, rng: random.Random) -> list[tu
         else:
             b = ff_pow_mod(field, a, (field.order**d - 1) // 2, g)
             h = ff_gcd(field, ff_sub(field, b, (field.one,)), g)
-        if 0 < ff_degree(h) < ff_degree(g):
+        if 0 < degree(h) < degree(g):
             return _equal_degree(field, h, d, rng) + _equal_degree(
                 field, ff_quo(field, g, h), d, rng
             )
     raise InvariantError(
-        f"no equal-degree split of a degree-{ff_degree(g)} product of degree-{d} "
+        f"no equal-degree split of a degree-{degree(g)} product of degree-{d} "
         f"factors over {field!r} in {_SPLIT_DRAWS} draws"
     )
 
@@ -368,7 +366,7 @@ def ff_factor(field: ResidueField, g) -> list[tuple[tuple, int]]:
         raise ValidationError("cannot factor the zero polynomial")
     if g[-1] != field.one:
         raise ValidationError("factorization requires a monic polynomial")
-    if ff_degree(g) == 1:
+    if degree(g) == 1:
         return [(g, 1)]
     # y^e, e the run of zero low coefficients, is split off first: Yun's
     # loop would walk its e multiplicities one gcd at a time
@@ -379,7 +377,7 @@ def ff_factor(field: ResidueField, g) -> list[tuple[tuple, int]]:
     rng = None
     for mult, part in parts.items():
         for block, d in _distinct_degree(field, part):
-            if ff_degree(block) == d:
+            if degree(block) == d:
                 irreducibles = [block]
             else:
                 if rng is None:
@@ -389,7 +387,7 @@ def ff_factor(field: ResidueField, g) -> list[tuple[tuple, int]]:
                 irreducibles = _equal_degree(field, block, d, rng)
             for irr in irreducibles:
                 found[irr] = found.get(irr, 0) + mult
-    return sorted(found.items(), key=lambda item: (ff_degree(item[0]), item[0]))
+    return sorted(found.items(), key=lambda item: (degree(item[0]), item[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +558,9 @@ def residue_class(field: ResidueField, a, u: int):
     return field.element(divided)
 
 
-def residual_polynomial(
-    expansion: PhiExpansion, p: int, phi: ZPoly, side: polygon.Side
-) -> polygon.ResidualPolynomial:
-    """Residue classes of the on-side coefficients of a dense expansion.
+def residual_polynomial(expansion: PhiExpansion, p: int, phi: ZPoly, side: polygon.Side) -> tuple:
+    """Residue classes of the on-side coefficients of a dense expansion, as
+    the coefficient tuple over F_phi that SideAnalysis.residual holds.
 
     Raises if the side does not match the expansion (endpoint valuations
     off, or endpoints on zero coefficients).  Building F_phi checks p.
@@ -587,7 +584,7 @@ def residual_polynomial(
         coeffs.append(field.zero if va > u else residue_class(field, a, u))
     if not coeffs[0] or not coeffs[-1]:
         raise ValidationError("side endpoints must lie on the polygon")
-    return polygon.ResidualPolynomial(side, field, tuple(coeffs))
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -654,18 +651,18 @@ def _phi_report(p: int, expansion: PhiExpansion, valued) -> polygon.PhiReport:
     elif multiplicity != 1:
         raise InvariantError("empty principal polygon with multiplicity > 1")
 
+    field = residue_field(p, reduce_mod_p(phi, p))
     sides = []
     for side in principal.sides:
         residual = residual_polynomial(expansion, p, phi, side)
-        monic = ff_make_monic(residual.field, residual.as_poly())
-        factors = tuple(ff_factor(residual.field, monic))
-        if sum(ff_degree(psi) * mult for psi, mult in factors) != side.degree:
+        factors = tuple(ff_factor(field, ff_make_monic(field, residual)))
+        if sum(degree(psi) * mult for psi, mult in factors) != side.degree:
             raise InvariantError("residual factorization does not match the side degree")
-        sides.append(polygon.SideAnalysis(side, residual, factors))
+        sides.append(polygon.SideAnalysis(side, field, residual, factors))
 
     index = polygon.phi_index(principal, degree(phi))
     regular = all(s.squarefree for s in sides)
-    return polygon.PhiReport(phi, multiplicity, valued, hull, principal, tuple(sides), index, regular)
+    return polygon.PhiReport(phi, multiplicity, valued, hull, tuple(sides), index, regular)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ def _report_payload(report: PhiReport) -> dict:
                 "length": analysis.side.length,
                 "height": analysis.side.height,
                 "degree": analysis.side.degree,
-                "residual": str(analysis.residual),
+                "residual": analysis.residual_text(),
                 "residual_factors": list(analysis.factor_strings()),
             }
         )
@@ -56,12 +56,12 @@ def _analysis_payload(analysis: PrimeAnalysis) -> dict:
 def _analyze_payload(verdict: MonogenityVerdict, oracle_reports) -> dict:
     cert = verdict.certificate
     params = cert.params
-    comindex = None
-    if cert.comindex_prime is not None:
-        comindex = {"prime": cert.comindex_prime, "residue_degree": cert.comindex_degree}
+    p, m = params.p, params.m
+    witness = cert.analysis_at(p).comindex_witness()
+    comindex = None if witness is None else {"prime": p, "residue_degree": witness}
     return {
         "artifact_version": __version__,
-        "input": {"p": params.p, "r": params.r, "m": params.m},
+        "input": {"p": p, "r": params.r, "m": m},
         "verdict": {
             "status": verdict.status.value,
             "provenance": verdict.provenance.value,
@@ -69,8 +69,8 @@ def _analyze_payload(verdict: MonogenityVerdict, oracle_reports) -> dict:
         "certificate": {
             "polynomial": params.polynomial_text(),
             "nu_pivot": cert.nu_pivot,
-            "nu_fermat": cert.nu_fermat,
-            "negative_m": cert.negative_m,
+            "nu_fermat": cert.nu_pivot if m % p else None,  # m**p - m = m * (m**(p-1) - 1)
+            "negative_m": m < 0,
             "discriminant_valuations": {
                 str(q): v for q, v in cert.discriminant_valuations
             },

@@ -1,6 +1,7 @@
 """Valued points, Newton polygons with exact rational slopes, the
-principal part, lattice-point index counts, residual polynomials, and
-the report records built from them: SideAnalysis and PhiReport at one
+principal part, lattice-point index counts, and the report records built
+from them: SideAnalysis (a principal side, its residual polynomial as a
+tuple over F_phi, and that polynomial's factors) and PhiReport at one
 base, and the IndexBound and SplittingShape (or NOT_REGULAR) read off
 the reports at one prime.  classify builds its closed-form reports from
 these records, and the reference engine monogenity.ore builds the same
@@ -20,8 +21,8 @@ import math
 
 from .errors import InvariantError, ValidationError
 from .record import Record, TupleRecord
-from .residue import ResidueField, ff_degree, ff_to_string
-from .zpoly import PureShiftExpansion, ZPoly, degree, poly
+from .residue import ResidueField, ff_to_string
+from .zpoly import PureShiftExpansion, ZPoly, degree
 
 
 class ValuedPoint(TupleRecord):
@@ -127,55 +128,43 @@ def phi_index(principal: NewtonPolygon, deg_phi: int) -> int:
     return deg_phi * total
 
 
-class ResidualPolynomial(TupleRecord):
-    """The polynomial over F_phi attached to one side.
-
-    coefficients[k], an element of field, is the residue class of the
-    expansion coefficient at abscissa s + k*e and multiplies y**k.  With
-    this pairing a slope-0 side over the base x reproduces plain
-    reduction mod p.
-    """
-
-    side: Side
-    field: ResidueField
-    coefficients: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def as_poly(self):
-        return poly(self.coefficients)
-
-    def __str__(self):
-        return ff_to_string(self.field, self.as_poly())
-
-
 # ---------------------------------------------------------------------------
 # the report at one base, and what is read off the reports at one prime
 
 
 class SideAnalysis(TupleRecord):
-    """One principal side together with its residual data."""
+    """One principal side, its residue field F_phi, its residual polynomial
+    and that polynomial's factors over F_phi.
+
+    residual[k], an element of field, is the residue class of the
+    expansion coefficient at abscissa s + k*e and multiplies y**k; both
+    end coefficients are nonzero.  With this pairing a slope-0 side over
+    the base x reproduces plain reduction mod p.
+    """
 
     side: Side
-    residual: ResidualPolynomial
-    factors: tuple[tuple[tuple, int], ...]  # over residual.field
+    field: ResidueField
+    residual: tuple
+    factors: tuple[tuple[tuple, int], ...]  # over field
 
     @property
     def squarefree(self) -> bool:
         return all(mult == 1 for _, mult in self.factors)
 
+    def residual_text(self) -> str:
+        return ff_to_string(self.field, self.residual)
+
     def factor_strings(self) -> tuple[str, ...]:
         out = []
         for psi, mult in self.factors:
-            text = ff_to_string(self.residual.field, psi)
+            text = ff_to_string(self.field, psi)
             out.append(text if mult == 1 else f"({text})^{mult}")
         return tuple(out)
 
 
 class PhiReport(TupleRecord):
     """Everything the polygon machinery knows about one factor of the reduction;
+    sides has one SideAnalysis per side of the principal part of polygon, and
     valued holds the valued points (i, v_p(a_i)) as the columns (abscissas,
     valuations) or as the PureShiftExpansion whose valuations() gives them
     when columns, valuations or points is read."""
@@ -184,7 +173,6 @@ class PhiReport(TupleRecord):
     multiplicity: int
     valued: "PureShiftExpansion | tuple"
     polygon: NewtonPolygon
-    principal: NewtonPolygon
     sides: tuple[SideAnalysis, ...]
     index: int
     regular: bool
@@ -268,12 +256,12 @@ def splitting_shape(reports):
         total_degree += report.phi_degree * report.multiplicity
         if not report.regular:
             return NOT_REGULAR
-        if report.principal.is_empty:
+        if not report.sides:
             pairs.append((1, report.phi_degree))
             continue
         for analysis in report.sides:
             for psi, _ in analysis.factors:
-                pairs.append((analysis.side.e, report.phi_degree * ff_degree(psi)))
+                pairs.append((analysis.side.e, report.phi_degree * degree(psi)))
     shape = SplittingShape.from_pairs(pairs)
     if shape.total_degree() != total_degree:
         raise InvariantError(

@@ -140,8 +140,7 @@ def residue_field(p: int, modulus: FpPoly) -> ResidueField:
 
 
 def _rep_str(rep: FpPoly) -> str:
-    if not rep:
-        return "0"
+    # a nonzero element: ff_to_string skips the zero coefficients
     terms = []
     for i in range(len(rep) - 1, -1, -1):
         c = rep[i]
@@ -157,11 +156,6 @@ def _rep_str(rep: FpPoly) -> str:
 
 # ---------------------------------------------------------------------------
 # polynomials over a residue field
-
-
-def ff_degree(g) -> int:
-    """Degree, with the zero polynomial at -1."""
-    return len(g) - 1
 
 
 def ff_make_monic(field: ResidueField, g) -> tuple:

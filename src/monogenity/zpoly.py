@@ -28,6 +28,7 @@ def poly(coeffs) -> ZPoly:
 
 
 def degree(f: ZPoly) -> int:
+    """Degree of a polynomial over Z or over F_q, with the zero polynomial at -1."""
     return len(f) - 1
 
 

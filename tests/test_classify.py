@@ -11,7 +11,7 @@ from monogenity.intarith import count_monic_irreducibles, is_squarefree, valuati
 from monogenity.oracle import brute_hull
 from monogenity import ore, polygon
 from monogenity.ore import PhiExpansion, dedekind_divides_index, phi_expansion, valued_points
-from monogenity.polygon import NOT_REGULAR, PhiReport
+from monogenity.polygon import NOT_REGULAR, PhiReport, principal_part
 from monogenity.zpoly import (
     PureFieldParams,
     candidate_index_primes,
@@ -104,8 +104,10 @@ class TestClassifyEngineBranch:
         assert analysis.shape.pairs == ((2, 2),)
 
     def test_negative_m_flagged(self):
+        from monogenity.output import _analyze_payload
+
         verdict = classify(PureFieldParams(2, 2, -15))
-        assert verdict.certificate.negative_m
+        assert _analyze_payload(verdict, None)["certificate"]["negative_m"]  # derived from m
         # -15 = 1 mod 16, so the quartic congruence fires sign-blind
         assert verdict.status is Status.NOT_MONOGENIC
         assert verdict.provenance is Provenance.THEOREM_MONO2
@@ -172,21 +174,19 @@ class TestDedekind:
 
 
 class TestCommonIndexDivisor:
-    """The common-index witness: PrimeAnalysis.comindex_witness() at p, and the
-    certificate's comindex_prime and comindex_degree that classify copies it to."""
+    """The common-index witness: PrimeAnalysis.comindex_witness() at p, the one
+    home of the answer that the certificate's analysis at p holds."""
 
     def test_yes_cases(self):
         for p, r, m in ((2, 2, 17), (3, 3, 161)):
             params = PureFieldParams(p, r, m)
             assert pure_prime_analysis(params, p).comindex_witness() == 1
             cert = classify(params).certificate
-            assert (cert.comindex_prime, cert.comindex_degree) == (p, 1)
             assert cert.analysis_at(p).comindex_witness() == 1
 
     def test_no_evidence(self):
         params = PureFieldParams(2, 2, 3)
         cert = classify(params).certificate
-        assert (cert.comindex_prime, cert.comindex_degree) == (None, None)
         for analysis in cert.analyses:
             assert analysis.comindex_witness() is None, analysis.prime
         assert pure_prime_analysis(params, 2).comindex_witness() is None
@@ -196,7 +196,7 @@ class TestCommonIndexDivisor:
         # certificate holds no analysis there and the closed form refuses it
         params = PureFieldParams(2, 2, 17)
         cert = classify(params).certificate
-        assert cert.comindex_prime == 2
+        assert cert.analysis_at(2).comindex_witness() == 1
         with pytest.raises(ValidationError, match="no analysis at 5"):
             cert.analysis_at(5)
         with pytest.raises(ValidationError, match="cannot divide the index"):
@@ -225,7 +225,7 @@ class TestCommonIndexDivisor:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert (cert.comindex_prime, cert.comindex_degree) == (None, None)
+        assert cert.analysis_at(2).comindex_witness() is None
         assert [a.prime for a in cert.analyses] == [2]
 
     @pytest.mark.parametrize("p, r, m", [(2, 3, 3), (2, 4, -15), (3, 2, 10), (5, 1, 7), (7, 1, 2)])
@@ -465,7 +465,8 @@ class TestClosedFormAtP:
             verdict = classify(PureFieldParams(p, r, m))
             cert = verdict.certificate
             assert cert.nu_pivot == valuation(p, m**p - m), m
-            assert cert.nu_fermat == (valuation(p, m ** (p - 1) - 1) if m % p else None), m
+            # output writes nu_pivot as v_p(m**(p-1) - 1) when p does not divide m
+            assert not m % p or cert.nu_pivot == valuation(p, m ** (p - 1) - 1), m
             assert verdict.provenance is _provenance_by_the_theorems(p, r, m), m
             assert verdict.status is statuses.get(verdict.provenance, Status.NOT_MONOGENIC), m
             for analysis in cert.analyses:
@@ -474,7 +475,8 @@ class TestClosedFormAtP:
                 assert analysis.index.exact, (m, analysis.prime)
             witnesses = _witnesses(cert.analysis_at(p).shape, p)
             assert bool(witnesses) == (verdict.status is Status.NOT_MONOGENIC), m
-            assert cert.comindex_degree == (witnesses[0] if witnesses else None), m
+            witness = cert.analysis_at(p).comindex_witness()
+            assert witness == (witnesses[0] if witnesses else None), m
             seen.add(verdict.provenance.value)
         assert {"THEOREM_PIB", "NONE"} <= seen <= {
             "THEOREM_PIB", "THEOREM_NPIBODD", "THEOREM_MONO2", "COROLLARY_MONO3", "NONE"
@@ -492,17 +494,17 @@ class TestClosedFormAtP:
             y += 1
         verdict = classify(PureFieldParams(p, r, 1 + p**nu * y))
         cert = verdict.certificate
-        assert cert.nu_pivot == cert.nu_fermat == nu
+        assert cert.nu_pivot == nu
         assert cert.analysis_at(p).pn_table == ((1, min(nu, r + 1), p),)
         if nu > p and r >= p:
             assert verdict.status is Status.NOT_MONOGENIC
             assert verdict.provenance is (
                 Provenance.COROLLARY_MONO3 if p == 3 else Provenance.THEOREM_NPIBODD
             )
-            assert (cert.comindex_prime, cert.comindex_degree) == (p, 1)
+            assert cert.analysis_at(p).comindex_witness() == 1
         else:
             assert verdict.status is Status.UNDETERMINED
-            assert (cert.comindex_prime, cert.comindex_degree) == (None, None)
+            assert cert.analysis_at(p).comindex_witness() is None
 
     @pytest.mark.parametrize("p, r", _differential_grids())
     def test_closed_form_matches_the_hull_pipeline(self, p, r):
@@ -523,6 +525,8 @@ class TestClosedFormAtP:
             valued = (range(n + 1), shift.valuations())
             hull = ore._phi_report(p, _exact_shift_expansion(params), valued)
             assert closed.valued == shift and hull.valued == valued
+            for rep in (closed, hull):
+                assert tuple(a.side for a in rep.sides) == principal_part(rep.polygon).sides, m
             for name in PhiReport._fields:
                 if name != "valued":
                     assert getattr(closed, name) == getattr(hull, name), (m, name)
@@ -586,10 +590,13 @@ class TestClosedFormAtP:
                 closed = pure_prime_analysis(params, t)
                 dense = ore._phi_report(t, expansion, tuple(zip(*valued_points(expansion, t))))
                 (report,) = closed.reports
+                for rep in (report, dense):
+                    sides = principal_part(rep.polygon).sides
+                    assert tuple(a.side for a in rep.sides) == sides, (m, t)
                 for name in PhiReport._fields:
                     assert getattr(report, name) == getattr(dense, name), (m, t, name)
                 for a, b in zip(report.sides, dense.sides):
-                    assert a.residual.coefficients == b.residual.coefficients, (m, t)
+                    assert a.residual == b.residual, (m, t)
                     assert a.factors == b.factors, (m, t)
                 shape = ore.splitting_shape((dense,))
                 pn_table = tuple(
@@ -624,12 +631,12 @@ class TestClosedFormAtP:
         closed = pure_prime_analysis(params, p).reports[0]
         expansion = _dense_expansion(params)
         dense = ore._phi_report(p, expansion, tuple(zip(*valued_points(expansion, p))))
-        for name in ("phi", "multiplicity", "points", "polygon", "principal", "index", "regular"):
+        for name in ("phi", "multiplicity", "points", "polygon", "index", "regular"):
             assert getattr(closed, name) == getattr(dense, name), name
         assert len(closed.sides) == len(dense.sides)
         for a, b in zip(closed.sides, dense.sides):
             assert a.side == b.side
-            assert a.residual.coefficients == b.residual.coefficients
+            assert a.residual == b.residual
             assert a.factors == b.factors
 
     @pytest.mark.parametrize(

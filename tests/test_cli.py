@@ -661,6 +661,8 @@ class TestByteIdentity:
     (2, 3, 3), (2, 3, 17), (2, 3, 33)) from before the report at t = p
     was built in closed form.  The --verify digest was taken again when
     --verify began to check each report's whole column of valued points.
+    The scan JSONL and human --verify digests were taken before the
+    certificate stopped storing the fields that output derives.
 
     Performance work must leave analyze JSON, human text and scan CSV
     byte for byte the same; a digest changes only with a deliberate
@@ -717,6 +719,28 @@ class TestByteIdentity:
         assert (
             hashlib.sha256(out_path.read_bytes()).hexdigest()
             == "cda8cdc5f34c3f50d8611d8d92989a3d6af9710de7bce585bd4893375c327c42"
+        )
+
+    def test_scan_jsonl(self, tmp_path, capsys):
+        out_path = tmp_path / "rows.jsonl"
+        code, _, _ = run(
+            capsys, "scan", "--p", "2", "--r", "8", "--m-from", "1000", "--m-to", "1199",
+            "--format", "jsonl", "--out", str(out_path),
+        )
+        assert code == 0
+        assert (
+            hashlib.sha256(out_path.read_bytes()).hexdigest()
+            == "6de12104b99c1ffcab961bf49a3e01e45f1af1dc3dbdac1ea1bcc86284f855ca"
+        )
+
+    def test_analyze_human_verify(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "--p", "3", "--r", "5", "--m", "10", "--format", "human", "--verify"
+        )
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "91387be5d8f594aa1f2fb3e8d4f66b569eb13d94988567d675f4732d002499fe"
         )
 
     @pytest.mark.parametrize(
@@ -815,7 +839,7 @@ class TestByteIdentity:
                 f = ore.add(f, ore.mul((p**a,), ore.mul(c, power(phi, j))))
             for report in ore.analyze_prime(f, p):
                 for side in report.sides:
-                    lines.append(f"{side.residual}|{';'.join(side.factor_strings())}")
+                    lines.append(f"{side.residual_text()}|{';'.join(side.factor_strings())}")
         text = "\n".join(lines)
         assert (
             hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -36,8 +36,8 @@ class TestAnalyzePrime:
         assert len(reports) == 1
         report = reports[0]
         assert report.phi == (0, 1)
-        assert len(report.principal.sides) == 1
-        side = report.principal.sides[0]
+        assert len(report.sides) == 1
+        side = report.sides[0].side
         assert (tuple(side.start), tuple(side.end)) == ((0, 1), (4, 0))
         assert side.degree == 1
         assert report.index == 0
@@ -48,7 +48,7 @@ class TestAnalyzePrime:
         report = reports[0]
         assert report.phi == (1, 0, 1)
         assert report.multiplicity == 1
-        assert report.principal.is_empty
+        assert not report.sides
         assert report.index == 0
 
     def test_non_monic_rejected(self):

@@ -79,9 +79,10 @@ MOVED = {
     ],
     "oracle": [("polygon", "index_lattice_points")],
 }
-# deleted with no new home: the certificate's comindex_prime and comindex_degree
-# and PrimeAnalysis.comindex_witness() give the common-index test's answer
-DELETED = ("ComIndexEvidence", "is_common_index_divisor")
+# deleted with no new home: PrimeAnalysis.comindex_witness() gives the
+# common-index test's answer; SideAnalysis holds each side's field and
+# residual coefficients; zpoly.degree serves F_q[y] as well as Z[x]
+DELETED = ("ComIndexEvidence", "is_common_index_divisor", "ResidualPolynomial", "ff_degree")
 
 
 def _moved_to(home: str):
@@ -269,7 +270,7 @@ class TestImportGraph:
         assert importlib.util.find_spec("monogenity.general") is None
         for name in DELETED:
             assert name not in monogenity.__all__
-            for module in ("classify", "ore"):
+            for module in ("classify", "ore", "polygon", "residue"):
                 assert not hasattr(importlib.import_module(f"monogenity.{module}"), name)
 
     def test_only_the_bench_paths_keep_a_hook(self):
@@ -336,7 +337,6 @@ def _figure():
 # one instance of every tuple record, built by the code that builds it
 TUPLE_RECORDS = {
     "ValuedPoint": lambda: ValuedPoint(1, 2),
-    "ResidualPolynomial": lambda: _analysis().reports[0].sides[0].residual,
     "PureShiftExpansion": lambda: pure_shift_expansion(PureFieldParams(3, 3, 10)),
     "SideAnalysis": lambda: _analysis().reports[0].sides[0],
     "PhiReport": lambda: _analysis().reports[0],
@@ -389,6 +389,7 @@ class TestRecordSemantics:
             (PhiExpansion((0, 1), ((1,),)), "phi"),
             (VERDICT, "status"),
             (VERDICT.certificate.analyses[0].index, "value"),
+            (REPORT.polygon.vertices[0], "i"),  # a vertex the closed form builds
             *((make(), make()._fields[0]) for make in TUPLE_RECORDS.values()),
         ],
     )

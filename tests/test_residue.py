@@ -23,11 +23,11 @@ from monogenity.ore import (
 from monogenity.oracle import _poly_mod_small, is_irreducible_by_trial_division
 from monogenity.residue import (
     X,
-    ff_degree,
     ff_make_monic,
     reduce_mod_p,
     residue_field,
 )
+from monogenity.zpoly import degree
 
 F2 = residue_field(2, (0, 1))  # F_2 as F_2[x]/(x)
 F3 = residue_field(3, (0, 1))
@@ -216,7 +216,7 @@ class TestFFFactor:
                     product = ff_mul(field, product, irr)
             assert product == g
             # squarefree (gcd(g, g') = 1) exactly when no multiplicity exceeds 1
-            squarefree = ff_degree(ff_gcd(field, g, ff_derivative(field, g))) == 0
+            squarefree = degree(ff_gcd(field, g, ff_derivative(field, g))) == 0
             assert squarefree == all(mult == 1 for _, mult in factors)
 
     def test_quadratic_split_over_f4(self):
@@ -225,7 +225,7 @@ class TestFFFactor:
         poly = (F4.one, F4.one, F4.one)
         factors = ff_factor(F4, poly)
         assert len(factors) == 2
-        assert all(ff_degree(f) == 1 and m == 1 for f, m in factors)
+        assert all(degree(f) == 1 and m == 1 for f, m in factors)
         roots = sorted(F4.sub(F4.zero, f[0]) for f, _ in factors)
         assert roots == sorted([g, F4.mul(g, g)])
 
@@ -272,11 +272,11 @@ def _check_against_trial_division(field, g, factors):
         for _ in range(mult):
             product = _poly_mul(field, product, irr)
         # no monic divisor of degree 1..deg/2: the factor is irreducible
-        for k in range(1, ff_degree(irr) // 2 + 1):
+        for k in range(1, degree(irr) // 2 + 1):
             for tail in itertools.product(elems, repeat=k):
                 assert not _divides(field, tail + (field.one,), irr)
     assert product == g
-    keys = [(ff_degree(irr), irr) for irr, _ in factors]
+    keys = [(degree(irr), irr) for irr, _ in factors]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -422,7 +422,7 @@ class TestLazyReduction:
         quo, rem = ff_divmod(field, a, b)
         assert (quo, rem) == _ref_divmod(field, a, b)
         assert ff_add(field, ff_mul(field, quo, b), rem) == a
-        assert ff_degree(rem) < ff_degree(b)
+        assert degree(rem) < degree(b)
         assert ff_mulmod(field, a, b, g) == ff_divmod(field, ff_mul(field, a, b), g)[1]
 
     def test_every_inverse_of_f625(self):
@@ -462,7 +462,7 @@ class TestPurePower:
         factors = ff_factor(field, g)
         assert ((zero, one), 5) in factors
         assert (y_plus_1, 2) in factors
-        assert factors == sorted(factors, key=lambda item: (ff_degree(item[0]), item[0]))
+        assert factors == sorted(factors, key=lambda item: (degree(item[0]), item[0]))
 
 
 class TestReduceModP:
@@ -489,7 +489,7 @@ class TestPrimeFieldArithmetic:
                 continue
             q, r = ff_divmod(field, a, b)
             assert _poly_add(field, _poly_mul(field, q, b), r) == a
-            assert ff_degree(r) < ff_degree(b)
+            assert degree(r) < degree(b)
 
     def test_gcd_divides_both(self):
         rng = random.Random(5)
@@ -577,7 +577,7 @@ class TestPrimeFieldFactor:
             for _ in range(mult):
                 product = _poly_mul(field, product, irr)
         assert product == g
-        assert sum(ff_degree(f) * m for f, m in result) == 4
+        assert sum(degree(f) * m for f, m in result) == 4
 
 
 class TestModulusIrreducibility:

@@ -167,7 +167,7 @@ class PhiReport(TupleRecord):
     sides has one SideAnalysis per side of the principal part of polygon, and
     valued holds the valued points (i, v_p(a_i)) as the columns (abscissas,
     valuations) or as the PureShiftExpansion whose valuations() gives them
-    when columns, valuations or points is read."""
+    when points is read."""
 
     phi: ZPoly
     multiplicity: int
@@ -178,15 +178,11 @@ class PhiReport(TupleRecord):
     regular: bool
 
     @property
-    def columns(self) -> tuple:
+    def points(self) -> tuple[tuple[int, int], ...]:
         valued = self.valued
         if isinstance(valued, PureShiftExpansion):
-            return range(valued.params.degree + 1), valued.valuations()
-        return valued
-
-    @property
-    def points(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*self.columns))
+            valued = range(valued.params.degree + 1), valued.valuations()
+        return tuple(zip(*valued))
 
     @property
     def phi_degree(self) -> int:

@@ -1,0 +1,125 @@
+"""sha256 of every pinned CLI output, one line per command, and a runner.
+
+analyze JSON and human text, scan CSV/JSONL and render output change only
+with a deliberate change of format.  A pin whose argv holds --out {out}
+hashes that file, any other pin its standard output.  TestByteIdentity in
+tests/test_cli.py runs each pin in process; `PYTHONPATH=src python -S
+tests/pinned_outputs.py` runs each in a fresh process, stdout a pipe.
+"""
+
+import hashlib
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PINS = (
+    # analyze JSON, taken before the closed-form engine at t = p
+    ("dbb7c40e17dce20ca86c1e72b6c7dafaf170a2e2964103b661bd8a8b42cd48f9", "analyze --p 2 --r 10 --m 33 --format json"),
+    ("044b353e115e61f5c020ef117be2ee75b4a26491948ebf59bc567e2fc5df2ec8", "analyze --p 5 --r 5 --m 7 --format json"),
+    ("f4cbfa1ac472f52839b7526f9e70088fef8caac755a35c057c498801258d99ef", "analyze --p 3 --r 3 --m 161 --format json"),
+    # taken before the hull was taken over the support points and the point
+    # lists were spliced into the JSON
+    ("97f613c5ace9dac25d3c59dc6ae8e9bc55c90878ab88598bbcd53b9cbf3a59b3", "analyze --p 2 --r 12 --m 17 --format json"),
+    ("2c6dc8980e4616dca01e6b9e4e106c9317a6984190de813bad315d416c5aea1a", "analyze --p 61 --r 2 --m 3 --format json"),
+    ("98f18427caae0501dda905e7c2064d11d4e3fcd5d9655adc338c2417f1e3cb32", "analyze --p 7 --r 1 --m 197 --format json"),
+    # taken before the points were carried as columns and the certificate
+    # polynomial was written in closed form; m < 0 prints as x^n + |m|, and
+    # 5 | 10 puts a report at t | m
+    ("58b397a26fc87a3a6115e458b93deb74994134ddc26cb33d694178c619a06af6", "analyze --p 3 --r 4 --m -10 --format json"),
+    ("50268d9f96eb6d299f0bf85e4d7bf683c3336c2f10837fb08ba7224232fd061d", "analyze --p 2 --r 12 --m -3 --format json"),
+    ("29d15f1352b2cb01106aea3c7b9670a446b2ea24ec489d2cee08098fc517f269", "analyze --p 5 --r 2 --m 10 --format json"),
+    # taken before the point text was formatted on bytes; odd p: blocks of
+    # p - 1 pieces joined level by level
+    ("04ef699ad8ffa01943d4dde301580a3a4bd9a30baefa591cb2a352f40dc8352a", "analyze --p 3 --r 7 --m 10 --format json"),
+    ("587dcda8c5e928721d076a851f76e0fc1cdaf7beeb6c9bfff3d89196fbf65fe3", "analyze --p 7 --r 4 --m 2 --format json"),
+    # taken before the report at t = p was built in closed form; p = 2 at
+    # t = p: nu0 = 1 (one side), nu0 = r + 1 (a degree-2 side from (0, 4) to
+    # (2, 2)) and nu0 >= r + 2 (first vertex at abscissa 1)
+    ("5afa01ea782a9412c8f82384e59fd7d49860a6a97a618e85044fa874123893d7", "analyze --p 2 --r 3 --m 3 --format json"),
+    ("4fbb5a89332ffb30a18bc2143a9c95b31368ff6fcdc5e27697f5d45d566255e1", "analyze --p 2 --r 3 --m 17 --format json"),
+    ("e49e6e109a37e531040f965f6c148c26f4b4ae71155f0ef90ce3462a79e50d25", "analyze --p 2 --r 3 --m 33 --format json"),
+    # taken again when --verify began to check whole columns of valued points
+    ("880e169a2667e6566a1860aac8919cd011a60d481bfc9eb33c021135cbf7ba6f", "analyze --p 3 --r 5 --m 10 --format json --verify"),
+    # human text, taken before residuals over F_p were factored by the F_p[x]
+    # module; m = 1 mod 49 at (7, 1, 197): UNDETERMINED
+    ("3875835a40575329870bd47e98126155ff3fae0651cc6399f3bd2f776ef1954a", "analyze --p 3 --r 3 --m 161 --format human"),
+    ("3286eef80fdadb87a4963ce3291412851a29abc78af7cf93a3404bb2bac71eaa", "analyze --p 7 --r 1 --m 10001 --format human"),
+    ("adcceb1fe1d1fed3660483ebb938a59971d1394f8f1aafe3844af627cdb6653c", "analyze --p 7 --r 1 --m 197 --format human"),
+    # taken before the hull was taken over the support points
+    ("d7fee696db5d1cd4cb4ca17c2b5a39fe77a5e554175b3c1286cf746b4a0e5281", "analyze --p 2 --r 10 --m 33 --format human"),
+    # taken before the points were carried as columns
+    ("c62c4b54b7b01ccab60b41cd474adb16ad3cb214eaab8fbe98e23d01c2db04e5", "analyze --p 2 --r 12 --m 17 --format human"),
+    ("5e89718c2c4b4b68caba482dce95625e681a1d2b99586d9c1605a84c3b4f961f", "analyze --p 61 --r 2 --m 3 --format human"),
+    # taken before the point text was formatted on bytes
+    ("5343294124c1d4ba62f3f9c548d3eff227e60ce1938a0e925dbfb64b82d97f48", "analyze --p 3 --r 7 --m 10 --format human"),
+    ("24569863a5954ca5178d41ae797282bebb13a46fb6708f3d740ab94b31122c47", "analyze --p 5 --r 5 --m 7 --format human"),
+    # m < 0: the "note: m < 0" line
+    ("29353d034c8fbb9bad48190f87a9f25a78050fe8c59b45c482eb85cd10db276f", "analyze --p 2 --r 3 --m -15 --format human"),
+    # taken before the certificate stopped storing what output derives
+    ("91387be5d8f594aa1f2fb3e8d4f66b569eb13d94988567d675f4732d002499fe", "analyze --p 3 --r 5 --m 10 --format human --verify"),
+    # taken when --verify joined this table: the degree cap, then one field per
+    # provenance, THEOREM_PIB, THEOREM_MONO2, COROLLARY_MONO3, THEOREM_NPIBODD
+    # (15626 = 1 + 5^6, so nu = 6) and NONE
+    ("0bbd4f16d75eb987b9df27caf14a6dd912ddd8d105d128ca208bd10d83cb3915", "analyze --p 2 --r 12 --m 17 --verify"),
+    ("0d1380912e7f91208534f45f769b5c6dc41448d52486dee7b55cca98ae6284c9", "analyze --p 7 --r 1 --m 2 --verify"),
+    ("488227c81cce5ae62bdb29203717ff8eb99a1a1dc8a4092b21388f6701c31650", "analyze --p 2 --r 2 --m 17 --verify"),
+    ("1a8e94118387fc76a00f1289869d2e8ce16d2542f9ad2600a24c791e4b3e8c53", "analyze --p 3 --r 3 --m 161 --verify"),
+    ("3d430c1140e9eb2c31f097652fd6dfe34dfe92fb9e118ea6bdbd2f7c7daa7435", "analyze --p 5 --r 5 --m 15626 --verify"),
+    ("ee029236c4f675fd8a120ca37f61f7cea4711ed4ab8c9a395e8964f3fb9f5943", "analyze --p 2 --r 4 --m 17 --verify"),
+    # scan CSV, taken before the closed-form engine at t = p; JSONL, taken
+    # before the certificate stopped storing the fields that output derives
+    ("cda8cdc5f34c3f50d8611d8d92989a3d6af9710de7bce585bd4893375c327c42", "scan --p 2 --r 8 --m-from 1000 --m-to 1199 --out {out}"),
+    ("6de12104b99c1ffcab961bf49a3e01e45f1af1dc3dbdac1ea1bcc86284f855ca", "scan --p 2 --r 8 --m-from 1000 --m-to 1199 --format jsonl --out {out}"),
+    # taken when the pool scan joined this table: 4096 rows, four times the
+    # rows per worker (cli._ROWS_PER_WORKER), so --jobs 2 starts two workers;
+    # one digest for both says the pool writes what one process writes
+    *(("57147e22af1879d2e196b0ee9d0a8eb83dab487905c2c635fb2d44a2cabeee35", f"scan --p 2 --r 8 --m-from 2 --m-to 4097 --jobs {jobs} --out {{out}}") for jobs in (1, 2)),
+    # render, taken before the side labels were written by Side.slope_text;
+    # 3 | 6 at (2, 2, 6): the one Eisenstein side at a prime of m
+    ("79704aea0cb015937fb4b7a68ebdf17da6d9ef188d8a98de265d31e8674cc4ae", "render --p 3 --r 3 --m 161 --at 3 --format ascii --out {out}"),
+    ("e2ad9554ce6ddd34f7ce2f72e8910bd534c53e1aed52dbf9e0638cdb7ea87a94", "render --p 3 --r 3 --m 161 --at 3 --format svg --out {out}"),
+    ("37fab3d160c2619fb8a9eb72241a62e1dc41809b03d33c99f9726255ded39904", "render --p 2 --r 12 --m 17 --at 2 --format ascii --out {out}"),
+    ("de25453815080624031fd1de1aed4bcb9eee1bf0ff5d2f099eaa388d5018c7e7", "render --p 2 --r 12 --m 17 --at 2 --format svg --out {out}"),
+    ("861f8d1a3ecb5add1378d9182977ea94ca239d4c70d19955275bc944af3dce10", "render --p 2 --r 2 --m 6 --at 3 --format ascii --out {out}"),
+    ("019dafc4adc5a513027f697ad794f9a1ce050e9577b2f2d47deb31f0c8eb79a6", "render --p 2 --r 2 --m 6 --at 3 --format svg --out {out}"),
+)
+
+# seconds each pin may run; the slowest, a 4096-row pool scan, takes about 0.25 s
+TIMEOUT_S = 60
+
+
+def argv_of(text, out):
+    """The argument list of a pin, with out in place of {out}."""
+    return [str(out) if word == "{out}" else word for word in text.split()]
+
+
+def problem(digest, text, out):
+    """What is wrong with one pin run in a fresh process, or None."""
+    command = [sys.executable, "-S", "-m", "monogenity", *argv_of(text, out)]
+    try:
+        done = subprocess.run(command, stdout=subprocess.PIPE, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"no exit within {TIMEOUT_S} s"
+    if done.returncode:
+        return f"exit {done.returncode}"
+    data = Path(out).read_bytes() if "{out}" in text else done.stdout
+    got = hashlib.sha256(data).hexdigest()
+    return None if got == digest else f"sha256 {got}"
+
+
+def main():
+    """Run every pin; print one line per mismatch, and return 1 on any."""
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, (digest, text) in enumerate(PINS):
+            wrong = problem(digest, text, Path(tmp, str(n)))
+            if wrong:
+                failed += 1
+                print(f"{wrong}: {text}")
+    print(f"{len(PINS) - failed} pinned outputs match")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,6 +17,7 @@ from monogenity import cli, output
 from monogenity.cli import main
 from monogenity.errors import OracleDisagreement
 from monogenity.intarith import is_squarefree
+from pinned_outputs import PINS, argv_of
 
 
 def run(capsys, *argv):
@@ -646,147 +647,19 @@ class TestScan:
 
 
 class TestByteIdentity:
-    """sha256 of outputs from before the closed-form engine at t = p,
-    (human text, the p = 7 scan) from before residuals over F_p were
-    factored by the F_p[x] module, (residuals over F_(p^k)) from before
-    F_p and F_(p^k) shared one factorization, and (analyze JSON at (2, 12, 17),
-    (61, 2, 3), (7, 1, 197), with --verify at (3, 5, 10), human text at
-    (2, 10, 33)) from before the hull was taken over the support points
-    and the point lists were spliced into the JSON, (analyze JSON at
-    (3, 4, -10), (2, 12, -3), (5, 2, 10), human text at (2, 12, 17),
-    (61, 2, 3)) from before the points were carried as columns and the
-    certificate polynomial was written in closed form, and (analyze JSON
-    at (3, 7, 10), (7, 4, 2), human text at (3, 7, 10), (5, 5, 7)) from
-    before the point text was formatted on bytes, and (analyze JSON at
-    (2, 3, 3), (2, 3, 17), (2, 3, 33)) from before the report at t = p
-    was built in closed form.  The --verify digest was taken again when
-    --verify began to check each report's whole column of valued points.
-    The scan JSONL and human --verify digests were taken before the
-    certificate stopped storing the fields that output derives.
+    """Outputs pinned by sha256: tests/pinned_outputs.py holds every digest
+    a command line can reach, and the two below pin what none can.  The p = 7
+    scan was taken before residuals over F_p were factored by the F_p[x]
+    module, the residuals over F_(p^k) before F_p and F_(p^k) shared one
+    factorization."""
 
-    Performance work must leave analyze JSON, human text and scan CSV
-    byte for byte the same; a digest changes only with a deliberate
-    change of format.
-    """
-
-    @pytest.mark.parametrize(
-        "p, r, m, digest",
-        [
-            (2, 10, 33, "dbb7c40e17dce20ca86c1e72b6c7dafaf170a2e2964103b661bd8a8b42cd48f9"),
-            (5, 5, 7, "044b353e115e61f5c020ef117be2ee75b4a26491948ebf59bc567e2fc5df2ec8"),
-            (3, 3, 161, "f4cbfa1ac472f52839b7526f9e70088fef8caac755a35c057c498801258d99ef"),
-            (2, 12, 17, "97f613c5ace9dac25d3c59dc6ae8e9bc55c90878ab88598bbcd53b9cbf3a59b3"),
-            (61, 2, 3, "2c6dc8980e4616dca01e6b9e4e106c9317a6984190de813bad315d416c5aea1a"),
-            (7, 1, 197, "98f18427caae0501dda905e7c2064d11d4e3fcd5d9655adc338c2417f1e3cb32"),
-            # m < 0 prints as x^n + |m|; 5 | 10 puts a report at t | m
-            (3, 4, -10, "58b397a26fc87a3a6115e458b93deb74994134ddc26cb33d694178c619a06af6"),
-            (2, 12, -3, "50268d9f96eb6d299f0bf85e4d7bf683c3336c2f10837fb08ba7224232fd061d"),
-            (5, 2, 10, "29d15f1352b2cb01106aea3c7b9670a446b2ea24ec489d2cee08098fc517f269"),
-            # odd p: blocks of p - 1 pieces joined level by level
-            (3, 7, 10, "04ef699ad8ffa01943d4dde301580a3a4bd9a30baefa591cb2a352f40dc8352a"),
-            (7, 4, 2, "587dcda8c5e928721d076a851f76e0fc1cdaf7beeb6c9bfff3d89196fbf65fe3"),
-            # p = 2 at t = p: nu0 = 1 (one side), nu0 = r + 1 (a degree-2 side
-            # from (0, 4) to (2, 2)) and nu0 >= r + 2 (first vertex at abscissa 1)
-            (2, 3, 3, "5afa01ea782a9412c8f82384e59fd7d49860a6a97a618e85044fa874123893d7"),
-            (2, 3, 17, "4fbb5a89332ffb30a18bc2143a9c95b31368ff6fcdc5e27697f5d45d566255e1"),
-            (2, 3, 33, "e49e6e109a37e531040f965f6c148c26f4b4ae71155f0ef90ce3462a79e50d25"),
-        ],
-    )
-    def test_analyze_json(self, capsys, p, r, m, digest):
-        code, out, _ = run(
-            capsys, "analyze", "--p", str(p), "--r", str(r), "--m", str(m), "--format", "json"
-        )
+    @pytest.mark.parametrize("digest, text", PINS, ids=[text for _, text in PINS])
+    def test_pinned_output(self, tmp_path, capsys, digest, text):
+        out_path = tmp_path / "out"
+        code, out, _ = run(capsys, *argv_of(text, out_path))
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-    def test_analyze_json_verify(self, capsys):
-        code, out, _ = run(
-            capsys, "analyze", "--p", "3", "--r", "5", "--m", "10", "--format", "json", "--verify"
-        )
-        assert code == 0
-        assert (
-            hashlib.sha256(out.encode("utf-8")).hexdigest()
-            == "880e169a2667e6566a1860aac8919cd011a60d481bfc9eb33c021135cbf7ba6f"
-        )
-
-    def test_scan_csv(self, tmp_path, capsys):
-        out_path = tmp_path / "rows.csv"
-        code, _, _ = run(
-            capsys, "scan", "--p", "2", "--r", "8",
-            "--m-from", "1000", "--m-to", "1199", "--out", str(out_path),
-        )
-        assert code == 0
-        assert (
-            hashlib.sha256(out_path.read_bytes()).hexdigest()
-            == "cda8cdc5f34c3f50d8611d8d92989a3d6af9710de7bce585bd4893375c327c42"
-        )
-
-    def test_scan_jsonl(self, tmp_path, capsys):
-        out_path = tmp_path / "rows.jsonl"
-        code, _, _ = run(
-            capsys, "scan", "--p", "2", "--r", "8", "--m-from", "1000", "--m-to", "1199",
-            "--format", "jsonl", "--out", str(out_path),
-        )
-        assert code == 0
-        assert (
-            hashlib.sha256(out_path.read_bytes()).hexdigest()
-            == "6de12104b99c1ffcab961bf49a3e01e45f1af1dc3dbdac1ea1bcc86284f855ca"
-        )
-
-    def test_analyze_human_verify(self, capsys):
-        code, out, _ = run(
-            capsys, "analyze", "--p", "3", "--r", "5", "--m", "10", "--format", "human", "--verify"
-        )
-        assert code == 0
-        assert (
-            hashlib.sha256(out.encode("utf-8")).hexdigest()
-            == "91387be5d8f594aa1f2fb3e8d4f66b569eb13d94988567d675f4732d002499fe"
-        )
-
-    @pytest.mark.parametrize(
-        "p, r, m, digest",
-        [
-            (3, 3, 161, "3875835a40575329870bd47e98126155ff3fae0651cc6399f3bd2f776ef1954a"),
-            (7, 1, 10001, "3286eef80fdadb87a4963ce3291412851a29abc78af7cf93a3404bb2bac71eaa"),
-            # m = 1 mod 49: UNDETERMINED
-            (7, 1, 197, "adcceb1fe1d1fed3660483ebb938a59971d1394f8f1aafe3844af627cdb6653c"),
-            (2, 10, 33, "d7fee696db5d1cd4cb4ca17c2b5a39fe77a5e554175b3c1286cf746b4a0e5281"),
-            (2, 12, 17, "c62c4b54b7b01ccab60b41cd474adb16ad3cb214eaab8fbe98e23d01c2db04e5"),
-            (61, 2, 3, "5e89718c2c4b4b68caba482dce95625e681a1d2b99586d9c1605a84c3b4f961f"),
-            (3, 7, 10, "5343294124c1d4ba62f3f9c548d3eff227e60ce1938a0e925dbfb64b82d97f48"),
-            (5, 5, 7, "24569863a5954ca5178d41ae797282bebb13a46fb6708f3d740ab94b31122c47"),
-            # m < 0: the "note: m < 0" line
-            (2, 3, -15, "29353d034c8fbb9bad48190f87a9f25a78050fe8c59b45c482eb85cd10db276f"),
-        ],
-    )
-    def test_analyze_human(self, capsys, p, r, m, digest):
-        code, out, _ = run(
-            capsys, "analyze", "--p", str(p), "--r", str(r), "--m", str(m), "--format", "human"
-        )
-        assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "p, r, m, at, fmt, digest",
-        [
-            (3, 3, 161, 3, "ascii", "79704aea0cb015937fb4b7a68ebdf17da6d9ef188d8a98de265d31e8674cc4ae"),
-            (3, 3, 161, 3, "svg", "e2ad9554ce6ddd34f7ce2f72e8910bd534c53e1aed52dbf9e0638cdb7ea87a94"),
-            (2, 12, 17, 2, "ascii", "37fab3d160c2619fb8a9eb72241a62e1dc41809b03d33c99f9726255ded39904"),
-            (2, 12, 17, 2, "svg", "de25453815080624031fd1de1aed4bcb9eee1bf0ff5d2f099eaa388d5018c7e7"),
-            # 3 | 6: the one Eisenstein side at a prime of m
-            (2, 2, 6, 3, "ascii", "861f8d1a3ecb5add1378d9182977ea94ca239d4c70d19955275bc944af3dce10"),
-            (2, 2, 6, 3, "svg", "019dafc4adc5a513027f697ad794f9a1ce050e9577b2f2d47deb31f0c8eb79a6"),
-        ],
-    )
-    def test_render(self, tmp_path, capsys, p, r, m, at, fmt, digest):
-        # taken before the side labels were written by Side.slope_text
-        out_path = tmp_path / f"fig.{fmt}"
-        code, _, _ = run(
-            capsys, "render", "--p", str(p), "--r", str(r), "--m", str(m),
-            "--at", str(at), "--format", fmt, "--out", str(out_path),
-        )
-        assert code == 0
-        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+        data = out_path.read_bytes() if "{out}" in text else out.encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_scan_csv_prime_field(self, tmp_path, capsys, monkeypatch, jobs):

@@ -353,15 +353,20 @@ class TestRecordSemantics:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: PureFieldParams(p=2, r=3, m=17),
-            lambda: _side((0, 4), (2, 2)),
-            lambda: NewtonPolygon((_side((0, 4), (2, 2)), _side((2, 2), (8, 0)))),
-            lambda: ExtensionField(3, (1, 0, 1)),
-            lambda: PrimeField(7, (3, 1)),
-            lambda: PhiExpansion((0, 1), ((5,), (), (1,))),
-            lambda: IndexBound(value=3, exact=False),
-            lambda: SplittingShape.from_pairs([(2, 1), (1, 1)]),
-            *TUPLE_RECORDS.values(),
+            pytest.param(lambda: PureFieldParams(p=2, r=3, m=17), id="PureFieldParams"),
+            pytest.param(lambda: _side((0, 4), (2, 2)), id="Side"),
+            pytest.param(
+                lambda: NewtonPolygon((_side((0, 4), (2, 2)), _side((2, 2), (8, 0)))),
+                id="NewtonPolygon",
+            ),
+            pytest.param(lambda: ExtensionField(3, (1, 0, 1)), id="ExtensionField"),
+            pytest.param(lambda: PrimeField(7, (3, 1)), id="PrimeField"),
+            pytest.param(lambda: PhiExpansion((0, 1), ((5,), (), (1,))), id="PhiExpansion"),
+            pytest.param(lambda: IndexBound(value=3, exact=False), id="IndexBound-literal"),
+            pytest.param(
+                lambda: SplittingShape.from_pairs([(2, 1), (1, 1)]), id="SplittingShape-from_pairs"
+            ),
+            *(pytest.param(make, id=name) for name, make in TUPLE_RECORDS.items()),
         ],
     )
     def test_equal_and_hashed_by_value(self, make):
@@ -380,17 +385,26 @@ class TestRecordSemantics:
     @pytest.mark.parametrize(
         "record, name",
         [
-            (PureFieldParams(p=2, r=3, m=17), "m"),
-            (PureFieldParams(p=2, r=3, m=17), "m_primes"),
-            (_side((0, 4), (2, 2)), "h"),
-            (NewtonPolygon(()), "sides"),
-            (residue_field(7, (3, 1)), "p"),
-            (residue_field(3, (1, 0, 1)), "_folds"),
-            (PhiExpansion((0, 1), ((1,),)), "phi"),
-            (VERDICT, "status"),
-            (VERDICT.certificate.analyses[0].index, "value"),
-            (REPORT.polygon.vertices[0], "i"),  # a vertex the closed form builds
-            *((make(), make()._fields[0]) for make in TUPLE_RECORDS.values()),
+            pytest.param(PureFieldParams(p=2, r=3, m=17), "m", id="PureFieldParams-m"),
+            pytest.param(
+                PureFieldParams(p=2, r=3, m=17), "m_primes", id="PureFieldParams-m_primes"
+            ),
+            pytest.param(_side((0, 4), (2, 2)), "h", id="Side-h"),
+            pytest.param(NewtonPolygon(()), "sides", id="NewtonPolygon-sides"),
+            pytest.param(residue_field(7, (3, 1)), "p", id="PrimeField-p"),
+            pytest.param(residue_field(3, (1, 0, 1)), "_folds", id="ExtensionField-_folds"),
+            pytest.param(PhiExpansion((0, 1), ((1,),)), "phi", id="PhiExpansion-phi"),
+            pytest.param(VERDICT, "status", id="MonogenityVerdict-status-VERDICT"),
+            pytest.param(
+                VERDICT.certificate.analyses[0].index, "value", id="IndexBound-value-VERDICT"
+            ),
+            # a vertex the closed form builds
+            pytest.param(REPORT.polygon.vertices[0], "i", id="ValuedPoint-i-vertex"),
+            *(
+                pytest.param(record, record._fields[0], id=f"{name}-{record._fields[0]}")
+                for name, make in TUPLE_RECORDS.items()
+                for record in [make()]
+            ),
         ],
     )
     def test_assignment_raises(self, record, name):

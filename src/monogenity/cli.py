@@ -123,15 +123,15 @@ def cmd_scan(args) -> int:
     out either way.  The pool forks all its workers at its first task, so
     without the CPU cap --jobs 5000 would fork 5000 processes.  Starting
     and tearing down a pool costs as much as several hundred rows.  On 2
-    CPUs, where a row takes about 0.1 ms at p=2 r=8 (m from 50000) and at
-    p=7 r=1 (m from 10500), two workers ran at x0.47-0.62 the speed of
-    one process on 512 rows, x0.71-0.94 on 1024, x0.85-1.14 on 2048,
-    x1.11-1.22 on 3072 and x1.15-1.28 on 4096 (medians over 7-11 pairs
-    per size and run, both (p, r), each scan timed in a fresh process
-    after a warm-up scan).  So K = 1024: from 2K rows on, the pool ran
-    about as fast as one process or faster.  K scales with the cost of a
-    row, so a change that makes rows much cheaper (a per-class memo) must
-    measure it again.
+    CPUs, where a row takes 55-90 us at p=2 r=8 (m from 50000) and at
+    p=7 r=1 (m from 10500), two workers ran at x0.75-0.82 the speed of
+    one process on 1024 rows, x0.91-1.12 on 1536, x1.03-1.23 on 2048,
+    x1.09-1.32 on 3072 and x1.22-1.46 on 4096 (medians over 9 pairs per
+    size and run, two runs, both (p, r), every 256 rows from 1024 to
+    4096, each scan timed in a fresh process after a warm-up scan).  So
+    K = 1024: from 2K rows on, the pool ran as fast as one process or
+    faster.  K scales with the cost of a row, so a change that makes rows
+    much cheaper (a per-class memo) must measure it again.
 
     The rows are counted before any is built, and a scan of more than
     _MAX_SCAN_ROWS = 500,000 rows is refused (exit 2): every row is held

@@ -1,17 +1,34 @@
-"""sha256 of every pinned CLI output, one line per command, and a runner.
+"""The CLI contract in three tables, and a runner that checks all three.
 
-analyze JSON and human text, scan CSV/JSONL and render output change only
-with a deliberate change of format.  A pin whose argv holds --out {out}
-hashes that file, any other pin its standard output.  TestByteIdentity in
-tests/test_cli.py runs each pin in process; `PYTHONPATH=src python -S
-tests/pinned_outputs.py` runs each in a fresh process, stdout a pipe.
+PINS holds the sha256 of every pinned output, one line per command: analyze
+JSON and human text, scan CSV/JSONL and render output change only with a
+deliberate change of format.  A pin whose argv holds --out {out} hashes that
+file, any other pin its standard output.
+
+ERRORS holds every pinned rejection as (exit code, stderr, argv text).  {tmp}
+in the argv and the stderr stands for an empty directory.  A row passes when
+the command exits with that code, writes nothing to stdout and exactly that
+line to stderr, and leaves the directory empty: no --out file, no .partial.
+
+PROBES holds the import-graph checks as (id, code): each code is a python -S
+program on src/, given a temporary directory as sys.argv[1], that asserts
+what it checks and passes when it exits 0.
+
+tests/test_cli.py runs each pin and error row in process, and
+tests/test_records.py each probe in a fresh process.  `PYTHONPATH=src python
+-S tests/pinned_outputs.py` runs every row of the three tables, each in a
+fresh python -S process, stdout a pipe.
 """
 
 import hashlib
+import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PINS = (
     # analyze JSON, taken before the closed-form engine at t = p
@@ -85,7 +102,203 @@ PINS = (
     ("019dafc4adc5a513027f697ad794f9a1ce050e9577b2f2d47deb31f0c8eb79a6", "render --p 2 --r 2 --m 6 --at 3 --format svg --out {out}"),
 )
 
-# seconds each pin may run; the slowest, a 4096-row pool scan, takes about 0.25 s
+ERRORS = (
+    # a scan into a missing directory fails before it writes anything, and each
+    # i/o error names the --out path, not the partial file
+    (3, "i/o error: [Errno 2] No such file or directory: '{tmp}/missing/rows.csv'", "scan --p 2 --r 1 --m-from 2 --m-to 10 --out {tmp}/missing/rows.csv"),
+    (3, "i/o error: [Errno 2] No such file or directory: '/nonexistent-dir/x.csv'", "scan --p 2 --r 1 --m-from 2 --m-to 3 --out /nonexistent-dir/x.csv"),
+    (3, "i/o error: [Errno 2] No such file or directory: '/nonexistent-dir/fig.svg'", "render --p 2 --r 2 --m 3 --at 3 --out /nonexistent-dir/fig.svg"),
+    (2, "error: m must be squarefree, got 80", "analyze --p 2 --r 2 --m 80"),
+    (2, "error: degree p**r = 8192 exceeds the CLI cap of 4096", "analyze --p 2 --r 13 --m 3"),
+    # the degree cap is checked before p, then p before r, by every command
+    *(
+        (2, f"error: {message}", f"{command} {pr} {tail}")
+        for pr, message in (
+            ("--p 4 --r 7", "degree p**r = 16384 exceeds the CLI cap of 4096"),
+            (f"--p {10**26} --r 1", f"degree p**r = {10**26} exceeds the CLI cap of 4096"),
+            ("--p 4 --r 1", "p must be prime, got 4"),
+            ("--p 3 --r 0", "r must be a positive integer, got 0"),
+            ("--p 1 --r 5", "p must be prime, got 1"),
+        )
+        for command, tail in (
+            ("analyze", "--m 2"),
+            ("scan", "--m-from 2 --m-to 9 --out {tmp}/out.txt"),
+            ("render", "--m 2 --at 2 --out {tmp}/out.txt"),
+        )
+    ),
+    (2, "error: --residue and --modulus must be given together", "scan --p 3 --r 1 --m-from 2 --m-to 9 --residue 1 --out {tmp}/rows.csv"),
+    (2, "error: --residue and --modulus must be given together", "scan --p 3 --r 1 --m-from 2 --m-to 9 --modulus 3 --out {tmp}/rows.csv"),
+    (2, "error: --modulus must be positive", "scan --p 3 --r 1 --m-from 2 --m-to 9 --residue 1 --modulus 0 --out {tmp}/rows.csv"),
+    (2, "error: --m-from must not exceed --m-to", "scan --p 2 --r 1 --m-from 5 --m-to 3 --out {tmp}/rows.csv"),
+    # 7 divides neither 3 nor 10; 4, 0, 1 and -3 are not prime, and say so
+    # first: each message is pure_prime_analysis's, as in the library
+    (2, "error: 7 divides neither p nor m, so it cannot divide the index", "render --p 3 --r 1 --m 10 --at 7 --out {tmp}/fig.txt"),
+    (2, "error: 4 is not prime", "render --p 3 --r 1 --m 10 --at 4 --out {tmp}/fig.txt"),
+    (2, "error: 0 is not prime", "render --p 3 --r 1 --m 10 --at 0 --out {tmp}/fig.txt"),
+    (2, "error: 1 is not prime", "render --p 3 --r 1 --m 10 --at 1 --out {tmp}/fig.txt"),
+    (2, "error: -3 is not prime", "render --p 3 --r 1 --m 10 --at -3 --out {tmp}/fig.txt"),
+)
+
+# Loaded by analyze, --verify, render, scan, Side.slope, a Cantor-Zassenhaus
+# split or a polynomial outside the pure family only, never by a load of the
+# CLI: each would be built or compiled on every command.
+NOT_LOADED = (
+    "monogenity.output",
+    "monogenity.oracle",
+    "monogenity.render",
+    "monogenity.ore",
+    "dataclasses",
+    "fractions",
+    "csv",
+    "typing",
+    "random",
+)
+
+# the pinned scan that the pure path must write with no hull pipeline
+_SCAN = "scan --p 2 --r 8 --m-from 1000 --m-to 1199 --out {out}"
+_SCAN_DIGEST = dict(map(reversed, PINS))[_SCAN]
+
+PROBES = tuple((name, textwrap.dedent(code)) for name, code in (
+    ("cli_import_loads_only_what_analyze_runs", f"""
+        import sys
+        import monogenity.cli
+        loaded = set({NOT_LOADED!r}) & set(sys.modules)
+        assert not loaded, sorted(loaded)
+    """),
+    ("analyze_and_scan_never_load_the_general_engine", """
+        import contextlib, io, os, sys
+        from monogenity.cli import main
+        out = os.path.join(sys.argv[1], "scan")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for fmt in ("json", "human"):
+                for p, r, m in ((2, 12, 17), (61, 2, 3), (3, 2, 10), (2, 3, -15)):
+                    code = main(["analyze", "--p", str(p), "--r", str(r), "--m", str(m),
+                                 "--format", fmt])
+                    assert code == 0, (p, r, m, fmt)
+            for fmt in ("csv", "jsonl"):
+                for p, r in ((7, 1), (2, 8), (3, 2), (5, 1)):
+                    code = main(["scan", "--p", str(p), "--r", str(r), "--m-from", "-60",
+                                 "--m-to", "60", "--format", fmt, "--out", out])
+                    assert code == 0, (p, r, fmt)
+        loaded = set(("monogenity.ore", "typing", "random")) & set(sys.modules)
+        assert not loaded, sorted(loaded)
+        from monogenity.residue import residue_field
+        residue_field(7, (3, 1))
+        assert "monogenity.ore" not in sys.modules
+        residue_field(3, (1, 0, 1))
+        assert "monogenity.ore" in sys.modules
+    """),
+    # the layers below the engine only: no classify, cli, output or render
+    ("engine_loads_nothing_above_its_layers", """
+        import sys
+        import monogenity.ore
+        loaded = set(n for n in sys.modules if n.startswith("monogenity."))
+        assert loaded == set("monogenity." + m for m in (
+            "errors", "intarith", "ore", "polygon", "record", "residue", "zpoly"
+        )), sorted(loaded)
+    """),
+    # the pure layer, the drawing and the lattice points it draws
+    # (monogenity.oracle), with no engine (monogenity.ore)
+    ("render_loads_no_engine", """
+        import contextlib, io, os, sys
+        from monogenity.cli import main
+        out = os.path.join(sys.argv[1], "figure")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for fmt in ("ascii", "svg"):
+                for p, r, m, at in ((3, 3, 161, 3), (2, 12, 17, 2), (2, 2, 6, 3)):
+                    code = main(["render", "--p", str(p), "--r", str(r), "--m", str(m),
+                                 "--at", str(at), "--format", fmt, "--out", out])
+                    assert code == 0, (p, r, m, at, fmt)
+        loaded = set(n for n in sys.modules if n.startswith("monogenity."))
+        assert loaded == set("monogenity." + m for m in (
+            "classify", "cli", "errors", "intarith", "oracle", "polygon", "record", "render",
+            "residue", "zpoly",
+        )), sorted(loaded)
+    """),
+    ("package_import_loads_no_submodule", """
+        import sys
+        import monogenity
+        def submodules():
+            return sorted(n for n in sys.modules if n.startswith("monogenity."))
+        assert not submodules(), submodules()
+        missing = set(monogenity.__all__) - set(dir(monogenity))
+        assert not missing, sorted(missing)
+        assert not submodules(), submodules()
+    """),
+    # each name loads its module on first use, and is defined there: a stale
+    # _HOMES entry, or a name a home module reaches only through a hook, fails
+    ("every_exported_name_is_at_home", """
+        import sys
+        import monogenity
+        monogenity.ValidationError
+        loaded = sorted(n for n in sys.modules if n.startswith("monogenity."))
+        assert loaded == ["monogenity.errors"], loaded
+        for name in monogenity.__all__:
+            if name != "__version__":
+                value = getattr(monogenity, name)
+                home = vars(sys.modules["monogenity." + monogenity._HOMES[name]])
+                assert name in home and home[name] is value, name
+                module = getattr(value, "__module__", None)
+                if module and module.startswith("monogenity."):
+                    assert getattr(sys.modules[module], name) is value, name
+        import monogenity.classify
+        assert callable(monogenity.classify), monogenity.classify
+        assert monogenity.classify.__module__ == "monogenity.classify"
+    """),
+    # a scan loads no part of analyze's output layer and no engine; analyze and
+    # render after it load no engine either, though render loads oracle for
+    # the lattice points it draws
+    ("scan_loads_no_analyze_output_or_engine", f"""
+        import contextlib, hashlib, io, os, sys
+        from monogenity.cli import main
+        out = os.path.join(sys.argv[1], "out")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for fmt in ("csv", "jsonl"):
+                for p, r in ((7, 1), (2, 8), (3, 2)):
+                    code = main(["scan", "--p", str(p), "--r", str(r), "--m-from", "-60",
+                                 "--m-to", "60", "--format", fmt, "--out", out])
+                    assert code == 0, (p, r, fmt)
+            assert main({_SCAN.split()[:-1]!r} + [out]) == 0
+        refused = ("monogenity.output", "monogenity.oracle", "monogenity.render", "monogenity.ore")
+        loaded = set(refused) & set(sys.modules)
+        assert not loaded, sorted(loaded)
+        with open(out, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == {_SCAN_DIGEST!r}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", "--p", "3", "--r", "3", "--m", "161", "--format", "json"]) == 0
+            assert main(["render", "--p", "2", "--r", "12", "--m", "17", "--at", "2", "--out", out]) == 0
+        assert "monogenity.oracle" in sys.modules
+        assert "monogenity.ore" not in sys.modules
+    """),
+    ("lazy_modules_still_load", """
+        import sys
+        from monogenity import Side, ValuedPoint, oracle, render
+        assert str(Side(ValuedPoint(0, 2), ValuedPoint(4, 0)).slope) == "-1/2"
+        assert "fractions" in sys.modules
+    """),
+    # the hull, the dense residuals, the residual factorization and the generic
+    # report raise if called: the pure path reads every report off its closed
+    # forms, so the pinned scan keeps its digest and analyze still exits 0;
+    # each name must exist in the engine, or the stub would only add an
+    # attribute that nothing calls
+    ("scan_and_analyze_run_no_hull_pipeline", f"""
+        import contextlib, hashlib, io, os, sys
+        from monogenity import cli, ore
+        def refuse(*args):
+            raise AssertionError("the hull pipeline ran")
+        for name in ("lower_convex_hull", "residual_polynomial", "ff_factor", "_phi_report"):
+            assert callable(vars(ore).get(name)), name
+            setattr(ore, name, refuse)
+        out = os.path.join(sys.argv[1], "rows.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({_SCAN.split()[:-1]!r} + [out]) == 0
+            assert cli.main(["analyze", "--p", "3", "--r", "3", "--m", "161", "--format", "json"]) == 0
+        with open(out, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == {_SCAN_DIGEST!r}
+    """),
+))
+
+# seconds each row may run; the slowest, a 4096-row pool scan, takes about 0.25 s
 TIMEOUT_S = 60
 
 
@@ -94,30 +307,76 @@ def argv_of(text, out):
     return [str(out) if word == "{out}" else word for word in text.split()]
 
 
-def problem(digest, text, out):
+def fill(text, tmp):
+    """An ERRORS argv or stderr with the directory tmp in place of {tmp}."""
+    return text.replace("{tmp}", str(tmp))
+
+
+def _python(*args):
+    """Run python -S with args on src/, in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-S", *args], env=env, capture_output=True, timeout=TIMEOUT_S
+    )
+
+
+def pin_problem(digest, text, tmp):
     """What is wrong with one pin run in a fresh process, or None."""
-    command = [sys.executable, "-S", "-m", "monogenity", *argv_of(text, out)]
-    try:
-        done = subprocess.run(command, stdout=subprocess.PIPE, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return f"no exit within {TIMEOUT_S} s"
+    out = tmp / "out"
+    done = _python("-m", "monogenity", *argv_of(text, out))
     if done.returncode:
         return f"exit {done.returncode}"
-    data = Path(out).read_bytes() if "{out}" in text else done.stdout
+    data = out.read_bytes() if "{out}" in text else done.stdout
     got = hashlib.sha256(data).hexdigest()
     return None if got == digest else f"sha256 {got}"
 
 
+def error_problem(code, stderr, text, tmp):
+    """What is wrong with one error row run in a fresh process in the empty tmp, or None."""
+    done = _python("-m", "monogenity", *fill(text, tmp).split())
+    got = (done.returncode, done.stdout, done.stderr)
+    if got != (code, b"", f"{fill(stderr, tmp)}\n".encode()):
+        return f"exit {done.returncode}, stdout {done.stdout!r}, stderr {done.stderr!r}"
+    left = sorted(path.name for path in tmp.iterdir())
+    return f"left {left}" if left else None
+
+
+def probe_problem(name, code, tmp):
+    """What is wrong with one probe run in a fresh process, or None."""
+    done = _python("-c", code, str(tmp))
+    if done.returncode == 0:
+        return None
+    lines = done.stderr.decode(errors="replace").splitlines() or [""]
+    return f"exit {done.returncode}, {lines[-1]}"
+
+
+# each table, how its rows are checked and the place of the row's name
+TABLES = (
+    ("pinned outputs match", PINS, pin_problem, 1),
+    ("error pins match", ERRORS, error_problem, 2),
+    ("probes pass", PROBES, probe_problem, 0),
+)
+
+
 def main():
-    """Run every pin; print one line per mismatch, and return 1 on any."""
-    failed = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for n, (digest, text) in enumerate(PINS):
-            wrong = problem(digest, text, Path(tmp, str(n)))
+    """Check every row of the three tables, each in a fresh empty directory;
+    print one line per failure and a count per table, and return 1 on any."""
+    counts, failed = [], 0
+    for what, table, problem, name in TABLES:
+        passed = 0
+        for row in table:
+            with tempfile.TemporaryDirectory() as tmp:
+                try:
+                    wrong = problem(*row, Path(tmp))
+                except subprocess.TimeoutExpired:
+                    wrong = f"no exit within {TIMEOUT_S} s"
             if wrong:
-                failed += 1
-                print(f"{wrong}: {text}")
-    print(f"{len(PINS) - failed} pinned outputs match")
+                print(f"{wrong}: {row[name]}")
+            else:
+                passed += 1
+        failed += len(table) - passed
+        counts.append(f"{passed} of {len(table)} {what}")
+    print(*counts, sep="\n")
     return 1 if failed else 0
 
 

@@ -17,7 +17,7 @@ from monogenity import cli, output
 from monogenity.cli import main
 from monogenity.errors import OracleDisagreement
 from monogenity.intarith import is_squarefree
-from pinned_outputs import PINS, argv_of
+from pinned_outputs import ERRORS, PINS, argv_of, fill
 
 
 def run(capsys, *argv):
@@ -48,11 +48,6 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--p", "7", "--r", "1", "--m", "2")
         assert code == 0
         assert "MONOGENIC_ZALPHA" in out
-
-    def test_validation_exit_code(self, capsys):
-        code, _, err = run(capsys, "analyze", "--p", "2", "--r", "2", "--m", "80")
-        assert code == 2
-        assert "squarefree" in err
 
     def test_json_schema(self, capsys):
         from monogenity.classify import Provenance
@@ -166,12 +161,6 @@ class TestAnalyze:
         with pytest.raises(OracleDisagreement) as caught:
             cli.cmd_analyze(cli.build_parser().parse_args(argv))
         assert caught.value.args == (disagreement,)
-
-    def test_degree_cap(self, capsys):
-        code, _, err = run(capsys, "analyze", "--p", "2", "--r", "13", "--m", "3")
-        assert code == 2
-        assert "cap" in err
-
 
 @contextlib.contextmanager
 def time_limit(seconds):
@@ -341,31 +330,6 @@ class TestBoundedTime:
             code, _, err = run(capsys, *argv)
         assert code == 2
         assert "exceeds the CLI cap of 4096" in err
-
-
-    @pytest.mark.parametrize(
-        "p, r, message",
-        [
-            (4, 7, "degree p**r = 16384 exceeds the CLI cap of 4096"),
-            (10**26, 1, f"degree p**r = {10**26} exceeds the CLI cap of 4096"),
-            (4, 1, "p must be prime, got 4"),
-            (3, 0, "r must be a positive integer, got 0"),
-            (1, 5, "p must be prime, got 1"),
-        ],
-    )
-    def test_same_error_from_every_command(self, capsys, tmp_path, p, r, message):
-        # the degree cap is checked before p, then p before r, by every command
-        pr = ["--p", str(p), "--r", str(r)]
-        out = tmp_path / "out.txt"
-        for argv in (
-            ["analyze", *pr, "--m", "2"],
-            ["scan", *pr, "--m-from", "2", "--m-to", "9", "--out", str(out)],
-            ["render", *pr, "--m", "2", "--at", "2", "--out", str(out)],
-        ):
-            code, _, err = run(capsys, *argv)
-            assert (code, err) == (2, f"error: {message}\n"), argv
-            assert list(tmp_path.iterdir()) == [], argv
-
 
 class TestParserReuse:
     """main builds its parser once per process, so no option may carry
@@ -565,13 +529,6 @@ class TestScan:
         assert seen == started
         assert pooled.read_bytes() == serial.read_bytes()
 
-    def test_unwritable_path(self, capsys):
-        code, _, err = run(
-            capsys, "scan", "--p", "2", "--r", "1",
-            "--m-from", "2", "--m-to", "3", "--out", "/nonexistent-dir/x.csv",
-        )
-        assert code == 3
-
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_io_error_names_the_out_path(self, tmp_path, target):
         # the open of the partial file and its rename both failed naming
@@ -598,31 +555,6 @@ class TestScan:
             )
 
     @pytest.mark.parametrize(
-        "window, message",
-        [
-            (("--residue", "1"), "--residue and --modulus must be given together"),
-            (("--modulus", "3"), "--residue and --modulus must be given together"),
-            (("--residue", "1", "--modulus", "0"), "--modulus must be positive"),
-        ],
-        ids=["residue-alone", "modulus-alone", "modulus-zero"],
-    )
-    def test_bad_residue_class_rejected(self, tmp_path, capsys, window, message):
-        out_path = tmp_path / "rows.csv"
-        code, out, err = run(
-            capsys, "scan", "--p", "3", "--r", "1", "--m-from", "2", "--m-to", "9", *window,
-            "--out", str(out_path),
-        )
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-        assert not out_path.exists()
-
-    def test_bad_range(self, capsys):
-        code, _, _ = run(
-            capsys, "scan", "--p", "2", "--r", "1",
-            "--m-from", "5", "--m-to", "3", "--out", "/tmp/unused.csv",
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize(
         "window",
         [
             ("--m-from", "-2", "--m-to", "7"),
@@ -647,11 +579,11 @@ class TestScan:
 
 
 class TestByteIdentity:
-    """Outputs pinned by sha256: tests/pinned_outputs.py holds every digest
-    a command line can reach, and the two below pin what none can.  The p = 7
-    scan was taken before residuals over F_p were factored by the F_p[x]
-    module, the residuals over F_(p^k) before F_p and F_(p^k) shared one
-    factorization."""
+    """Outputs pinned by sha256, and rejections pinned byte for byte:
+    tests/pinned_outputs.py holds every digest and error a command line can
+    reach, and the two below pin what none can.  The p = 7 scan was taken
+    before residuals over F_p were factored by the F_p[x] module, the
+    residuals over F_(p^k) before F_p and F_(p^k) shared one factorization."""
 
     @pytest.mark.parametrize("digest, text", PINS, ids=[text for _, text in PINS])
     def test_pinned_output(self, tmp_path, capsys, digest, text):
@@ -660,6 +592,12 @@ class TestByteIdentity:
         assert code == 0
         data = out_path.read_bytes() if "{out}" in text else out.encode("utf-8")
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("code, stderr, text", ERRORS, ids=[text for *_, text in ERRORS])
+    def test_error_pin(self, tmp_path, capsys, code, stderr, text):
+        got = run(capsys, *fill(text, tmp_path).split())
+        assert got == (code, "", f"{fill(stderr, tmp_path)}\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_scan_csv_prime_field(self, tmp_path, capsys, monkeypatch, jobs):
@@ -1025,33 +963,6 @@ class TestRender:
         text = out_path.read_text()
         assert "S1: slope -1/4, length 4, degree 1" in text
         assert "S2" not in text
-
-    def test_unwritable(self, capsys):
-        code, _, _ = run(
-            capsys, "render", "--p", "2", "--r", "2", "--m", "3", "--at", "3",
-            "--out", "/nonexistent-dir/fig.svg",
-        )
-        assert code == 3
-
-    @pytest.mark.parametrize("at", ["7", "4", "0", "1", "-3"])
-    def test_prime_off_p_and_m_rejected(self, tmp_path, capsys, at):
-        # 7 divides neither 3 nor 10; 4, 0, 1 and -3 are not prime, and say so
-        # first: each message is pure_prime_analysis's, as in the library
-        out_path = tmp_path / "fig.txt"
-        code, out, err = run(
-            capsys, "render", "--p", "3", "--r", "1", "--m", "10", "--at", at,
-            "--out", str(out_path),
-        )
-        assert code == 2
-        assert out == ""
-        if at == "7":
-            assert err == (
-                "error: 7 divides neither p nor m, so it cannot divide the index\n"
-            )
-        else:
-            assert err == f"error: {at} is not prime\n"
-        assert not out_path.exists()
-
 
 class TestConfigPrecedence:
     def test_env_sets_format(self, capsys, monkeypatch):

@@ -1,11 +1,7 @@
 """What loading the package builds, and the records it builds instead of
 dataclasses: equality, hashing, immutability, pickling and repr."""
 
-import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -23,23 +19,7 @@ from monogenity.ore import ExtensionField, PhiExpansion
 from monogenity.polygon import NewtonPolygon
 from monogenity.residue import PrimeField, residue_field
 from monogenity.zpoly import pure_shift_expansion
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-# Loaded by analyze, --verify, render, scan, Side.slope, a Cantor-Zassenhaus
-# split or a polynomial outside the pure family only, never by a load of the
-# CLI: each would be built or compiled on every command.
-NOT_LOADED = (
-    "monogenity.output",
-    "monogenity.oracle",
-    "monogenity.render",
-    "monogenity.ore",
-    "dataclasses",
-    "fractions",
-    "csv",
-    "typing",
-    "random",
-)
+from pinned_outputs import PROBES, probe_problem
 
 # (module, name) for every name that moved out of module, by its new home:
 # into monogenity.ore, the reference engine, the dense Z[x] arithmetic and
@@ -118,132 +98,18 @@ REPORT_RECORDS = (
 BENCH_READS = {("zpoly", "phi_expansion"), ("classify", "dedekind_divides_index")}
 
 
-def _run_bare(code: str) -> str:
-    """Run code in a fresh python -S process on src/ and return its stdout."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 class TestImportGraph:
-    def test_cli_import_loads_only_what_analyze_runs(self):
-        code = (
-            "import sys\n"
-            "import monogenity.cli\n"
-            f"print(' '.join(sorted(set({NOT_LOADED!r}) & set(sys.modules))))\n"
-        )
-        assert _run_bare(code).split() == []
-
-    def test_analyze_and_scan_never_load_the_general_engine(self, tmp_path):
-        out = tmp_path / "scan"
-        code = (
-            "import contextlib, io, sys\n"
-            "from monogenity.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for fmt in ('json', 'human'):\n"
-            "        for p, r, m in ((2, 12, 17), (61, 2, 3), (3, 2, 10), (2, 3, -15)):\n"
-            "            main(['analyze', '--p', str(p), '--r', str(r), '--m', str(m), '--format', fmt])\n"
-            "    for fmt in ('csv', 'jsonl'):\n"
-            "        for p, r in ((7, 1), (2, 8), (3, 2), (5, 1)):\n"
-            "            main(['scan', '--p', str(p), '--r', str(r), '--m-from', '-60',\n"
-            f"                  '--m-to', '60', '--format', fmt, '--out', {str(out)!r}])\n"
-            "print('monogenity.ore' in sys.modules, 'typing' in sys.modules,\n"
-            "      'random' in sys.modules)\n"
-            "from monogenity.residue import residue_field\n"
-            "residue_field(7, (3, 1))\n"
-            "print('monogenity.ore' in sys.modules)\n"
-            "residue_field(3, (1, 0, 1))\n"
-            "print('monogenity.ore' in sys.modules)\n"
-        )
-        assert _run_bare(code).split() == ["False", "False", "False", "False", "True"]
-
-    def test_engine_loads_nothing_above_its_layers(self):
-        code = (
-            "import sys\n"
-            "import monogenity.ore\n"
-            "print(' '.join(sorted(n for n in sys.modules if n.startswith('monogenity.'))))\n"
-        )
-        # the layers below the engine only: no classify, cli, output or render
-        assert set(_run_bare(code).split()) == {
-            f"monogenity.{m}"
-            for m in ("errors", "intarith", "ore", "polygon", "record", "residue", "zpoly")
-        }
-
-    def test_render_loads_no_engine(self, tmp_path):
-        out = tmp_path / "figure"
-        code = (
-            "import contextlib, io, sys\n"
-            "from monogenity.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for fmt in ('ascii', 'svg'):\n"
-            "        for p, r, m, at in ((3, 3, 161, 3), (2, 12, 17, 2), (2, 2, 6, 3)):\n"
-            "            code = main(['render', '--p', str(p), '--r', str(r), '--m', str(m),\n"
-            f"                         '--at', str(at), '--format', fmt, '--out', {str(out)!r}])\n"
-            "            assert code == 0, (p, r, m, at, fmt)\n"
-            "print(' '.join(sorted(n for n in sys.modules if n.startswith('monogenity.'))))\n"
-        )
-        # the pure layer, the drawing and the lattice points it draws
-        # (monogenity.oracle), with no engine (monogenity.ore)
-        assert set(_run_bare(code).split()) == {
-            f"monogenity.{m}"
-            for m in (
-                "classify", "cli", "errors", "intarith", "oracle", "polygon", "record", "render",
-                "residue", "zpoly",
-            )
-        }
-
-    def test_package_import_loads_no_submodule(self):
-        code = (
-            "import sys\n"
-            "import monogenity\n"
-            "print(' '.join(sorted(n for n in sys.modules if n.startswith('monogenity.'))))\n"
-            "missing = set(monogenity.__all__) - set(dir(monogenity))\n"
-            "print(' '.join(sorted(missing)) or 'none')\n"
-            "print(' '.join(sorted(n for n in sys.modules if n.startswith('monogenity.'))))\n"
-        )
-        assert _run_bare(code).split() == ["none"]
+    @pytest.mark.parametrize("name, code", PROBES, ids=[name for name, _ in PROBES])
+    def test_probe(self, tmp_path, name, code):
+        assert probe_problem(name, code, tmp_path) is None
 
     def test_every_exported_name_resolves(self):
-        # resolved in a fresh process, where each name loads its module on first use
-        code = (
-            "import sys\n"
-            "import monogenity\n"
-            "monogenity.ValidationError\n"
-            "print(' '.join(sorted(n for n in sys.modules if n.startswith('monogenity.'))))\n"
-            "for name in monogenity.__all__:\n"
-            "    value = getattr(monogenity, name)\n"
-            "    home = getattr(value, '__module__', None)\n"
-            "    if home and home.startswith('monogenity.') and name != '__version__':\n"
-            "        assert getattr(sys.modules[home], name) is value, name\n"
-            "import monogenity.classify\n"
-            "print(callable(monogenity.classify), monogenity.classify.__module__)\n"
-        )
-        assert _run_bare(code).split() == ["monogenity.errors", "True", "monogenity.classify"]
+        # in process; the probe every_exported_name_is_at_home checks each home
         assert set(monogenity.__all__) <= set(dir(monogenity))
         for name in monogenity.__all__:
             assert getattr(monogenity, name) is not None
         with pytest.raises(AttributeError):
             monogenity.no_such_name
-
-    def test_scan_loads_no_analyze_output_or_engine(self, tmp_path):
-        out = tmp_path / "scan"
-        refused = ("monogenity.output", "monogenity.oracle", "monogenity.render",
-                   "monogenity.ore")
-        code = (
-            "import contextlib, io, sys\n"
-            "from monogenity.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for fmt in ('csv', 'jsonl'):\n"
-            "        for p, r in ((7, 1), (2, 8), (3, 2)):\n"
-            "            code = main(['scan', '--p', str(p), '--r', str(r), '--m-from', '-60',\n"
-            f"                         '--m-to', '60', '--format', fmt, '--out', {str(out)!r}])\n"
-            "            assert code == 0, (p, r, fmt)\n"
-            f"print(' '.join(sorted(set({refused!r}) & set(sys.modules))) or 'none')\n"
-        )
-        assert _run_bare(code).split() == ["none"]
 
     @_moved_to("output")
     def test_moved_name_leaves_cli_for_the_output_layer(self, module, name):
@@ -305,14 +171,6 @@ class TestImportGraph:
         assert monogenity.analyze_prime is ore.analyze_prime
         assert "analyze_prime" in monogenity.__all__
 
-    def test_lazy_modules_still_load(self):
-        code = (
-            "import sys\n"
-            "from monogenity import Side, ValuedPoint, oracle, render\n"
-            "print(Side(ValuedPoint(0, 2), ValuedPoint(4, 0)).slope)\n"
-            "print('fractions' in sys.modules)\n"
-        )
-        assert _run_bare(code).split() == ["-1/2", "True"]
 
 
 def _side(a, b):
@@ -347,6 +205,13 @@ TUPLE_RECORDS = {
     "MonogenityVerdict": lambda: classify(PureFieldParams(3, 3, 10)),
     "PolygonFigure": _figure,
 }
+
+
+@pytest.fixture
+def record(request):
+    """The record a test is parametrized over, given as a function that builds
+    it: an F_(p^k) built at collection would stop the whole module collecting."""
+    return request.param()
 
 
 class TestRecordSemantics:
@@ -385,27 +250,31 @@ class TestRecordSemantics:
     @pytest.mark.parametrize(
         "record, name",
         [
-            pytest.param(PureFieldParams(p=2, r=3, m=17), "m", id="PureFieldParams-m"),
+            pytest.param(lambda: PureFieldParams(p=2, r=3, m=17), "m", id="PureFieldParams-m"),
             pytest.param(
-                PureFieldParams(p=2, r=3, m=17), "m_primes", id="PureFieldParams-m_primes"
+                lambda: PureFieldParams(p=2, r=3, m=17), "m_primes", id="PureFieldParams-m_primes"
             ),
-            pytest.param(_side((0, 4), (2, 2)), "h", id="Side-h"),
-            pytest.param(NewtonPolygon(()), "sides", id="NewtonPolygon-sides"),
-            pytest.param(residue_field(7, (3, 1)), "p", id="PrimeField-p"),
-            pytest.param(residue_field(3, (1, 0, 1)), "_folds", id="ExtensionField-_folds"),
-            pytest.param(PhiExpansion((0, 1), ((1,),)), "phi", id="PhiExpansion-phi"),
-            pytest.param(VERDICT, "status", id="MonogenityVerdict-status-VERDICT"),
+            pytest.param(lambda: _side((0, 4), (2, 2)), "h", id="Side-h"),
+            pytest.param(lambda: NewtonPolygon(()), "sides", id="NewtonPolygon-sides"),
+            pytest.param(lambda: residue_field(7, (3, 1)), "p", id="PrimeField-p"),
             pytest.param(
-                VERDICT.certificate.analyses[0].index, "value", id="IndexBound-value-VERDICT"
+                lambda: residue_field(3, (1, 0, 1)), "_folds", id="ExtensionField-_folds"
+            ),
+            pytest.param(lambda: PhiExpansion((0, 1), ((1,),)), "phi", id="PhiExpansion-phi"),
+            pytest.param(lambda: VERDICT, "status", id="MonogenityVerdict-status-VERDICT"),
+            pytest.param(
+                lambda: VERDICT.certificate.analyses[0].index, "value",
+                id="IndexBound-value-VERDICT",
             ),
             # a vertex the closed form builds
-            pytest.param(REPORT.polygon.vertices[0], "i", id="ValuedPoint-i-vertex"),
+            pytest.param(lambda: REPORT.polygon.vertices[0], "i", id="ValuedPoint-i-vertex"),
             *(
-                pytest.param(record, record._fields[0], id=f"{name}-{record._fields[0]}")
+                pytest.param(make, field, id=f"{name}-{field}")
                 for name, make in TUPLE_RECORDS.items()
-                for record in [make()]
+                for field in [make()._fields[0]]
             ),
         ],
+        indirect=["record"],
     )
     def test_assignment_raises(self, record, name):
         with pytest.raises(AttributeError):
@@ -415,9 +284,10 @@ class TestRecordSemantics:
 
     @pytest.mark.parametrize(
         "record",
-        [residue_field(7, (3, 1)), residue_field(3, (1, 0, 1))]
-        + [make() for make in TUPLE_RECORDS.values()],
+        [lambda: residue_field(7, (3, 1)), lambda: residue_field(3, (1, 0, 1))]
+        + list(TUPLE_RECORDS.values()),
         ids=["PrimeField", "ExtensionField", *TUPLE_RECORDS],
+        indirect=True,
     )
     def test_pickle_round_trip(self, record):
         back = pickle.loads(pickle.dumps(record))

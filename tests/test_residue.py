@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import signal
@@ -31,9 +32,19 @@ from monogenity.zpoly import degree
 
 F2 = residue_field(2, (0, 1))  # F_2 as F_2[x]/(x)
 F3 = residue_field(3, (0, 1))
-F5 = residue_field(5, (0, 1))
-F4 = residue_field(2, (1, 1, 1))  # F_2[x]/(x^2 + x + 1)
-F9 = residue_field(3, (1, 0, 1))  # F_3[x]/(x^2 + 1)
+# F_4 = F_2[x]/(x^2 + x + 1) and F_9 = F_3[x]/(x^2 + 1) are built as their
+# tests run, so that a fault in the F_(p^k) arithmetic fails those tests and
+# not the collection of this module
+F4 = functools.partial(residue_field, 2, (1, 1, 1))
+F9 = functools.partial(residue_field, 3, (1, 0, 1))
+# (p, modulus) of F_2, F_3, F_4 and F_9, for the field fixture
+SMALL_FIELDS = [(2, (0, 1)), (3, (0, 1)), F4.args, F9.args]
+
+
+@pytest.fixture
+def field(request):
+    """The residue field a test is parametrized over by (p, modulus)."""
+    return residue_field(*request.param)
 
 
 def _trim(coeffs):
@@ -97,10 +108,10 @@ class TestResidueField:
 
     def test_orders(self):
         assert F2.order == 2
-        assert F4.order == 4
-        assert F9.order == 9
+        assert F4().order == 4
+        assert F9().order == 9
 
-    @pytest.mark.parametrize("field", [F2, F3, F4, F9])
+    @pytest.mark.parametrize("field", SMALL_FIELDS, indirect=True)
     def test_inverses(self, field):
         for z in _elements(field):
             if not z:
@@ -109,8 +120,9 @@ class TestResidueField:
 
     def test_field_axioms_sample(self):
         rng = random.Random(1)
-        elems = _elements(F9)
-        add, mul = F9.add, F9.mul
+        f9 = F9()
+        elems = _elements(f9)
+        add, mul = f9.add, f9.mul
         for _ in range(100):
             a, b, c = (rng.choice(elems) for _ in range(3))
             assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
@@ -118,8 +130,9 @@ class TestResidueField:
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
     def test_pow(self):
-        g = F4.element((0, 1))
-        assert F4.pow(g, 3) == F4.one  # multiplicative group of F_4 has order 3
+        f4 = F4()
+        g = f4.element((0, 1))
+        assert f4.pow(g, 3) == f4.one  # multiplicative group of F_4 has order 3
 
     def test_field_cache_is_bounded(self):
         # a long scan meets a new F_q for almost every new prime q of m
@@ -170,8 +183,8 @@ class TestResidueClass:
         assert residue_class(residue_field(3, reduce_mod_p((-161, 1), 3)), (84,), 1) == 1
 
     def test_generator_image(self):
-        z = residue_class(F4, (0, 1), 0)
-        assert z == F4.element((0, 1))
+        z = residue_class(F4(), (0, 1), 0)
+        assert z == F4().element((0, 1))
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValidationError):
@@ -200,7 +213,7 @@ class TestSquarefreePoly:
 
 
 class TestFFFactor:
-    @pytest.mark.parametrize("field", [F2, F3, F4, F9])
+    @pytest.mark.parametrize("field", SMALL_FIELDS, indirect=True)
     def test_roundtrip_random(self, field):
         rng = random.Random(field.order)
         elems = _elements(field)
@@ -221,19 +234,21 @@ class TestFFFactor:
 
     def test_quadratic_split_over_f4(self):
         # y^2 + y + 1 splits over F_4 into (y + g)(y + g^2)
-        g = F4.element((0, 1))
-        poly = (F4.one, F4.one, F4.one)
-        factors = ff_factor(F4, poly)
+        f4 = F4()
+        g = f4.element((0, 1))
+        poly = (f4.one, f4.one, f4.one)
+        factors = ff_factor(f4, poly)
         assert len(factors) == 2
         assert all(degree(f) == 1 and m == 1 for f, m in factors)
-        roots = sorted(F4.sub(F4.zero, f[0]) for f, _ in factors)
-        assert roots == sorted([g, F4.mul(g, g)])
+        roots = sorted(f4.sub(f4.zero, f[0]) for f, _ in factors)
+        assert roots == sorted([g, f4.mul(g, g)])
 
     def test_frobenius_power_over_f9(self):
         # (y + 1)^9 = y^9 + 1 in characteristic 3
-        one, zero = F9.one, F9.zero
+        f9 = F9()
+        one, zero = f9.one, f9.zero
         poly = (one,) + (zero,) * 8 + (one,)
-        assert ff_factor(F9, poly) == [((one, one), 9)]
+        assert ff_factor(f9, poly) == [((one, one), 9)]
 
     def test_make_monic(self):
         assert ff_make_monic(F3, (2, 2)) == (1, 1)
@@ -290,15 +305,15 @@ def prime_field_polys(draw):
     return field, _trim(tail + [field.one])
 
 
-# F_4, F_8, F_9, F_25, F_27, F_49, each with the largest factor degree that
-# keeps trial division over it quick
+# F_4, F_8, F_9, F_25, F_27, F_49 by (p, modulus), each with the largest
+# factor degree that keeps trial division over it quick
 EXTENSION_FIELDS = [
-    (F4, 3),
-    (residue_field(2, (1, 1, 0, 1)), 3),  # x^3 + x + 1
-    (F9, 3),
-    (residue_field(5, (2, 0, 1)), 2),  # x^2 + 2
-    (residue_field(3, (1, 2, 0, 1)), 2),  # x^3 + 2x + 1
-    (residue_field(7, (1, 0, 1)), 2),  # x^2 + 1
+    (2, (1, 1, 1), 3),  # x^2 + x + 1
+    (2, (1, 1, 0, 1), 3),  # x^3 + x + 1
+    (3, (1, 0, 1), 3),  # x^2 + 1
+    (5, (2, 0, 1), 2),  # x^2 + 2
+    (3, (1, 2, 0, 1), 2),  # x^3 + 2x + 1
+    (7, (1, 0, 1), 2),  # x^2 + 1
 ]
 
 
@@ -309,7 +324,8 @@ def extension_field_polys(draw):
     Products repeat factors and put several factors of one degree in a
     block, so the squarefree and equal-degree steps both have work.
     """
-    field, max_degree = draw(st.sampled_from(EXTENSION_FIELDS))
+    p, modulus, max_degree = draw(st.sampled_from(EXTENSION_FIELDS))
+    field = residue_field(p, modulus)
     element = st.tuples(*[st.integers(0, field.p - 1)] * field.degree).map(
         lambda c: _ref_element(field, c)
     )
@@ -433,7 +449,7 @@ class TestLazyReduction:
                 assert _ref_mul(field, field.inv(z), z) == one
                 assert field.inv(z) == _ref_inv(field, z)
 
-    @pytest.mark.parametrize("field", [F3, F9])
+    @pytest.mark.parametrize("field", [(3, (0, 1)), F9.args], indirect=True)
     def test_zero_has_no_inverse(self, field):
         with pytest.raises(ZeroDivisionError):
             field.inv(field.zero)
@@ -451,7 +467,7 @@ class TestPurePower:
         assert ff_factor(f17, (0,) * 4096 + (1,)) == [((0, 1), 4096)]
         assert len(calls) <= 2
 
-    @pytest.mark.parametrize("field", [F3, F9])
+    @pytest.mark.parametrize("field", [(3, (0, 1)), F9.args], indirect=True)
     def test_power_times_cofactor(self, field):
         # y^5 (y + 1)^2: y^5 is split off, (y + 1)^2 goes through the loop
         one, zero = field.one, field.zero
@@ -615,11 +631,13 @@ class TestBoundedSplit:
     @pytest.mark.parametrize(
         "field, g",
         [
-            (F5, ff_mul(F5, (4, 1), (3, 1))),  # (y - 1)(y - 2)
-            (F4, ff_mul(F4, ((1,), (1,)), ((0, 1), (1,)))),  # (y + 1)(y + x), the trace branch
+            ((5, (0, 1)), ((4, 1), (3, 1))),  # (y - 1)(y - 2) over F_5
+            (F4.args, (((1,), (1,)), ((0, 1), (1,)))),  # (y + 1)(y + x), the trace branch
         ],
+        indirect=["field"],
     )
     def test_broken_modular_product_raises(self, monkeypatch, field, g):
+        g = ff_mul(field, *g)  # g as given by its two factors
         # a product mod g that drops its second factor: a**e mod g stays 1
         # and every trace is 0, so no draw can split g
         monkeypatch.setattr(ore, "ff_mulmod", lambda fld, a, b, m: ff_mod(fld, a, m))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import os
 import sys
@@ -133,11 +132,15 @@ def cmd_scan(args) -> int:
     faster.  K scales with the cost of a row, so a change that makes rows
     much cheaper (a per-class memo) must measure it again.
 
-    The rows are counted before any is built, and a scan of more than
-    _MAX_SCAN_ROWS = 500,000 rows is refused (exit 2): every row is held
-    until the output is written, at about 0.67 KiB each (peak RSS 20 MiB
-    at 10**4 rows and 79 MiB at 10**5, p=3 r=1), so the cap keeps a scan
-    near 350 MiB and about a minute.
+    The rows are counted first, and a scan of more than _MAX_SCAN_ROWS =
+    500,000 rows is refused (exit 2).  The --out file is opened next, so a
+    bad path fails (exit 3) before any row is built.  Each row is written
+    and counted for the summary as it arrives, and in process no other row
+    is held: 500,000 rows at p=7 r=1 from m = 10000 took 43 s at 13.6 MiB
+    peak RSS, so the cap keeps a scan under a minute.  A pool holds more:
+    Executor.map submits every chunk of count / (4 * workers) tasks at once
+    (Python 3.10-3.13), and a chunk's rows arrive as one list; the same
+    scan at --jobs 2 took 25 s at 125.7 MiB.
     """
     if args.m_from > args.m_to:
         raise ValidationError("--m-from must not exceed --m-to")
@@ -157,32 +160,38 @@ def cmd_scan(args) -> int:
         raise ValidationError(
             f"the scan has {count} values of m, past the cap of {_MAX_SCAN_ROWS} rows"
         )
-    tasks = [(args.p, args.r, m) for m in range(first, args.m_to + 1, step)]
-    workers = min(args.jobs, len(tasks) // _ROWS_PER_WORKER, _usable_cpus())
-    if workers <= 1:
-        rows = [_scan_row(t) for t in tasks]
-    else:
-        # imported only when a pool starts: with logging it adds ~0.5 MiB RSS
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (workers * 4))
-            rows = list(pool.map(_scan_row, tasks, chunksize=chunk))
-
-    with _replacing(args.out) as handle:
-        handle.write(_format_rows(rows, args.format))
-
-    counts: dict[str, int] = {}
-    skipped = 0
-    for row in rows:
-        if row.get("skipped_reason"):
-            skipped += 1
+    tasks = ((args.p, args.r, m) for m in range(first, args.m_to + 1, step))
+    workers = min(args.jobs, count // _ROWS_PER_WORKER, _usable_cpus())
+    counts = dict.fromkeys([*(status.value for status in Status), None], 0)
+    with _replacing(args.out) as handle, contextlib.ExitStack() as stack:
+        if workers <= 1:
+            rows = map(_scan_row, tasks)
         else:
-            counts[row["status"]] = counts.get(row["status"], 0) + 1
-    print(f"scanned {len(rows)} values of m in [{args.m_from}, {args.m_to}]")
+            # imported only when a pool starts: with logging it adds ~0.5 MiB RSS
+            import concurrent.futures
+
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(workers))
+            rows = pool.map(_scan_row, tasks, chunksize=max(1, count // (workers * 4)))
+        if args.format == "csv":
+            import csv  # only a CSV scan writes it
+
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(_SCAN_FIELDS)
+        for row in rows:
+            counts[row.get("status")] += 1  # a skipped row has no status
+            if args.format == "jsonl":
+                full = {key: row.get(key) for key in _SCAN_FIELDS}
+                handle.write(json.dumps(full, sort_keys=True) + "\n")
+            else:  # the writer writes None as ""
+                writer.writerow(
+                    ("true" if v else "false") if isinstance(v, bool) else v
+                    for v in map(row.get, _SCAN_FIELDS)
+                )
+
+    print(f"scanned {count} values of m in [{args.m_from}, {args.m_to}]")
     for status in Status:
-        print(f"{status.value}: {counts.get(status.value, 0)}")
-    print(f"skipped: {skipped}")
+        print(f"{status.value}: {counts[status.value]}")
+    print(f"skipped: {counts[None]}")
     return 0
 
 
@@ -193,32 +202,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on macOS and Windows
         return os.cpu_count() or 1
-
-
-def _format_rows(rows, fmt: str) -> str:
-    if fmt == "jsonl":
-        lines = []
-        for row in rows:
-            full = {key: row.get(key) for key in _SCAN_FIELDS}
-            lines.append(json.dumps(full, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
-    import csv  # only a CSV scan writes it
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_SCAN_FIELDS)
-    for row in rows:
-        record = []
-        for key in _SCAN_FIELDS:
-            value = row.get(key)
-            if value is None:
-                record.append("")
-            elif isinstance(value, bool):
-                record.append("true" if value else "false")
-            else:
-                record.append(str(value))
-        writer.writerow(record)
-    return out.getvalue()
 
 
 def cmd_render(args) -> int:
@@ -238,7 +221,11 @@ def _replacing(path: str):
     """A new file that replaces path as the block ends, or is removed if it fails."""
     partial = f"{path}.{os.getpid()}.partial"
     try:
-        handle = open(partial, "x", encoding="utf-8", newline="")
+        try:
+            handle = open(partial, "x", encoding="utf-8", newline="")
+        except FileExistsError:  # left by a killed run that had this pid
+            os.unlink(partial)  # not open(partial, "w"), which follows a symlink
+            handle = open(partial, "x", encoding="utf-8", newline="")
         try:
             with handle:
                 yield handle

@@ -10,9 +10,10 @@ in the argv and the stderr stands for an empty directory.  A row passes when
 the command exits with that code, writes nothing to stdout and exactly that
 line to stderr, and leaves the directory empty: no --out file, no .partial.
 
-PROBES holds the import-graph checks as (id, code): each code is a python -S
-program on src/, given a temporary directory as sys.argv[1], that asserts
-what it checks and passes when it exits 0.
+PROBES holds the checks no output can show, as (id, code): which modules a
+command loads, and how a scan's memory grows with its rows.  Each code is a
+python -S program on src/, given a temporary directory as sys.argv[1], that
+asserts what it checks and passes when it exits 0.
 
 tests/test_cli.py runs each pin and error row in process, and
 tests/test_records.py each probe in a fresh process.  `PYTHONPATH=src python
@@ -58,6 +59,9 @@ PINS = (
     ("e49e6e109a37e531040f965f6c148c26f4b4ae71155f0ef90ce3462a79e50d25", "analyze --p 2 --r 3 --m 33 --format json"),
     # taken again when --verify began to check whole columns of valued points
     ("880e169a2667e6566a1860aac8919cd011a60d481bfc9eb33c021135cbf7ba6f", "analyze --p 3 --r 5 --m 10 --format json --verify"),
+    # taken when it joined this table: 1009 * 1049 is split by Pollard-Brent
+    # rho only after its first batch of steps overshoots, at c = 1
+    ("6634222083086ff1b47a224e3878e8b8546c295e130bff29f73cdaa15bdaa4f0", "analyze --p 3 --r 1 --m 1058441 --format json"),
     # human text, taken before residuals over F_p were factored by the F_p[x]
     # module; m = 1 mod 49 at (7, 1, 197): UNDETERMINED
     ("3875835a40575329870bd47e98126155ff3fae0651cc6399f3bd2f776ef1954a", "analyze --p 3 --r 3 --m 161 --format human"),
@@ -106,6 +110,10 @@ ERRORS = (
     # a scan into a missing directory fails before it writes anything, and each
     # i/o error names the --out path, not the partial file
     (3, "i/o error: [Errno 2] No such file or directory: '{tmp}/missing/rows.csv'", "scan --p 2 --r 1 --m-from 2 --m-to 10 --out {tmp}/missing/rows.csv"),
+    # the --out file is opened before any row is built, so a bad path fails
+    # with exit 3 even where the first row would fail: this m is past the
+    # primality limit
+    (3, "i/o error: [Errno 2] No such file or directory: '{tmp}/missing/rows.csv'", f"scan --p 3 --r 1 --m-from {10**30 + 57} --m-to {10**30 + 57} --out {{tmp}}/missing/rows.csv"),
     (3, "i/o error: [Errno 2] No such file or directory: '/nonexistent-dir/x.csv'", "scan --p 2 --r 1 --m-from 2 --m-to 3 --out /nonexistent-dir/x.csv"),
     (3, "i/o error: [Errno 2] No such file or directory: '/nonexistent-dir/fig.svg'", "render --p 2 --r 2 --m 3 --at 3 --out /nonexistent-dir/fig.svg"),
     (2, "error: m must be squarefree, got 80", "analyze --p 2 --r 2 --m 80"),
@@ -296,9 +304,31 @@ PROBES = tuple((name, textwrap.dedent(code)) for name, code in (
         with open(out, "rb") as handle:
             assert hashlib.sha256(handle.read()).hexdigest() == {_SCAN_DIGEST!r}
     """),
+    # a scan holds no row past its write: after a warm-up, a 2,500-row scan's
+    # tracemalloc peak is within 512 KiB of a 500-row scan's, in CSV and in
+    # JSONL (a scan that held every row grew by 1.3 and 2.2 MiB)
+    ("scan_memory_is_flat_in_the_row_count", """
+        import contextlib, io, os, sys, tracemalloc
+        from monogenity.cli import main
+        out = os.path.join(sys.argv[1], "rows")
+        def peak(rows, fmt):
+            argv = ["scan", "--p", "7", "--r", "1", "--m-from", "10000",
+                    "--m-to", str(10000 + rows - 1), "--format", fmt, "--out", out]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0, argv
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(500, "csv")
+        for fmt in ("csv", "jsonl"):
+            small, large = peak(500, fmt), peak(2500, fmt)
+            assert large - small <= 512 * 1024, (fmt, small, large)
+    """),
 ))
 
-# seconds each row may run; the slowest, a 4096-row pool scan, takes about 0.25 s
+# seconds each row may run; the slowest, the scan memory probe, takes about 3 s
 TIMEOUT_S = 60
 
 

@@ -856,12 +856,23 @@ class TestAtomicOutput:
 
         raise InvariantError("injected")
 
+    def _fail_at(self, monkeypatch, m, exc):
+        """Make the scan row of m raise exc, after the rows before it are written."""
+        row = cli._scan_row
+
+        def failing(task):
+            if task[2] == m:
+                raise exc
+            return row(task)
+
+        monkeypatch.setattr(cli, "_scan_row", failing)
+
     def test_scan(self, tmp_path, capsys, monkeypatch):
-        from monogenity import cli
+        from monogenity.errors import InvariantError
 
         out_path = tmp_path / "rows.csv"
         out_path.write_bytes(b"old rows\n")
-        monkeypatch.setattr(cli, "_format_rows", self._fail)
+        self._fail_at(monkeypatch, 15, InvariantError("injected"))
         code, _, err = run(
             capsys, "scan", "--p", "2", "--r", "2",
             "--m-from", "2", "--m-to", "20", "--out", str(out_path),
@@ -886,13 +897,8 @@ class TestAtomicOutput:
         assert os.listdir(tmp_path) == ["fig.txt"]
 
     def test_interrupt_while_writing(self, tmp_path, monkeypatch):
-        from monogenity import cli
-
-        def interrupted(rows, fmt):
-            raise KeyboardInterrupt
-
         out_path = tmp_path / "rows.csv"
-        monkeypatch.setattr(cli, "_format_rows", interrupted)
+        self._fail_at(monkeypatch, 4, KeyboardInterrupt)
         with pytest.raises(KeyboardInterrupt):
             main(["scan", "--p", "2", "--r", "1", "--m-from", "2", "--m-to", "5",
                   "--out", str(out_path)])
@@ -921,6 +927,34 @@ class TestAtomicOutput:
         assert done.returncode == 3, done.stderr
         assert out_path.read_bytes() == b"old rows\n"
         assert os.listdir(tmp_path) == ["rows.csv"]
+
+    @pytest.mark.parametrize("stale", ["file", "symlink"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scan --p 2 --r 8 --m-from 1000 --m-to 1199 --out {out}",
+            "render --p 3 --r 3 --m 161 --at 3 --format ascii --out {out}",
+        ],
+        ids=["scan", "render"],
+    )
+    def test_stale_partial_is_replaced(self, tmp_path, capsys, text, stale):
+        # a run killed with this pid leaves its partial file behind, which
+        # must not block a later write to the same --out; a symlink planted
+        # at that name is removed, and its target never written
+        out_path = tmp_path / "out"
+        partial = tmp_path / f"out.{os.getpid()}.partial"
+        sentinel = tmp_path / "sentinel"
+        sentinel.write_bytes(b"sentinel\n")
+        if stale == "file":
+            partial.write_bytes(b"stale rows\n")
+        else:
+            partial.symlink_to(sentinel)
+        code, _, _ = run(capsys, *argv_of(text, out_path))
+        assert code == 0
+        digest = dict(map(reversed, PINS))[text]
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+        assert sentinel.read_bytes() == b"sentinel\n"
+        assert sorted(os.listdir(tmp_path)) == ["out", "sentinel"]
 
     def test_new_file_replaces_old(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"

@@ -180,6 +180,21 @@ class TestFactorize:
         assert factorize(n) == expected
         assert factorize(-n) == expected
 
+    def test_batch_overshoot_walked_again(self, monkeypatch):
+        # at c = 1 the batched gcd of 1009 * 1049 is n itself: the walk
+        # closed its cycle mod both primes within one batch, so rho walks
+        # that batch again one gcd at a time and finds a prime
+        n = 1009 * 1049
+        gcd, results = math.gcd, []
+
+        def recording(a, b):
+            results.append(gcd(a, b))
+            return results[-1]
+
+        monkeypatch.setattr(math, "gcd", recording)
+        assert factorize(n) == [(1009, 1), (1049, 1)]
+        assert n in results and results[-1] in (1009, 1049)
+
     def test_square_of_large_prime_not_squarefree(self):
         m = 3 * (10**9 + 7) ** 2
         assert not is_squarefree(m)
